@@ -1,12 +1,10 @@
 """Symbolic engine for free non-commutative dg-algebras over idempotents."""
 
-from .coefficients import (CoeffRing, NotAUnitError, RingMismatchError,
-                           coeff_arith, gf2, laurent, rationals)
+from .coefficients import (CoeffRing, NotAUnitError, RingMismatchError, gf2,
+                           laurent, rationals)
 from .algebra import (Element, Generator, Idempotent, Presentation,
                       PresentationError, IncompletePresentationError,
-                      POTENTIAL_MINUS, POTENTIAL_PLUS, Word,
-                      apply_differential, element_mul, validate_presentation,
-                      word_concat)
+                      POTENTIAL_MINUS, POTENTIAL_PLUS, Word)
 from .analysis import (Bounds, DegreeReport, DSquaredReport, ExactnessResult,
                        H0Report, NonHomogeneousTargetError, ParityReport,
                        TrivialityResult, UnsupportedPresentationError,
@@ -15,7 +13,7 @@ from .analysis import (Bounds, DegreeReport, DSquaredReport, ExactnessResult,
 from .morphisms import (Augmentation, AugmentationReport, ChainMapReport,
                         GenMap, MapError, ObstructionReport, ScopeError,
                         UnsupportedCodomainError, UnverifiedAugmentationError,
-                        compose, extend_map, identity_map, obstruct_y_filling,
+                        compose, identity_map, obstruct_y_filling,
                         partial_linearize, verify_augmentation,
                         verify_chain_map)
 from .catalog import (ALTERNATING, UNIFORM_MINUS, CatalogBundle,

@@ -326,9 +326,15 @@ class Presentation:
 
     def apply_differential(self, x: Element) -> Element:
         """Linear, graded-Leibniz extension of the generator assignments."""
+        ring = self.ring
         out: Element = {}
         for w, c in x.items():
-            out = self.add(out, self.scale(c, self.d_word(w)))
+            for dw, dc in self.d_word(w).items():
+                s = ring.add(out.get(dw, ring.zero()), ring.mul(c, dc))
+                if ring.is_zero(s):
+                    out.pop(dw, None)
+                else:
+                    out[dw] = s
         return out
 
     # -- validation -------------------------------------------------------------
@@ -388,23 +394,6 @@ class Presentation:
     def __str__(self):
         return (f"Presentation({self.ring}, {len(self.idempotents)} idempotents, "
                 f"{len(self.generators)} generators)")
-
-
-def word_concat(P: Presentation, u: Word, v: Word) -> Optional[Word]:
-    """Concatenation as a free function; None encodes the zero product."""
-    return P.concat(u, v)
-
-
-def element_mul(P: Presentation, x: Element, y: Element) -> Element:
-    return P.mul(x, y)
-
-
-def apply_differential(P: Presentation, x: Element) -> Element:
-    return P.apply_differential(x)
-
-
-def validate_presentation(P: Presentation) -> ValidationReport:
-    return P.validate()
 
 
 def check_ring(P: Presentation, Q: Presentation):

@@ -10,6 +10,7 @@ carries the bounds it was run at and is never an unbounded claim.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -118,38 +119,66 @@ def check_parity_flip(P: Presentation) -> ParityReport:
 # bounded exactness search
 # ---------------------------------------------------------------------------
 
+def walk_words(letters, target, max_len, viable):
+    """Composable words over `letters` of length 1..max_len with the given
+    target, in pre-order, as (word, source, degree).
+
+    Letters are appended on the acting side: each new letter's target is
+    the current source.  A word for which viable(word, source, degree) is
+    false is skipped together with all of its extensions.
+    """
+    by_target: dict[int, list] = {}
+    for g in letters:
+        by_target.setdefault(g.target, []).append(g)
+
+    def grow(word, cur, deg):
+        if len(word) < max_len:
+            for g in by_target.get(cur, ()):
+                nw, nd = word + (g.index,), deg + g.degree
+                if viable(nw, g.source, nd):
+                    yield nw, g.source, nd
+                    yield from grow(nw, g.source, nd)
+
+    return grow((), target, 0)
+
+
+def _closings(letters, source, max_len):
+    """done[k][i] for k < max_len: the (degree, length parity) pairs of the
+    words of length <= k that lead from idempotent i back to `source`
+    (letters appended on the acting side; the empty word when i == source).
+    """
+    done = [{source: {(0, 0)}}]
+    for _ in range(max_len - 1):
+        prev, nxt = done[-1], {source: {(0, 0)}}
+        for g in letters:
+            nxt.setdefault(g.target, set()).update(
+                (d + g.degree, 1 - p) for d, p in prev.get(g.source, ()))
+        done.append(nxt)
+    return done
+
+
 def composable_words(P: Presentation, *, degree, ends, max_len, max_level,
                      parity=None):
     """All composable generator words with the given ends, total degree,
-    length <= max_len, letter levels <= max_level, optional length parity."""
-    allowed = [g for g in P.generators if (g.level or 0) <= max_level]
-    if not allowed or max_len == 0:
-        return []
-    by_target: dict[int, list] = {}
-    for g in allowed:
-        by_target.setdefault(g.target, []).append(g)
-    degs = [g.degree for g in allowed]
-    lo, hi = min(degs), max(degs)
+    length <= max_len, letter levels <= max_level, optional length parity.
 
-    def reachable(need, slots):
-        return any(r * lo <= need <= r * hi for r in range(1, slots + 1))
-
+    The walk visits only words that can still close: some extension within
+    the remaining length reaches the required source, degree and parity.
+    """
+    letters = [g for g in P.generators if (g.level or 0) <= max_level]
     out = []
-
-    def grow(word, cur, deg_sum, src):
-        # letters are appended on the acting side: each new letter's
-        # target must equal the current source
-        for g in by_target.get(cur, ()):
-            nw = word + (g.index,)
-            nd = deg_sum + g.degree
-            if (g.source == src and nd == degree
-                    and (parity is None or len(nw) % 2 == parity)):
-                out.append(nw)
-            if len(nw) < max_len and reachable(degree - nd, max_len - len(nw)):
-                grow(nw, g.source, nd, src)
-
     for (s, t) in sorted(set(ends)):
-        grow((), t, 0, s)
+        done = _closings(letters, s, max_len)
+
+        def viable(word, src, deg):
+            rest = done[max_len - len(word)].get(src, ())
+            if parity is None:
+                return (degree - deg, 0) in rest or (degree - deg, 1) in rest
+            return (degree - deg, (parity - len(word)) % 2) in rest
+
+        out += [w for w, src, deg in walk_words(letters, t, max_len, viable)
+                if src == s and deg == degree
+                and (parity is None or len(w) % 2 == parity)]
     return out
 
 
@@ -308,6 +337,7 @@ class RewriteSystem:
     def __init__(self, P: Presentation):
         self.P = P
         self.rules: list[RewriteRule] = []
+        self.collapses: list[str] = []
 
     def _find(self, w):
         if isinstance(w, int):
@@ -351,7 +381,8 @@ class RewriteSystem:
         """Reduce, then turn a nonzero element into a rule lead -> rest.
 
         Returns "added", "zero", or "degenerate" (leading word is a pure
-        idempotent -- a ground-ring collapse this system does not orient).
+        idempotent -- a ground-ring collapse this system does not orient;
+        the reduced element is appended to `collapses`).
         """
         P = self.P
         el = self.normal_form(el)
@@ -359,6 +390,7 @@ class RewriteSystem:
             return "zero"
         lead = max(el, key=P.sort_key)
         if isinstance(lead, int):
+            self.collapses.append(P.format_element(el))
             return "degenerate"
         lc = el[lead]
         rest = dict(el)
@@ -440,10 +472,8 @@ def h0(P: Presentation, degree_bound: int = 8,
             relations.append(dg)
 
     rs = RewriteSystem(P)
-    degenerate = []
     for rel in relations:
-        if rs.orient(rel) == "degenerate":
-            degenerate.append(P.format_element(rs.normal_form(rel)))
+        rs.orient(rel)
     rs.interreduce()
 
     truncated = False
@@ -463,48 +493,28 @@ def h0(P: Presentation, degree_bound: int = 8,
                                {r2.lhs[k:]: P.ring.one()})
                     x2 = P.mul({r1.lhs[:len(r1.lhs) - k]: P.ring.one()},
                                rs.normal_form(r2.rhs))
-                    status = rs.orient(P.sub(x1, x2))
-                    if status == "degenerate":
-                        degenerate.append("overlap collapse at "
-                                          + P.format_word(word))
-                    elif status == "added":
+                    if rs.orient(P.sub(x1, x2)) == "added":
                         pending = True
             if pending:
                 break
         if pending:
             rs.interreduce()
 
-    deg0 = [g for g in P.generators if g.degree == 0]
+    # letters are appended on the acting side, so a new reducible
+    # occurrence can only be a suffix of the extended word
     lhs_set = {r.lhs for r in rs.rules}
-    by_target: dict[int, list] = {}
-    for g in deg0:
-        by_target.setdefault(g.target, []).append(g)
 
+    def irreducible(word, src, deg):
+        return not any(len(l) <= len(word) and word[-len(l):] == l
+                       for l in lhs_set)
+
+    letters = [g for g in P.generators if g.degree == 0]
+    walk = (w for t in sorted({g.target for g in letters})
+            for w, _, _ in walk_words(letters, t, degree_bound, irreducible))
     basis = [e.index for e in P.idempotents]
-    capped = False
-
-    def grow(word):
-        # letters are appended on the acting side, so a new reducible
-        # occurrence can only be a suffix of the extended word
-        nonlocal capped
-        if capped or len(word) >= degree_bound:
-            return
-        targets = ([P.generators[word[-1]].source] if word
-                   else sorted(by_target))
-        for t in targets:
-            for g in by_target.get(t, ()):
-                nw = word + (g.index,)
-                if any(len(l) <= len(nw) and nw[-len(l):] == l
-                       for l in lhs_set):
-                    continue
-                if len(basis) >= basis_cap:
-                    capped = True
-                    return
-                basis.append(nw)
-                grow(nw)
-
-    grow(())
-    is_ground = (not degenerate and not capped
+    basis += itertools.islice(walk, max(basis_cap - len(basis), 0))
+    capped = next(walk, None) is not None
+    is_ground = (not rs.collapses and not capped
                  and all(isinstance(w, int) for w in basis))
     return H0Report(
         relations=[P.format_element(r) for r in relations],
@@ -513,7 +523,7 @@ def h0(P: Presentation, degree_bound: int = 8,
         is_ground_ring=is_ground,
         dimension=len(basis),
         basis=[P.format_word(w) for w in basis],
-        degenerate=degenerate,
+        degenerate=rs.collapses,
         truncated=truncated,
         degree_bound=degree_bound,
     )

@@ -220,13 +220,3 @@ def gf2() -> CoeffRing:
 def laurent(*parameters: str) -> CoeffRing:
     return CoeffRing(LAURENT, tuple(parameters))
 
-
-def coeff_arith(ring: CoeffRing, op: str, a, b=None):
-    """Operation dispatcher for {add, mul, neg}."""
-    if op == "add":
-        return ring.add(a, b)
-    if op == "mul":
-        return ring.mul(a, b)
-    if op == "neg":
-        return ring.neg(a)
-    raise ValueError(f"unknown op {op!r}")

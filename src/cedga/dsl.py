@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import POTENTIAL_MINUS, POTENTIAL_PLUS, Presentation
+from .algebra import (POTENTIAL_MINUS, POTENTIAL_PLUS, Presentation,
+                      PresentationError)
 from .catalog import CatalogBundle
 from .coefficients import GF2, LAURENT, RATIONALS, CoeffRing
 from .morphisms import Augmentation, GenMap
@@ -246,7 +247,11 @@ class _Parser:
         t = self.next()
         if t.value == "idempotents":
             while self.at_ident() and self.peek().value not in KEYWORDS:
-                P.add_idempotent(self.next().value)
+                tok = self.next()
+                try:
+                    P.add_idempotent(tok.value)
+                except PresentationError as exc:
+                    self.err(str(exc), tok)
         elif t.value == "gen":
             name = self.expect_ident("generator name")
             if name.value in KEYWORDS:
@@ -270,8 +275,11 @@ class _Parser:
             for e in (src, tgt):
                 if not P.has_name(e.value):
                     self.err(f"undeclared idempotent {e.value!r}", e)
-            P.add_generator(name.value, degree, P.idem(src.value),
-                            P.idem(tgt.value), role, link, level)
+            try:
+                P.add_generator(name.value, degree, P.idem(src.value),
+                                P.idem(tgt.value), role, link, level)
+            except PresentationError as exc:
+                self.err(str(exc), name)
         elif t.value == "diff":
             name = self.expect_ident("generator name")
             try:
@@ -361,7 +369,11 @@ class _Parser:
             if self.peek().kind == "sym" and self.peek().value == "/":
                 self.next()
                 den = self.expect_int()
-                return ring.from_fraction(Fraction(num, den))
+                try:
+                    return ring.from_fraction(Fraction(num, den))
+                except ZeroDivisionError:
+                    self.err(f"coefficient {num}/{den} is undefined in "
+                             f"{ring}", t)
             return ring.from_int(num)
         if t.kind == "ident" and ring.kind == LAURENT \
                 and t.value in ring.parameters:

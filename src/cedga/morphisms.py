@@ -107,10 +107,6 @@ class GenMap:
         return out
 
 
-def extend_map(phi: GenMap, x: Element) -> Element:
-    return phi.apply(x)
-
-
 def compose(phi: GenMap, psi: GenMap) -> GenMap:
     """psi after phi (phi: P -> Q, psi: Q -> R)."""
     if phi.target is not psi.source and not phi.target.same_data(psi.source):
@@ -459,12 +455,6 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
     def parity_part(el, bit):
         return {w: c for w, c in el.items() if T.word_length(w) % 2 == bit}
 
-    def candidates(ends_pairs, degree, bit):
-        pairs = sorted(set(ends_pairs))
-        return composable_words(T, degree=degree, ends=pairs,
-                                max_len=bounds.max_word_length,
-                                max_level=bounds.max_level, parity=bit)
-
     for g in long_gens:
         known, symbolic, reason = map_terms(g.index)
         if reason is not None:
@@ -487,7 +477,9 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
                 f"{T.format_element(target)}; a solution needs the "
                 f"{'odd' if opp else 'even'} part of phi({g.name}) to bound it")
             solver = LinearSolver(T.ring)
-            u_cands = candidates(u_ends, g.degree, opp)
+            u_cands = composable_words(T, degree=g.degree, ends=u_ends,
+                                       max_len=bounds.max_word_length,
+                                       max_level=bounds.max_level, parity=opp)
             for w in u_cands:
                 solver.add_column(("u", w), {("m", rw): rc
                                              for rw, rc in T.d_word(w).items()})
@@ -521,7 +513,10 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
                     transcript.append(
                         f"  symbolic phi({hg.name}) is unconstrained")
                 z_ends = [(zs, zt) for zs in zsrc for zt in ztgt]
-                z_cands = candidates(z_ends, hg.degree, zbit)
+                z_cands = composable_words(
+                    T, degree=hg.degree, ends=z_ends,
+                    max_len=bounds.max_word_length,
+                    max_level=bounds.max_level, parity=zbit)
                 for zw in z_cands:
                     col = {}
                     for coeff, lw, rw in slots:

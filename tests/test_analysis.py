@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cedga import (Bounds, NonHomogeneousTargetError, Presentation,
                    UnsupportedPresentationError, check_d_squared,
@@ -168,6 +171,9 @@ def test_h0_free_degree_zero_algebra():
     assert not rep.is_ground_ring
     assert rep.dimension == 2 + 2 + 2 + 2 + 2  # lengths 0..4
     assert rep.relations == []
+    # a basis cut at the idempotents is not evidence of the ground ring
+    capped = h0(P, degree_bound=4, basis_cap=2)
+    assert capped.basis == ["e1", "e2"] and not capped.is_ground_ring
 
 
 def test_h0_rejects_mixed_degree_relations():
@@ -207,3 +213,121 @@ def test_h0_monotone_in_the_bound():
         high = h0(example(name).main, degree_bound=12)
         assert low.is_ground_ring == high.is_ground_ring
         assert low.rules == high.rules
+
+
+def test_h0_keeps_a_collapse_found_during_interreduction():
+    # d r1 = a*b - 1, d r2 = a, d r3 = b: the relation a*b - 1 reduces to
+    # -1 once a -> 0 is a rule, so H0 = 0 (d x = 1 is certified at L=3)
+    P = _simple()
+    for name in ("a", "b"):
+        P.add_generator(name, 0, "e1", "e1")
+        P.set_differential(name, P.zero())
+    for name in ("r1", "r2", "r3"):
+        P.add_generator(name, -1, "e1", "e1")
+    P.set_differential("r1", P.sub(P.el_word(["a", "b"]), P.one()))
+    P.set_differential("r2", P.el_gen("a"))
+    P.set_differential("r3", P.el_gen("b"))
+    assert is_trivial(P, Bounds(max_word_length=3)).certified_trivial
+    rep = h0(P)
+    assert not rep.is_ground_ring
+    assert rep.degenerate
+
+
+# -- the word walker ----------------------------------------------------------
+
+def _reference_composable_words(P, *, degree, ends, max_len, max_level,
+                           parity=None):
+    """The depth-first enumerator composable_words replaced, kept as the
+    reference for its output and order."""
+    allowed = [g for g in P.generators if (g.level or 0) <= max_level]
+    if not allowed or max_len == 0:
+        return []
+    by_target: dict[int, list] = {}
+    for g in allowed:
+        by_target.setdefault(g.target, []).append(g)
+    degs = [g.degree for g in allowed]
+    lo, hi = min(degs), max(degs)
+
+    def reachable(need, slots):
+        return any(r * lo <= need <= r * hi for r in range(1, slots + 1))
+
+    out = []
+
+    def grow(word, cur, deg_sum, src):
+        for g in by_target.get(cur, ()):
+            nw = word + (g.index,)
+            nd = deg_sum + g.degree
+            if (g.source == src and nd == degree
+                    and (parity is None or len(nw) % 2 == parity)):
+                out.append(nw)
+            if len(nw) < max_len and reachable(degree - nd, max_len - len(nw)):
+                grow(nw, g.source, nd, src)
+
+    for (s, t) in sorted(set(ends)):
+        grow((), t, 0, s)
+    return out
+
+
+@st.composite
+def quivers(draw):
+    n = draw(st.integers(1, 3))
+    P = Presentation(F2)
+    for i in range(n):
+        P.add_idempotent(f"e{i}")
+    for k in range(draw(st.integers(2, 6))):
+        P.add_generator(f"g{k}", draw(st.integers(-2, 1)),
+                        draw(st.integers(0, n - 1)),
+                        draw(st.integers(0, n - 1)),
+                        level=draw(st.integers(0, 2)))
+    pairs = [(s, t) for s in range(n) for t in range(n)]
+    ends = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+    return P, ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(quivers(), st.integers(-5, 2), st.integers(0, 5), st.integers(0, 2),
+       st.sampled_from([None, 0, 1]))
+def test_composable_words_matches_the_reference_dfs(quiver, degree, max_len,
+                                               max_level, parity):
+    P, ends = quiver
+    kw = dict(degree=degree, ends=ends, max_len=max_len, max_level=max_level,
+              parity=parity)
+    assert composable_words(P, **kw) == _reference_composable_words(P, **kw)
+
+
+def _braid_triangle():
+    P = _simple()
+    letters = [P.add_generator(f"a{k}", 0, "e1", "e1") for k in range(3)]
+    for g in letters:
+        P.set_differential(g, P.zero())
+    for k, (u, v) in enumerate((((0, 1, 0), (1, 0, 1)),
+                                ((1, 2, 1), (2, 1, 2)),
+                                ((2, 0, 2), (0, 2, 0)))):
+        P.add_generator(f"r{k}", -1, "e1", "e1")
+        P.set_differential(f"r{k}", P.sub({u: P.ring.one()},
+                                          {v: P.ring.one()}))
+    return P
+
+
+@pytest.mark.parametrize("name,bound", [("unknot_one_handle", 8),
+                                        ("unknot_two_handles", 8),
+                                        ("saddle_cobordism", 8),
+                                        ("braid_triangle", 7)])
+def test_h0_basis_is_every_irreducible_degree_zero_word(name, bound):
+    P = _braid_triangle() if name == "braid_triangle" else example(name).main
+    rep = h0(P, degree_bound=bound)
+    lhs = [tuple(P.gen(x).index for x in r.split(" -> ")[0].split("*"))
+           for r in rep.rules]
+    letters = [g.index for g in P.generators if g.degree == 0]
+    expected = {e.label for e in P.idempotents}
+    for n in range(1, bound + 1):
+        for w in itertools.product(letters, repeat=n):
+            if any(P.generators[a].source != P.generators[b].target
+                   for a, b in zip(w, w[1:])):
+                continue
+            if any(w[i:i + len(l)] == l for l in lhs
+                   for i in range(n - len(l) + 1)):
+                continue
+            expected.add(P.format_word(w))
+    assert set(rep.basis) == expected
+    assert len(rep.basis) == rep.dimension == len(expected)

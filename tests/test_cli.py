@@ -180,3 +180,13 @@ def test_env_var_bounds_default(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["bounds"]["max_word_length"] == 3
     code, out, _ = run(capsys, "trivial", str(f), "--max-len", "4", "--json")
     assert json.loads(out)["bounds"]["max_word_length"] == 4
+
+
+def test_undefined_coefficient_is_exit_2(tmp_path, capsys):
+    for ring, coeff in (("GF2", "1/2"), ("Q", "1/0")):
+        f = tmp_path / "bad.cedga"
+        f.write_text(f"ring {ring}\nidempotents e1\n"
+                     f"gen a deg 0 from e1 to e1\ndiff a = {coeff}\n")
+        code, _, err = run(capsys, "check-d2", str(f))
+        assert code == 2
+        assert "4:10:" in err

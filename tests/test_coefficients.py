@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cedga.coefficients import (NotAUnitError, coeff_arith, gf2, laurent,
-                                rationals)
+from cedga.coefficients import NotAUnitError, gf2, laurent, rationals
 
 Q = rationals()
 F2 = gf2()
@@ -57,10 +56,10 @@ def test_parameters_must_be_distinct_identifiers():
         rationals().__class__("Q", ("lam",))
 
 
-def test_coeff_arith_dispatch():
-    assert coeff_arith(F2, "add", 1, 1) == 0
-    assert coeff_arith(Q, "mul", Fraction(2), Fraction(3)) == Fraction(6)
-    assert coeff_arith(Q, "neg", Fraction(2)) == Fraction(-2)
+def test_ring_arith_methods():
+    assert F2.add(1, 1) == 0
+    assert Q.mul(Fraction(2), Fraction(3)) == Fraction(6)
+    assert Q.neg(Fraction(2)) == Fraction(-2)
 
 
 # -- ring laws, property-tested on small random values -----------------------

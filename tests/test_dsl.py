@@ -154,3 +154,19 @@ def test_parse_never_panics_on_garbage():
                     "ring Q\nmap m : a -> b {}"):
         with pytest.raises(ParseError):
             parse(garbage)
+
+
+@pytest.mark.parametrize("text,line,col", [
+    ("ring GF2\nidempotents e1\ngen a deg 0 from e1 to e1\ndiff a = 1/2\n",
+     4, 10),
+    ("ring Q\nidempotents e1\ngen a deg 0 from e1 to e1\ndiff a = 1/0\n",
+     4, 10),
+    ("ring Q\nidempotents e1 e1\n", 2, 16),
+    ("ring Q\nidempotents e1\ngen a deg 0 from e1 to e1\n"
+     "gen a deg 0 from e1 to e1\n", 4, 5),
+], ids=["half_in_gf2", "zero_denominator_in_q", "duplicate_idempotent",
+        "duplicate_gen"])
+def test_bad_coefficients_and_duplicates_are_positioned(text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)

@@ -2,7 +2,7 @@ import pytest
 
 from cedga import (Augmentation, GenMap, MapError, Presentation,
                    ScopeError, UnverifiedAugmentationError, catalog_names,
-                   check_d_squared, compose, example, extend_map,
+                   check_d_squared, compose, example,
                    free_product, gf2, identity_map, make_point_algebra,
                    partial_linearize, rationals, verify_augmentation,
                    verify_chain_map)
@@ -13,26 +13,26 @@ def saddle():
     return example("saddle_cobordism")
 
 
-def test_extend_map_on_a_product(saddle):
+def test_apply_on_a_product(saddle):
     dom, cod = saddle.main, saddle.presentations["codomain"]
     phi = saddle.maps["Phi"]
     x = dom.mul(dom.el_word(["a1_plus"]), dom.el_word(["b"]))
     expected = cod.mul(cod.add(cod.el_word(["a1_minus"]),
                                cod.el_word(["xh0_12"])),
                        cod.el_word(["y0_12"]))
-    assert extend_map(phi, x) == expected
+    assert phi.apply(x) == expected
 
 
 def test_identity_map_is_the_identity(saddle):
     P = saddle.main
     ident = identity_map(P)
     x = P.add(P.one(), P.el_word(["a1_plus", "b"]))
-    assert extend_map(ident, x) == x
+    assert ident.apply(x) == x
 
 
 def test_total_map_sends_unit_to_unit(saddle):
     phi = saddle.maps["Phi"]
-    assert extend_map(phi, phi.source.one()) == phi.target.one()
+    assert phi.apply(phi.source.one()) == phi.target.one()
 
 
 def test_saddle_chain_map_and_intermediate_lines(saddle):
