@@ -163,6 +163,12 @@ class Presentation:
             return 0
         return max((self.generators[i].level or 0) for i in w)
 
+    def composable(self, w: tuple) -> bool:
+        """Whether each letter of a tuple word acts after its right-hand
+        neighbour: source(a) == target(b) for every adjacent pair a, b."""
+        gens = self.generators
+        return all(gens[a].source == gens[b].target for a, b in zip(w, w[1:]))
+
     def concat(self, u: Word, v: Word) -> Optional[Word]:
         """u * v (v acts first); None encodes the zero product."""
         if self.word_source(u) != self.word_target(v):
@@ -202,10 +208,9 @@ class Presentation:
 
     def el_word(self, letters: Iterable, coeff=None) -> Element:
         w = tuple(self.gen(x).index for x in letters)
-        for a, b in zip(w, w[1:]):
-            if self.generators[a].source != self.generators[b].target:
-                raise PresentationError(
-                    f"non-composable word {self.format_word(w)}")
+        if not self.composable(w):
+            raise PresentationError(
+                f"non-composable word {self.format_word(w)}")
         c = self.ring.one() if coeff is None else coeff
         return {} if self.ring.is_zero(c) else {w: c}
 

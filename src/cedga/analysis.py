@@ -514,7 +514,7 @@ def h0(P: Presentation, degree_bound: int = 8,
     basis = [e.index for e in P.idempotents]
     basis += itertools.islice(walk, max(basis_cap - len(basis), 0))
     capped = next(walk, None) is not None
-    is_ground = (not rs.collapses and not capped
+    is_ground = (not rs.collapses and not capped and not truncated
                  and all(isinstance(w, int) for w in basis))
     return H0Report(
         relations=[P.format_element(r) for r in relations],

@@ -31,14 +31,14 @@ def _load(path: str, env=None, target_env=None):
 
 
 def _bounds(args) -> Bounds:
-    default_len = int(os.environ.get("CEDGA_MAX_LEN", 6))
+    """The command's bounds; a flag the command does not take keeps its
+    default, so the JSON `bounds` object always has all three fields."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
     return Bounds(
-        max_word_length=(args.max_len if args.max_len is not None
-                         else default_len),
-        max_level=args.max_level if args.max_level is not None else 2,
-        degree_bound=(args.degree_bound
-                      if getattr(args, "degree_bound", None) is not None
-                      else 8),
+        max_word_length=given.get("max_len",
+                                  int(os.environ.get("CEDGA_MAX_LEN", 6))),
+        max_level=given.get("max_level", 2),
+        degree_bound=given.get("degree_bound", 8),
     )
 
 
@@ -280,16 +280,16 @@ def build_parser():
                     "Legendrians")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, pres_default=False, bounds=False, parity=False):
+    def common(p, pres_default=False, parity=False):
         p.add_argument("--json", action="store_true")
         p.add_argument("--pres", help="presentation name"
                        + (" (default: main)" if pres_default else ""))
-        if bounds:
-            p.add_argument("--max-len", type=int, default=None)
-            p.add_argument("--max-level", type=int, default=None)
-            p.add_argument("--degree-bound", type=int, default=None)
         if parity:
             p.add_argument("--parity", choices=("odd", "even"), default=None)
+
+    def word_bounds(p):
+        p.add_argument("--max-len", type=int, default=None)
+        p.add_argument("--max-level", type=int, default=None)
 
     p = sub.add_parser("catalog", help="list or emit worked examples")
     p.add_argument("name", nargs="?")
@@ -310,18 +310,21 @@ def build_parser():
 
     p = sub.add_parser("h0", help="degree-0 homology by rewriting")
     p.add_argument("file")
-    common(p, pres_default=True, bounds=True)
+    common(p, pres_default=True)
+    p.add_argument("--degree-bound", type=int, default=None)
     p.set_defaults(func=cmd_h0)
 
     p = sub.add_parser("exact", help="bounded exactness search")
     p.add_argument("file")
     p.add_argument("--target", required=True, help="element expression")
-    common(p, pres_default=True, bounds=True, parity=True)
+    common(p, pres_default=True, parity=True)
+    word_bounds(p)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("trivial", help="search for d(x) = 1")
     p.add_argument("file")
-    common(p, pres_default=True, bounds=True, parity=True)
+    common(p, pres_default=True, parity=True)
+    word_bounds(p)
     p.set_defaults(func=cmd_trivial)
 
     p = sub.add_parser("verify-map", help="chain-map check")
@@ -350,9 +353,7 @@ def build_parser():
     p.add_argument("--link-map")
     p.add_argument("--map")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--degree-bound", type=int, default=None)
+    word_bounds(p)
     p.set_defaults(func=cmd_obstruct)
     return ap
 

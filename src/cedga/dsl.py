@@ -30,8 +30,8 @@ from fractions import Fraction
 from .algebra import (POTENTIAL_MINUS, POTENTIAL_PLUS, Presentation,
                       PresentationError)
 from .catalog import CatalogBundle
-from .coefficients import GF2, LAURENT, RATIONALS, CoeffRing
-from .morphisms import Augmentation, GenMap
+from .coefficients import GF2, LAURENT, RATIONALS, CoeffRing, RingMismatchError
+from .morphisms import Augmentation, GenMap, MapError, ScopeError
 
 KEYWORDS = {"ring", "convention", "idempotents", "gen", "diff",
             "presentation", "map", "aug", "deg", "from", "to", "long",
@@ -272,12 +272,14 @@ class _Parser:
             if self.at_ident("level"):
                 self.next()
                 level = self.expect_int()
+            ends = []
             for e in (src, tgt):
-                if not P.has_name(e.value):
+                try:
+                    ends.append(P.idem(e.value))
+                except KeyError:
                     self.err(f"undeclared idempotent {e.value!r}", e)
             try:
-                P.add_generator(name.value, degree, P.idem(src.value),
-                                P.idem(tgt.value), role, link, level)
+                P.add_generator(name.value, degree, *ends, role, link, level)
             except PresentationError as exc:
                 self.err(str(exc), name)
         elif t.value == "diff":
@@ -424,14 +426,17 @@ class _Parser:
 
     def parse_map(self):
         self.next()
-        name = self.expect_ident("map name").value
+        name = self.expect_ident("map name")
         self.expect_sym(":")
         src = self.lookup_presentation(self.expect_ident("source"))
         self.expect_sym("->")
         tgt = self.lookup_presentation(self.expect_ident("target"),
                                        role="target")
+        try:
+            phi = GenMap(src, tgt, name=name.value)
+        except RingMismatchError as exc:
+            self.err(str(exc), name)
         self.expect_sym("{")
-        gen_values, idem_values = {}, {}
         while not (self.peek().kind == "sym" and self.peek().value == "}"):
             if self.at_ident("idem"):
                 self.next()
@@ -439,7 +444,7 @@ class _Parser:
                 self.expect_sym("->")
                 b = self.expect_ident("idempotent")
                 try:
-                    idem_values[src.idem(a.value).index] = \
+                    phi.idem_values[src.idem(a.value).index] = \
                         tgt.idem(b.value).index
                 except KeyError as exc:
                     self.err(f"unknown idempotent {exc}", a)
@@ -450,12 +455,15 @@ class _Parser:
                 except KeyError:
                     self.err(f"unknown source generator {a.value!r}", a)
                 self.expect_sym("->")
-                gen_values[g.index] = self.parse_expr(tgt)
+                phi.gen_values[g.index] = self.parse_expr(tgt)
+                try:
+                    phi.check_value(g.index)
+                except MapError as exc:
+                    self.err(str(exc), a)
             if self.peek().kind == "sym" and self.peek().value == ";":
                 self.next()
         self.expect_sym("}")
-        self.bundle.maps[name] = GenMap(src, tgt, gen_values, idem_values,
-                                        name=name)
+        self.bundle.maps[name.value] = phi
 
     def parse_aug(self):
         self.next()
@@ -466,9 +474,9 @@ class _Parser:
         links = []
         while self.at_ident() and self.peek().value not in KEYWORDS:
             links.append(self.next().value)
-        scope = frozenset(g.index for g in src.generators if g.link in links)
+        eps = Augmentation(src, name=name, scope=frozenset(
+            g.index for g in src.generators if g.link in links))
         self.expect_sym("{")
-        values = {}
         while not (self.peek().kind == "sym" and self.peek().value == "}"):
             a = self.expect_ident("generator")
             try:
@@ -476,12 +484,15 @@ class _Parser:
             except KeyError:
                 self.err(f"unknown generator {a.value!r}", a)
             self.expect_sym("->")
-            values[g.index] = self.parse_coeff_expr(src)
+            eps.values[g.index] = self.parse_coeff_expr(src)
+            try:
+                eps.check_value(g.index)
+            except ScopeError as exc:
+                self.err(str(exc), a)
             if self.peek().kind == "sym" and self.peek().value == ";":
                 self.next()
         self.expect_sym("}")
-        self.bundle.augmentations[name] = Augmentation(
-            src, scope=scope, values=values, name=name)
+        self.bundle.augmentations[name] = eps
 
 
 def parse(text: str, env=None, target_env=None) -> CatalogBundle:

@@ -16,6 +16,7 @@ implies at correction zero.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,28 +58,26 @@ class GenMap:
 
     def __post_init__(self):
         check_ring(self.source, self.target)
-        for gi, val in self.gen_values.items():
-            g = self.source.generators[gi]
-            ends = self.value_ends(gi)
-            if val and ends is None:
+        for gi in self.gen_values:
+            self.check_value(gi)
+
+    def check_value(self, gi):
+        """Raise MapError unless the value of generator gi has one pair of
+        ends and the generator's degree."""
+        g, val = self.source.generators[gi], self.gen_values[gi]
+        if val and self.value_ends(gi) is None:
+            raise MapError(f"{self.name}: value of {g.name} mixes ends")
+        for w in val:
+            if self.target.word_degree(w) != g.degree:
                 raise MapError(
-                    f"{self.name}: value of {g.name} mixes ends")
-            for w in val:
-                if self.target.word_degree(w) != g.degree:
-                    raise MapError(
-                        f"{self.name}: value of {g.name} has degree "
-                        f"{self.target.word_degree(w)}, expected {g.degree}")
+                    f"{self.name}: value of {g.name} has degree "
+                    f"{self.target.word_degree(w)}, expected {g.degree}")
 
     def value_ends(self, gi) -> Optional[tuple]:
         """The common (source, target) ends of a nonzero value, else None."""
-        val = self.gen_values.get(gi)
-        if not val:
-            return None
         ends = {(self.target.word_source(w), self.target.word_target(w))
-                for w in val}
-        if len(ends) != 1:
-            return None
-        return ends.pop()
+                for w in self.gen_values.get(gi, ())}
+        return ends.pop() if len(ends) == 1 else None
 
     def is_total(self) -> bool:
         return (all(g.index in self.gen_values for g in self.source.generators)
@@ -181,14 +180,19 @@ class Augmentation:
         P = self.presentation
         self.scope = frozenset(P.gen(g).index for g in self.scope)
         self.values = {P.gen(g).index: c for g, c in self.values.items()}
-        for gi, c in self.values.items():
-            if gi not in self.scope:
-                raise ScopeError(f"{self.name}: value for unscoped generator "
-                                 f"{P.generators[gi].name}")
-            if P.generators[gi].degree != 0 and not P.ring.is_zero(c):
-                raise ScopeError(
-                    f"{self.name}: nonzero value on nonzero-degree generator "
-                    f"{P.generators[gi].name}")
+        for gi in self.values:
+            self.check_value(gi)
+
+    def check_value(self, gi):
+        """Raise ScopeError unless generator gi is in scope and, if its
+        degree is nonzero, its value is 0."""
+        P, g = self.presentation, self.presentation.generators[gi]
+        if gi not in self.scope:
+            raise ScopeError(f"{self.name}: value for unscoped generator "
+                             f"{g.name}")
+        if g.degree != 0 and not P.ring.is_zero(self.values[gi]):
+            raise ScopeError(f"{self.name}: nonzero value on nonzero-degree "
+                             f"generator {g.name}")
 
     def value(self, gi):
         return self.values.get(gi, self.presentation.ring.zero())
@@ -258,14 +262,11 @@ def partial_linearize(P: Presentation, eps: Augmentation) -> Presentation:
     out = Presentation(P.ring, P.convention)
     for e in P.idempotents:
         out.add_idempotent(e.label)
-    gmap = {}
-    for g in P.generators:
-        if g.role == "long":
-            gmap[g.index] = out.add_generator(
-                g.name, g.degree, g.source, g.target, "long", g.link, g.level)
-    for g in P.generators:
-        if g.role != "long":
-            continue
+    longs = [g for g in P.generators if g.role == "long"]
+    gmap = {g.index: out.add_generator(g.name, g.degree, g.source, g.target,
+                                       "long", g.link, g.level)
+            for g in longs}
+    for g in longs:
         el = out.zero()
         for w, c in P.differential.get(g.index, {}).items():
             if isinstance(w, int):
@@ -289,11 +290,9 @@ def partial_linearize(P: Presentation, eps: Augmentation) -> Presentation:
                     el = out.add(el, out.scale(coeff, out.el_idem(g.source)))
                 continue
             nw = tuple(gmap[i].index for i in letters)
-            ok = all(out.generators[a].source == out.generators[b].target
-                     for a, b in zip(nw, nw[1:]))
-            if ok and out.word_source(nw) == g.source \
+            if out.composable(nw) and out.word_source(nw) == g.source \
                     and out.word_target(nw) == g.target:
-                el = out.add(el, {nw: coeff} if not P.ring.is_zero(coeff) else {})
+                el = out.add(el, {nw: coeff})
         out.set_differential(gmap[g.index], el)
     d2 = check_d_squared(out)
     if not d2.ok:
@@ -335,6 +334,9 @@ class ObstructionReport:
         }
 
 
+_PARITIES = ("even", "odd")
+
+
 def _validate_link_map(link_map: GenMap):
     S = link_map.source
     for gi, val in link_map.gen_values.items():
@@ -362,6 +364,115 @@ def _idem_images(link_map: GenMap):
     return images
 
 
+def _image_ends(idem_images, g):
+    """Candidate (source, target) pairs of phi(g); empty when unknown."""
+    return [(s, t) for s in sorted(idem_images[g.source])
+            for t in sorted(idem_images[g.target])]
+
+
+def _parity_part(T: Presentation, el: Element, bit: int) -> Element:
+    return {w: c for w, c in el.items() if T.word_length(w) % 2 == bit}
+
+
+def _expand(T: Presentation, coeff, values):
+    """coeff times the product of `values` (sums of single generators), as
+    one (coefficient, word) term per choice of a term from each value."""
+    for terms in itertools.product(*(v.items() for v in values)):
+        word, c = (), coeff
+        for w, wc in terms:
+            word, c = word + w, T.ring.mul(c, wc)
+        yield c, word
+
+
+def _map_differential(S, T, assigned, idem_images, gidx):
+    """Image of d(gen) under the link map: (known Element, symbolic
+    triples, None), or (None, None, reason) when it cannot be mapped.
+
+    Triples are (coeff, left word, long gen index, right word), one per
+    expanded term around a word's single unassigned long letter.
+    """
+    known = T.zero()
+    symbolic = []
+    for w, c in S.differential.get(gidx, {}).items():
+        if isinstance(w, int):
+            if not idem_images[w]:
+                return None, None, (f"no image idempotents derived for "
+                                    f"{S.idempotents[w].label}")
+            for d in sorted(idem_images[w]):
+                known = T.add(known, T.scale(c, T.el_idem(d)))
+            continue
+        longs = [k for k, i in enumerate(w) if S.generators[i].role == "long"]
+        if len(longs) > 1:
+            return None, None, (f"word {S.format_word(w)} has more than "
+                                f"one long letter")
+        for i in w:
+            if S.generators[i].role == "short" and i not in assigned:
+                return None, None, (f"short generator "
+                                    f"{S.generators[i].name} unassigned")
+        if longs:
+            k = longs[0]
+            right = list(_expand(T, T.ring.one(),
+                                 [assigned[i] for i in w[k + 1:]]))
+            for lc, lw in _expand(T, c, [assigned[i] for i in w[:k]]):
+                for rc, rw in right:
+                    symbolic.append((T.ring.mul(lc, rc), lw, w[k], rw))
+            continue
+        for coeff, word in _expand(T, c, [assigned[i] for i in w]):
+            if not T.composable(word):
+                raise MapError(f"link map image of {S.format_word(w)} is "
+                               f"not composable")
+            known = T.add(known, {word: coeff})
+    return known, symbolic, None
+
+
+def _add_corrections(solver, rhs, S, T, symbolic, bit, idem_images,
+                     constraints, bounds, transcript):
+    """Add a column per bounded correction z of each symbolic generator h
+    (the zbit part of phi(h) that lands in the target's parity): z's mapped
+    words, and when phi(d h) is known, d z, which must equal the opposite
+    part of phi(d h).  Returns the name of a symbolic generator whose image
+    ends are unknown (its block and later ones are not added), else None.
+    """
+    blocks = {}
+    for coeff, lw, h, rw in symbolic:
+        zbit = (bit - len(lw) - len(rw)) % 2
+        blocks.setdefault((h, zbit), []).append((coeff, lw, rw))
+    for (h, zbit), slots in sorted(blocks.items()):
+        hg = S.generators[h]
+        z_ends = _image_ends(idem_images, hg)
+        if not z_ends:
+            return hg.name
+        constraint = constraints.get(h)
+        if constraint is not None:
+            cpart = _parity_part(T, constraint, 1 - zbit)
+            note = ("a cycle" if not cpart else
+                    f"constrained by {T.format_element(cpart)}")
+            transcript.append(
+                f"  symbolic phi({hg.name}) {_PARITIES[zbit]} part is {note} "
+                f"(image of d {hg.name} is {T.format_element(constraint)})")
+        else:
+            cpart = None
+            transcript.append(f"  symbolic phi({hg.name}) is unconstrained")
+        z_cands = composable_words(
+            T, degree=hg.degree, ends=z_ends, max_len=bounds.max_word_length,
+            max_level=bounds.max_level, parity=zbit)
+        for zw in z_cands:
+            col = {}
+            for coeff, lw, rw in slots:
+                word = lw + zw + rw
+                if T.composable(word):
+                    key = ("m", word)
+                    col[key] = T.ring.sub(col.get(key, T.ring.zero()), coeff)
+            if cpart is not None:
+                for rw, rc in T.d_word(zw).items():
+                    col[("c", h, zbit, rw)] = rc
+            solver.add_column(("z", h, zbit, zw), col)
+        if cpart is not None:
+            for rw, rc in cpart.items():
+                rhs[("c", h, zbit, rw)] = rc
+    return None
+
+
 def obstruct_y_filling(domain: Presentation, codomain: Presentation,
                        link_map: GenMap, bounds: Bounds) -> ObstructionReport:
     """Refute dg-maps extending `link_map` via the word-length parity argument.
@@ -381,101 +492,34 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
     _validate_link_map(link_map)
     S, T = domain, codomain
     idem_images = _idem_images(link_map)
-    transcript = []
     long_gens = [g for g in S.generators if g.role == "long"]
-    assigned = link_map.gen_values
-
-    def map_terms(gidx):
-        """Image of d(gen): (known Element, symbolic triples, reason-or-None).
-
-        Triples are (coeff, left word tuple, long gen index, right word
-        tuple) with at most one symbolic letter per word.
-        """
-        known = T.zero()
-        symbolic = []
-        for w, c in S.differential.get(gidx, {}).items():
-            if isinstance(w, int):
-                if not idem_images[w]:
-                    return None, None, (f"no image idempotents derived for "
-                                        f"{S.idempotents[w].label}")
-                for d in sorted(idem_images[w]):
-                    known = T.add(known, T.scale(c, T.el_idem(d)))
-                continue
-            longs = [i for i in w if S.generators[i].role == "long"]
-            if len(longs) > 1:
-                return None, None, (f"word {S.format_word(w)} has more than "
-                                    f"one long letter")
-            for i in w:
-                if S.generators[i].role == "short" and i not in assigned:
-                    return None, None, (f"short generator "
-                                        f"{S.generators[i].name} unassigned")
-            # expand the product of assigned values around the symbolic slot
-            pieces = [[(c, ())]]
-
-            def times(parts, val):
-                out = []
-                for coeff, word in parts:
-                    for vw, vc in val.items():
-                        nw = word + (() if isinstance(vw, int) else vw)
-                        out.append((T.ring.mul(coeff, vc), nw))
-                return out
-
-            if longs:
-                slot = w.index(longs[0])
-                left = [(c, ())]
-                for i in w[:slot]:
-                    left = times(left, assigned[i])
-                right = [(T.ring.one(), ())]
-                for i in w[slot + 1:]:
-                    right = times(right, assigned[i])
-                for lc, lw in left:
-                    for rc, rw in right:
-                        symbolic.append((T.ring.mul(lc, rc), lw, longs[0], rw))
-            else:
-                parts = [(c, ())]
-                for i in w:
-                    parts = times(parts, assigned[i])
-                for coeff, word in parts:
-                    bad = any(T.generators[a].source != T.generators[b].target
-                              for a, b in zip(word, word[1:]))
-                    if bad:
-                        raise MapError(
-                            f"link map image of {S.format_word(w)} is not "
-                            f"composable")
-                    known = T.add(known, {word: coeff})
-        return known, symbolic, None
-
-    # images of the symbolic generators' own differentials (for constraints)
-    long_image = {}
+    images = {g.index: _map_differential(S, T, link_map.gen_values,
+                                         idem_images, g.index)
+              for g in long_gens}
+    # a symbolic generator's correction is constrained by the image of its
+    # own differential when that image is fully known
+    constraints = {gi: known for gi, (known, symbolic, reason)
+                   in images.items() if reason is None and not symbolic}
+    transcript = []
     for g in long_gens:
-        known, symbolic, reason = map_terms(g.index)
-        if reason is None and not symbolic:
-            long_image[g.index] = known
-
-    def parity_part(el, bit):
-        return {w: c for w, c in el.items() if T.word_length(w) % 2 == bit}
-
-    for g in long_gens:
-        known, symbolic, reason = map_terms(g.index)
+        known, symbolic, reason = images[g.index]
         if reason is not None:
             transcript.append(f"skip {g.name}: {reason}")
             continue
-        src_imgs = sorted(idem_images[g.source]) or None
-        tgt_imgs = sorted(idem_images[g.target]) or None
-        if src_imgs is None or tgt_imgs is None:
+        u_ends = _image_ends(idem_images, g)
+        if not u_ends:
             transcript.append(f"skip {g.name}: image ends of phi({g.name}) "
                               f"cannot be derived")
             continue
-        u_ends = [(s, t) for s in src_imgs for t in tgt_imgs]
-        for parity_name, bit in (("even", 0), ("odd", 1)):
-            target = parity_part(known, bit)
+        for bit, parity_name in enumerate(_PARITIES):
+            target = _parity_part(T, known, bit)
             if not target:
                 continue
             opp = 1 - bit
             transcript.append(
                 f"{g.name}: {parity_name} part of the mapped differential is "
                 f"{T.format_element(target)}; a solution needs the "
-                f"{'odd' if opp else 'even'} part of phi({g.name}) to bound it")
+                f"{_PARITIES[opp]} part of phi({g.name}) to bound it")
             solver = LinearSolver(T.ring)
             u_cands = composable_words(T, degree=g.degree, ends=u_ends,
                                        max_len=bounds.max_word_length,
@@ -484,65 +528,19 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
                 solver.add_column(("u", w), {("m", rw): rc
                                              for rw, rc in T.d_word(w).items()})
             rhs = {("m", w): c for w, c in target.items()}
-            blocks = {}
-            for coeff, lw, h, rw in symbolic:
-                zbit = (bit - len(lw) - len(rw)) % 2
-                blocks.setdefault((h, zbit), []).append((coeff, lw, rw))
-            feasible_setup = True
-            for (h, zbit), slots in sorted(blocks.items()):
-                hg = S.generators[h]
-                zsrc = sorted(idem_images[hg.source]) or None
-                ztgt = sorted(idem_images[hg.target]) or None
-                if zsrc is None or ztgt is None:
-                    transcript.append(
-                        f"skip {g.name}: ends of phi({hg.name}) unknown")
-                    feasible_setup = False
-                    break
-                constraint = long_image.get(h)
-                if constraint is not None:
-                    cpart = parity_part(constraint, 1 - zbit)
-                    note = ("a cycle" if not cpart else
-                            f"constrained by {T.format_element(cpart)}")
-                    transcript.append(
-                        f"  symbolic phi({hg.name}) "
-                        f"{'even' if zbit == 0 else 'odd'} part is {note} "
-                        f"(image of d {hg.name} is "
-                        f"{T.format_element(constraint) if constraint else '0'})")
-                else:
-                    cpart = None
-                    transcript.append(
-                        f"  symbolic phi({hg.name}) is unconstrained")
-                z_ends = [(zs, zt) for zs in zsrc for zt in ztgt]
-                z_cands = composable_words(
-                    T, degree=hg.degree, ends=z_ends,
-                    max_len=bounds.max_word_length,
-                    max_level=bounds.max_level, parity=zbit)
-                for zw in z_cands:
-                    col = {}
-                    for coeff, lw, rw in slots:
-                        word = lw + zw + rw
-                        ok = all(T.generators[a].source == T.generators[b].target
-                                 for a, b in zip(word, word[1:]))
-                        if not ok:
-                            continue
-                        key = ("m", word)
-                        s = T.ring.sub(col.get(key, T.ring.zero()), coeff)
-                        col[key] = s
-                    if cpart is not None:
-                        for rw, rc in T.d_word(zw).items():
-                            col[("c", h, zbit, rw)] = rc
-                    solver.add_column(("z", h, zbit, zw), col)
-                if cpart is not None:
-                    for rw, rc in cpart.items():
-                        rhs[("c", h, zbit, rw)] = rc
-            if not feasible_setup:
+            unknown = _add_corrections(solver, rhs, S, T, symbolic, bit,
+                                       idem_images, constraints, bounds,
+                                       transcript)
+            if unknown is not None:
+                transcript.append(f"skip {g.name}: ends of phi({unknown}) "
+                                  f"unknown")
                 break
-            combo = solver.solve(rhs)
-            if combo is None:
+            if solver.solve(rhs) is None:
+                # `candidates` counts the u columns: the search at
+                # correction zero that this certificate states
                 cert = ExactnessResult(
                     "none_within_bounds", target, bounds,
-                    parity=("odd" if opp else "even"),
-                    candidates=len(u_cands),
+                    parity=_PARITIES[opp], candidates=len(u_cands),
                     note=("implied by the corrected decisive solve at "
                           "correction zero"))
                 transcript.append(

@@ -159,6 +159,14 @@ def test_h0_unknot_two_handles():
     assert "t1_0_12*t1_1_21 -> e2" in rep.rules
 
 
+def test_h0_truncated_completion_does_not_claim_the_ground_ring():
+    # at bound 0 no overlap is resolved and no letter enters the basis, so
+    # only the idempotents remain; at bound 8 the algebra has dimension 4
+    rep = h0(example("unknot_two_handles").main, degree_bound=0)
+    assert rep.truncated and rep.basis == ["e1", "e2"]
+    assert not rep.is_ground_ring
+
+
 def test_h0_free_degree_zero_algebra():
     P = Presentation(rationals())
     e1, e2 = P.add_idempotent("e1"), P.add_idempotent("e2")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cedga.cli import main
 
 
@@ -190,3 +192,32 @@ def test_undefined_coefficient_is_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, "check-d2", str(f))
         assert code == 2
         assert "4:10:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["h0", "--max-len", "1"],
+    ["h0", "--max-level", "1"],
+    ["exact", "--target", "e1", "--degree-bound", "4"],
+    ["trivial", "--degree-bound", "4"],
+    ["obstruct", "--degree-bound", "4"],
+])
+def test_bound_flags_a_command_does_not_read_are_usage_errors(
+        tmp_path, capsys, argv):
+    f = tmp_path / "u.cedga"
+    f.write_text(run(capsys, "catalog", "unknot_one_handle", "--emit")[1])
+    code, _, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
+def test_truncated_h0_reports_a_basis_with_all_bounds(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.delenv("CEDGA_MAX_LEN", raising=False)
+    f = tmp_path / "u2.cedga"
+    f.write_text(run(capsys, "catalog", "unknot_two_handles", "--emit")[1])
+    code, out, _ = run(capsys, "h0", str(f), "--degree-bound", "0", "--json")
+    obj = json.loads(out)
+    assert code == 0 and obj["verdict"] == "basis"
+    assert obj["certificates"]["h0"]["truncated"] is True
+    assert obj["bounds"] == {"degree_bound": 0, "max_level": 2,
+                             "max_word_length": 6}

@@ -1,7 +1,11 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cedga import catalog_names, example
-from cedga.dsl import ParseError, bundle_equal, parse, parse_element, serialize
+from cedga.dsl import (ParseError, _tokenize, bundle_equal, parse,
+                       parse_element, serialize)
 
 
 def test_parse_minimal_presentation():
@@ -164,9 +168,60 @@ def test_parse_never_panics_on_garbage():
     ("ring Q\nidempotents e1 e1\n", 2, 16),
     ("ring Q\nidempotents e1\ngen a deg 0 from e1 to e1\n"
      "gen a deg 0 from e1 to e1\n", 4, 5),
+    ("ring Q\nidempotents e1\ngen a deg 0 from e1 to e1\n"
+     "gen b deg 0 from e1 to a\n", 4, 24),
+    ("ring GF2\nidempotents e1\ngen x deg 0 from e1 to e1\n"
+     "gen y deg 1 from e1 to e1\nmap phi : main -> main { x -> y; }\n",
+     5, 26),
+    ("ring Q\nidempotents e1\ngen x deg 0 from e1 to e1 short l\n"
+     "gen y deg 0 from e1 to e1 short k\n"
+     "aug eps on main scope l { y -> 1; }\n", 5, 27),
+    ("ring Q\nidempotents e1\ngen x deg 1 from e1 to e1 short l\n"
+     "aug eps on main scope l { x -> 1; }\n", 4, 27),
 ], ids=["half_in_gf2", "zero_denominator_in_q", "duplicate_idempotent",
-        "duplicate_gen"])
+        "duplicate_gen", "generator_as_endpoint", "map_value_of_wrong_degree",
+        "aug_value_out_of_scope", "aug_value_on_nonzero_degree"])
 def test_bad_coefficients_and_duplicates_are_positioned(text, line, col):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_tokens(name):
+    return tuple(t.value for t in _tokenize(serialize(example(name)))[:-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(catalog_names()), data=st.data())
+def test_mutated_catalog_bundles_parse_or_raise_parse_error(name, data):
+    # delete, duplicate, swap or replace (by another token of the same
+    # bundle) one to three tokens of the canonical text
+    tokens = list(_catalog_tokens(name))
+    vocabulary = sorted(set(tokens))
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(tokens) - 1))
+        kind = data.draw(st.sampled_from(("delete", "duplicate", "swap",
+                                          "replace")))
+        if kind == "delete":
+            del tokens[i]
+        elif kind == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif kind == "swap":
+            j = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[i] = data.draw(st.sampled_from(vocabulary))
+    try:
+        parse(" ".join(tokens))
+    except ParseError:
+        pass
+
+
+def test_map_between_presentations_over_different_rings_is_positioned():
+    over_q = example("unknot_one_handle").main
+    over_gf2 = example("unknot_edge").main
+    with pytest.raises(ParseError) as exc:
+        parse("map m : a -> b { }", env={"a": over_q},
+              target_env={"b": over_gf2})
+    assert (exc.value.line, exc.value.col) == (1, 5)

@@ -1,7 +1,9 @@
 import pytest
 
-from cedga import (Bounds, GenMap, Presentation, UnsupportedCodomainError,
-                   example, exactness_search, gf2, obstruct_y_filling)
+from cedga import (Bounds, GenMap, MapError, Presentation,
+                   UnsupportedCodomainError, example, exactness_search, gf2,
+                   obstruct_y_filling)
+from cedga.dsl import parse
 
 BOUNDS = Bounds(max_word_length=6, max_level=2)
 
@@ -164,7 +166,275 @@ def test_link_map_must_send_shorts_to_single_generators():
     t = cod.add_generator("t", 0, f1, f1, role="short", link="l")
     cod.set_differential(s, cod.zero())
     cod.set_differential(t, cod.zero())
-    from cedga import MapError
     link = GenMap(dom, cod, gen_values={x.index: cod.el_word([s, t])})
     with pytest.raises(MapError):
         obstruct_y_filling(dom, cod, link, BOUNDS)
+
+
+# ---------------------------------------------------------------------------
+# one small hand-built domain, codomain and link map per obstruction branch;
+# each pins the status, the whole transcript and the certificate
+# ---------------------------------------------------------------------------
+
+SMALL = Bounds(max_word_length=4, max_level=2)
+NOTE = "implied by the corrected decisive solve at correction zero"
+
+
+def _obstruct(text):
+    link = parse(text).maps["link"]
+    rep = obstruct_y_filling(link.source, link.target, link, SMALL)
+    return rep, link.target
+
+
+def _certificate(target, candidates):
+    return {"status": "none_within_bounds", "parity": "odd",
+            "candidates": candidates, "bounds": SMALL.to_json_dict(),
+            "target": target, "witness": None, "note": NOTE}
+
+
+def test_generators_whose_differential_cannot_be_mapped_are_skipped():
+    rep, cod = _obstruct("""
+    ring GF2
+    presentation dom {
+      idempotents e1 e2
+      gen x deg 0 from e1 to e1 short l
+      gen y deg 0 from e1 to e1 short l
+      gen h deg 0 from e1 to e1 long
+      gen g1 deg -1 from e1 to e1 long
+      gen g2 deg -1 from e1 to e1 long
+      gen g3 deg -1 from e2 to e2 long
+      diff x = 0
+      diff y = 0
+      diff h = 0
+      diff g1 = e1 + x*y
+      diff g2 = e1 + h*h
+      diff g3 = e2
+    }
+    presentation cod {
+      idempotents f1
+      gen s deg 0 from f1 to f1 short l
+      diff s = 0
+    }
+    map link : dom -> cod { x -> s; }
+    """)
+    assert rep.status == "inconclusive"
+    assert rep.transcript == [
+        "skip g1: short generator y unassigned",
+        "skip g2: word h*h has more than one long letter",
+        "skip g3: no image idempotents derived for e2",
+        "no decisive equation found within bounds"]
+    assert rep.certificate is None and rep.decisive_generator is None
+
+
+def test_unknown_ends_skip_the_generator_and_the_search_goes_on():
+    # d g = e1 + h + x puts h, a loop at e2, into an equation at e1:
+    # obstruct does not validate the domain, and no short letter fixes
+    # phi(h)'s ends; the skip also passes over the odd part s of g
+    rep, cod = _obstruct("""
+    ring GF2
+    presentation dom {
+      idempotents e1 e2
+      gen x deg 0 from e1 to e1 short l
+      gen h deg 0 from e2 to e2 long
+      gen g deg -1 from e1 to e1 long
+      gen g2 deg -1 from e1 to e1 long
+      diff x = 0
+      diff h = 0
+      diff g = e1 + h + x
+      diff g2 = e1
+    }
+    presentation cod {
+      idempotents f1
+      gen s deg 0 from f1 to f1 short l
+      diff s = 0
+    }
+    map link : dom -> cod { x -> s; }
+    """)
+    assert rep.status == "obstructed"
+    assert (rep.decisive_generator, rep.decisive_parity) == ("g2", "even")
+    assert rep.transcript == [
+        "skip h: image ends of phi(h) cannot be derived",
+        "g: even part of the mapped differential is f1; a solution needs "
+        "the odd part of phi(g) to bound it",
+        "skip g: ends of phi(h) unknown",
+        "g2: even part of the mapped differential is f1; a solution needs "
+        "the odd part of phi(g2) to bound it",
+        "decisive: no bounded solution at g2 (even part)"]
+    assert rep.certificate.to_json_dict(cod) == _certificate("f1", 0)
+
+
+def test_unconstrained_symbolic_generator_lets_a_correction_bound_the_target():
+    # d h uses the unassigned y, so phi(h) is free; u = v and z = s solve
+    # d v + s*s = f1
+    rep, cod = _obstruct("""
+    ring GF2
+    presentation dom {
+      idempotents e1
+      gen x deg 0 from e1 to e1 short l
+      gen y deg 1 from e1 to e1 short l
+      gen h deg 0 from e1 to e1 long
+      gen g deg -1 from e1 to e1 long
+      diff x = 0
+      diff y = 0
+      diff h = x*y
+      diff g = e1 + h*x
+    }
+    presentation cod {
+      idempotents f1
+      gen s deg 0 from f1 to f1 short l
+      gen v deg -1 from f1 to f1 long
+      diff s = 0
+      diff v = f1 + s*s
+    }
+    map link : dom -> cod { x -> s; }
+    """)
+    assert rep.status == "inconclusive"
+    assert rep.transcript == [
+        "skip h: short generator y unassigned",
+        "g: even part of the mapped differential is f1; a solution needs "
+        "the odd part of phi(g) to bound it",
+        "  symbolic phi(h) is unconstrained",
+        "  g (even part): bounded solution exists; not decisive",
+        "no decisive equation found within bounds"]
+    assert rep.certificate is None
+
+
+def test_constraint_with_an_opposite_parity_part_is_decisive():
+    # the same system as above is solved by z = s, but now d phi(h) must be
+    # s*t, and no bounded odd correction has that differential
+    rep, cod = _obstruct("""
+    ring GF2
+    presentation dom {
+      idempotents e1
+      gen x deg 0 from e1 to e1 short l
+      gen y deg 1 from e1 to e1 short l
+      gen g deg -1 from e1 to e1 long
+      gen h deg 0 from e1 to e1 long
+      diff x = 0
+      diff y = 0
+      diff g = e1 + h*x
+      diff h = x*y
+    }
+    presentation cod {
+      idempotents f1
+      gen s deg 0 from f1 to f1 short l
+      gen t deg 1 from f1 to f1 short l
+      gen v deg -1 from f1 to f1 long
+      diff s = 0
+      diff t = 0
+      diff v = f1 + s*s
+    }
+    map link : dom -> cod { x -> s; y -> t; }
+    """)
+    assert rep.status == "obstructed"
+    assert (rep.decisive_generator, rep.decisive_parity) == ("g", "even")
+    assert cod.format_element(rep.target) == "f1"
+    assert rep.transcript == [
+        "g: even part of the mapped differential is f1; a solution needs "
+        "the odd part of phi(g) to bound it",
+        "  symbolic phi(h) odd part is constrained by s*t "
+        "(image of d h is s*t)",
+        "decisive: no bounded solution at g (even part)"]
+    assert rep.certificate.to_json_dict(cod) == _certificate("f1", 7)
+
+
+def test_correction_slots_that_do_not_compose_are_left_out():
+    # e1 has the images f1 (through x) and f2 (through y); the correction
+    # z = s2 composes with phi(y) = s2 but not with phi(x) = s, and
+    # w + v + z solves the even equation
+    rep, cod = _obstruct("""
+    ring GF2
+    presentation dom {
+      idempotents e1
+      gen x deg 0 from e1 to e1 short l
+      gen y deg 0 from e1 to e1 short l
+      gen h deg 0 from e1 to e1 long
+      gen g deg -1 from e1 to e1 long
+      diff x = 0
+      diff y = 0
+      diff h = 0
+      diff g = e1 + h*x + h*y
+    }
+    presentation cod {
+      idempotents f1 f2
+      gen s deg 0 from f1 to f1 short l
+      gen s2 deg 0 from f2 to f2 short l
+      gen w deg -1 from f1 to f1 long
+      gen v deg -1 from f2 to f2 long
+      diff s = 0
+      diff s2 = 0
+      diff w = f1
+      diff v = f2 + s2*s2
+    }
+    map link : dom -> cod { x -> s; y -> s2; }
+    """)
+    assert rep.status == "inconclusive"
+    assert rep.transcript == [
+        "g: even part of the mapped differential is f1 + f2; a solution "
+        "needs the odd part of phi(g) to bound it",
+        "  symbolic phi(h) odd part is a cycle (image of d h is 0)",
+        "  g (even part): bounded solution exists; not decisive",
+        "no decisive equation found within bounds"]
+    assert rep.certificate is None
+
+
+def test_link_map_image_that_does_not_compose_is_rejected():
+    with pytest.raises(MapError, match="link map image of x\\*y is not "
+                                       "composable"):
+        _obstruct("""
+        ring GF2
+        presentation dom {
+          idempotents e1
+          gen x deg 0 from e1 to e1 short l
+          gen y deg 0 from e1 to e1 short l
+          gen g deg -1 from e1 to e1 long
+          diff x = 0
+          diff y = 0
+          diff g = e1 + x*y
+        }
+        presentation cod {
+          idempotents f1 f2
+          gen s deg 0 from f1 to f1 short l
+          gen s2 deg 0 from f2 to f2 short l
+          diff s = 0
+          diff s2 = 0
+        }
+        map link : dom -> cod { x -> s; y -> s2; }
+        """)
+
+
+def test_two_term_link_values_expand_term_by_term():
+    # phi(x) = s + 2t: the target is f1 - (s + 2t)^2, and the slot x*h
+    # becomes 2*s*z + 4*t*z; d v is the target plus 2*s*s + 4*t*s, so the
+    # correction z = s is needed to close the equation
+    rep, cod = _obstruct("""
+    ring Q
+    presentation dom {
+      idempotents e1
+      gen x deg 0 from e1 to e1 short l
+      gen h deg 0 from e1 to e1 long
+      gen g deg -1 from e1 to e1 long
+      diff x = 0
+      diff h = 0
+      diff g = e1 - x*x + 2*x*h
+    }
+    presentation cod {
+      idempotents f1
+      gen s deg 0 from f1 to f1 short l
+      gen t deg 0 from f1 to f1 short l
+      gen v deg -1 from f1 to f1 long
+      diff s = 0
+      diff t = 0
+      diff v = f1 + s*s - 2*s*t + 2*t*s - 4*t*t
+    }
+    map link : dom -> cod { x -> s + 2*t; }
+    """)
+    assert rep.status == "inconclusive"
+    assert rep.transcript == [
+        "g: even part of the mapped differential is "
+        "f1 - s*s - 2*s*t - 2*t*s - 4*t*t; a solution needs the odd part "
+        "of phi(g) to bound it",
+        "  symbolic phi(h) odd part is a cycle (image of d h is 0)",
+        "  g (even part): bounded solution exists; not decisive",
+        "no decisive equation found within bounds"]
+    assert rep.certificate is None
