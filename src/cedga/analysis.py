@@ -10,6 +10,7 @@ carries the bounds it was run at and is never an unbounded claim.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -337,7 +338,7 @@ class RewriteSystem:
     def __init__(self, P: Presentation):
         self.P = P
         self.rules: list[RewriteRule] = []
-        self.collapses: list[str] = []
+        self.collapses: dict[str, list] = {}
 
     def _find(self, w):
         if isinstance(w, int):
@@ -382,42 +383,73 @@ class RewriteSystem:
 
         Returns "added", "zero", or "degenerate" (leading word is a pure
         idempotent -- a ground-ring collapse this system does not orient;
-        the reduced element is appended to `collapses`).
+        `collapses` maps its monic text to its words, largest first).
         """
         P = self.P
         el = self.normal_form(el)
         if not el:
             return "zero"
         lead = max(el, key=P.sort_key)
-        if isinstance(lead, int):
-            self.collapses.append(P.format_element(el))
-            return "degenerate"
         lc = el[lead]
+        if isinstance(lead, int):
+            el = P.scale(P.ring.inverse(lc), el)
+            self.collapses[P.format_element(el)] = sorted(
+                map(P.sort_key, el), reverse=True)
+            return "degenerate"
         rest = dict(el)
         del rest[lead]
         rhs = P.scale(P.ring.neg(P.ring.inverse(lc)), rest)
         self.rules.append(RewriteRule(lead, rhs))
         return "added"
 
-    def _signature(self):
-        return tuple(sorted(
-            (r.lhs, tuple(sorted((self.P.sort_key(w), self.P.ring.format(c))
-                                 for w, c in r.rhs.items())))
-            for r in self.rules))
-
     def interreduce(self):
-        """Rebuild until every rule is reduced with respect to the others."""
-        for _ in range(200):  # safety cap; desk-scale systems settle fast
-            before = self._signature()
-            rels = [self.P.sub({r.lhs: self.P.ring.one()}, r.rhs)
-                    for r in self.rules]
-            rels.sort(key=lambda el: max(self.P.sort_key(w) for w in el))
-            self.rules = []
-            for el in rels:
-                self.orient(el)
-            if self._signature() == before:
-                break
+        """Put every right side in normal form; sort the rules by left side."""
+        for r in self.rules:
+            r.rhs = self.normal_form(r.rhs)
         self.rules.sort(key=lambda r: self.P.sort_key(r.lhs))
+
+    def _overlap_words(self, new=None):
+        """(r1, r2, k, length) for every overlap of the left sides of two
+        rules, one of them `new` when given (a rule with itself included):
+        the last k letters of r1.lhs are the first k of r2.lhs."""
+        pairs = (itertools.product(self.rules, repeat=2) if new is None else
+                 [(new, r) for r in self.rules]
+                 + [(r, new) for r in self.rules if r is not new])
+        for r1, r2 in pairs:
+            for k in _overlaps(r1.lhs, r2.lhs):
+                yield r1, r2, k, len(r1.lhs) + len(r2.lhs) - k
+
+    def complete(self, relations, degree_bound: int) -> bool:
+        """Complete `relations` to a rewrite system, resolving every
+        overlap word of length <= degree_bound, with one FIFO queue of
+        elements to orient (Buchberger/Mora pair handling).  Returns
+        whether two final rules overlap beyond the bound (truncated).
+        """
+        P, one = self.P, self.P.ring.one()
+        queue = collections.deque(relations)
+        # Terminates: every added left side is irreducible by the current
+        # rules, so the reducible words of length <= max(bound, longest
+        # relation word), the only lengths that occur, grow strictly with
+        # each added rule, and each addition pushes finitely many elements.
+        while queue:
+            if self.orient(queue.popleft()) != "added":
+                continue
+            new = self.rules[-1]
+            kept = []
+            for r in self.rules[:-1]:
+                if _contains(r.lhs, new.lhs):
+                    queue.append(P.sub({r.lhs: one}, r.rhs))
+                else:
+                    kept.append(r)
+            self.rules = kept + [new]
+            for r1, r2, k, n in self._overlap_words(new):
+                if n <= degree_bound:
+                    # S-element: the overlap word rewritten both ways
+                    queue.append(P.sub(
+                        P.mul(r1.rhs, {r2.lhs[k:]: one}),
+                        P.mul({r1.lhs[:len(r1.lhs) - k]: one}, r2.rhs)))
+        self.interreduce()
+        return any(n > degree_bound for *_, n in self._overlap_words())
 
 
 @dataclass
@@ -447,24 +479,31 @@ def _overlaps(l1, l2):
             yield k
 
 
+def _contains(word, factor):
+    return any(word[i:i + len(factor)] == factor
+               for i in range(len(word) - len(factor) + 1))
+
+
+BASIS_CAP = 100000
+
+
 def h0(P: Presentation, degree_bound: int = 8,
-       basis_cap: int = 100000) -> H0Report:
+       basis_cap: int = BASIS_CAP) -> H0Report:
     """Quotient of the degree-0 subalgebra by the degree-(-1) differentials.
 
     Completes the relations to a rewrite system up to words of length
-    `degree_bound`, then counts normal-form words up to that length.
+    `degree_bound`, then counts normal-form words up to that length.  The
+    ground ring is claimed only for a complete (not truncated, not capped)
+    run with no collapse whose rules rewrite every degree-0 letter.
     """
     if not P.ring.is_field():
         raise UnsupportedPresentationError("h0 needs a field (Q or GF2)")
     relations = []
     for g in P.generators:
-        if g.degree != -1:
-            continue
-        dg = P.differential.get(g.index, {})
+        dg = P.differential.get(g.index, {}) if g.degree == -1 else {}
         for w in dg:
-            if isinstance(w, int):
-                continue
-            if any(P.generators[i].degree != 0 for i in w):
+            if not isinstance(w, int) and any(P.generators[i].degree
+                                              for i in w):
                 raise UnsupportedPresentationError(
                     f"d {g.name} involves letters of nonzero degree "
                     f"({P.format_word(w)})")
@@ -472,33 +511,7 @@ def h0(P: Presentation, degree_bound: int = 8,
             relations.append(dg)
 
     rs = RewriteSystem(P)
-    for rel in relations:
-        rs.orient(rel)
-    rs.interreduce()
-
-    truncated = False
-    pending = True
-    while pending:
-        pending = False
-        snapshot = list(rs.rules)
-        for r1 in snapshot:
-            for r2 in snapshot:
-                for k in _overlaps(r1.lhs, r2.lhs):
-                    word = r1.lhs + r2.lhs[k:]
-                    if len(word) > degree_bound:
-                        truncated = True
-                        continue
-                    # S-element: rewrite the overlap word both ways
-                    x1 = P.mul(rs.normal_form(r1.rhs),
-                               {r2.lhs[k:]: P.ring.one()})
-                    x2 = P.mul({r1.lhs[:len(r1.lhs) - k]: P.ring.one()},
-                               rs.normal_form(r2.rhs))
-                    if rs.orient(P.sub(x1, x2)) == "added":
-                        pending = True
-            if pending:
-                break
-        if pending:
-            rs.interreduce()
+    truncated = rs.complete(relations, degree_bound)
 
     # letters are appended on the acting side, so a new reducible
     # occurrence can only be a suffix of the extended word
@@ -515,7 +528,7 @@ def h0(P: Presentation, degree_bound: int = 8,
     basis += itertools.islice(walk, max(basis_cap - len(basis), 0))
     capped = next(walk, None) is not None
     is_ground = (not rs.collapses and not capped and not truncated
-                 and all(isinstance(w, int) for w in basis))
+                 and all((g.index,) in lhs_set for g in letters))
     return H0Report(
         relations=[P.format_element(r) for r in relations],
         rules=[f"{P.format_word(r.lhs)} -> {P.format_element(r.rhs)}"
@@ -523,7 +536,7 @@ def h0(P: Presentation, degree_bound: int = 8,
         is_ground_ring=is_ground,
         dimension=len(basis),
         basis=[P.format_word(w) for w in basis],
-        degenerate=rs.collapses,
+        degenerate=sorted(rs.collapses, key=lambda c: (rs.collapses[c], c)),
         truncated=truncated,
         degree_bound=degree_bound,
     )

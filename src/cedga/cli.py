@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import analysis, catalog, dsl, morphisms
-from .algebra import Presentation, PresentationError
+from .algebra import Presentation
 from .analysis import Bounds
 
 
@@ -56,19 +56,26 @@ def _emit(args, command, verdict, certificates, bounds, t0):
             print(f"  {key}: {json.dumps(certificates[key], sort_keys=True)}")
 
 
-def _presentations(bundle, args):
-    if getattr(args, "pres", None):
-        if args.pres not in bundle.presentations:
-            raise KeyError(f"no presentation named {args.pres!r}")
-        return {args.pres: bundle.presentations[args.pres]}
-    return bundle.presentations
+def _select(table, name, what, flag=None, one=False):
+    """The entries of `table` a command acts on: {name: entry} for a given
+    name, else all of them.  With `flag` (the option that names an entry)
+    an empty table is an error, and with `one` so is more than one entry.
+    """
+    if name is not None:
+        if name not in table:
+            raise ValueError(f"no {what} named {name!r}")
+        return {name: table[name]}
+    if flag and not table:
+        raise ValueError(f"the file has no {what}")
+    if one and len(table) != 1:
+        raise ValueError(f"choose one {what} with {flag}")
+    return table
 
 
 def _single(bundle, args) -> Presentation:
-    name = getattr(args, "pres", None) or "main"
-    if name not in bundle.presentations:
-        raise KeyError(f"no presentation named {name!r}")
-    return bundle.presentations[name]
+    (P,) = _select(bundle.presentations, args.pres or "main",
+                   "presentation").values()
+    return P
 
 
 def cmd_catalog(args):
@@ -78,19 +85,15 @@ def cmd_catalog(args):
         return 0
     bundle = catalog.example(args.name, p_max=args.p_max)
     if args.map:
-        if args.map not in bundle.maps:
-            raise KeyError(f"no map named {args.map!r}")
-        sub = catalog.CatalogBundle(bundle.name, {},
-                                    {args.map: bundle.maps[args.map]}, {}, [])
+        sub = catalog.CatalogBundle(
+            bundle.name, {}, _select(bundle.maps, args.map, "map"), {}, [])
         sys.stdout.write(dsl.serialize(sub))
         return 0
     if args.pres:
-        if args.pres not in bundle.presentations:
-            raise KeyError(f"no presentation named {args.pres!r}")
         # single-presentation files are canonically named "main" so the
         # multi-file obstruct workflow can reference them uniformly
         sub = catalog.CatalogBundle(
-            bundle.name, {"main": bundle.presentations[args.pres]}, {}, {}, [])
+            bundle.name, {"main": _single(bundle, args)}, {}, {}, [])
         sys.stdout.write(dsl.serialize(sub))
         return 0
     if args.emit:
@@ -110,7 +113,8 @@ def cmd_check_d2(args):
     t0 = time.monotonic()
     bundle = _load(args.file)
     certs, ok = {}, True
-    for name, P in _presentations(bundle, args).items():
+    for name, P in _select(bundle.presentations, args.pres,
+                           "presentation").items():
         rep = analysis.check_d_squared(P)
         certs[name] = rep.to_json_dict()
         ok = ok and rep.ok
@@ -123,7 +127,8 @@ def cmd_grade(args):
     t0 = time.monotonic()
     bundle = _load(args.file)
     certs, ok = {}, True
-    for name, P in _presentations(bundle, args).items():
+    for name, P in _select(bundle.presentations, args.pres,
+                           "presentation").items():
         val = P.validate()
         deg = analysis.check_degree(P)
         certs[name] = {"validation": val.to_json_dict(),
@@ -137,7 +142,8 @@ def cmd_parity(args):
     t0 = time.monotonic()
     bundle = _load(args.file)
     certs, ok = {}, True
-    for name, P in _presentations(bundle, args).items():
+    for name, P in _select(bundle.presentations, args.pres,
+                           "presentation").items():
         rep = analysis.check_parity_flip(P)
         certs[name] = rep.to_json_dict()
         ok = ok and rep.ok
@@ -151,9 +157,13 @@ def cmd_h0(args):
     P = _single(bundle, args)
     bounds = _bounds(args)
     rep = analysis.h0(P, degree_bound=bounds.degree_bound)
-    verdict = "ground-ring" if rep.is_ground_ring else "basis"
+    # a basis only from a complete, uncapped run with no collapse
+    complete = not (rep.truncated or rep.degenerate
+                    or rep.dimension >= analysis.BASIS_CAP)
+    verdict = ("ground-ring" if rep.is_ground_ring else
+               "basis" if complete else "inconclusive")
     _emit(args, "h0", verdict, {"h0": rep.to_json_dict()}, bounds, t0)
-    return 0
+    return 1 if verdict == "inconclusive" else 0
 
 
 def cmd_exact(args):
@@ -184,15 +194,8 @@ def cmd_trivial(args):
 def cmd_verify_map(args):
     t0 = time.monotonic()
     bundle = _load(args.file)
-    maps = bundle.maps
-    if args.map:
-        if args.map not in maps:
-            raise KeyError(f"no map named {args.map!r}")
-        maps = {args.map: maps[args.map]}
-    if not maps:
-        raise KeyError("file contains no map blocks")
     certs, ok = {}, True
-    for name, phi in maps.items():
+    for name, phi in _select(bundle.maps, args.map, "map", "--map").items():
         try:
             rep = morphisms.verify_chain_map(phi)
             certs[name] = rep.to_json_dict()
@@ -207,15 +210,9 @@ def cmd_verify_map(args):
 def cmd_verify_aug(args):
     t0 = time.monotonic()
     bundle = _load(args.file)
-    augs = bundle.augmentations
-    if args.aug:
-        if args.aug not in augs:
-            raise KeyError(f"no augmentation named {args.aug!r}")
-        augs = {args.aug: augs[args.aug]}
-    if not augs:
-        raise KeyError("file contains no aug blocks")
     certs, ok = {}, True
-    for name, eps in augs.items():
+    for name, eps in _select(bundle.augmentations, args.aug, "augmentation",
+                             "--aug").items():
         rep = morphisms.verify_augmentation(eps)
         certs[name] = rep.to_json_dict()
         ok = ok and rep.ok
@@ -229,12 +226,8 @@ def cmd_linearize(args):
     env = dict(bundle.presentations)
     aug_bundle = bundle if args.augfile == args.file else _load(
         args.augfile, env=env)
-    augs = aug_bundle.augmentations
-    if args.aug:
-        augs = {args.aug: augs[args.aug]}
-    if len(augs) != 1:
-        raise KeyError("choose one augmentation with --aug")
-    ((name, eps),) = augs.items()
+    ((name, eps),) = _select(aug_bundle.augmentations, args.aug,
+                             "augmentation", "--aug", one=True).items()
     lin = morphisms.partial_linearize(eps.presentation, eps)
     out_bundle = catalog.CatalogBundle("linearized", {"main": lin}, {}, {}, [])
     text = dsl.serialize(out_bundle)
@@ -259,11 +252,8 @@ def cmd_obstruct(args):
         maps = lm_bundle.maps
     else:
         maps = bundle.maps
-    if args.map:
-        maps = {args.map: maps[args.map]}
-    if len(maps) != 1:
-        raise KeyError("choose one link map with --map")
-    ((name, link_map),) = maps.items()
+    ((name, link_map),) = _select(maps, args.map, "link map", "--map",
+                                  one=True).items()
     bounds = _bounds(args)
     rep = morphisms.obstruct_y_filling(link_map.source, link_map.target,
                                        link_map, bounds)
@@ -366,12 +356,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (dsl.ParseError, FileNotFoundError, KeyError, PresentationError,
-            analysis.NonHomogeneousTargetError,
-            analysis.UnsupportedPresentationError,
-            morphisms.UnsupportedCodomainError,
-            morphisms.ScopeError, morphisms.UnverifiedAugmentationError,
-            morphisms.MapError, ValueError) as exc:
+    except (FileNotFoundError, KeyError, ValueError) as exc:
         print(f"cedga: error: {exc}", file=sys.stderr)
         return 2
 

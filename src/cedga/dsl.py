@@ -444,16 +444,20 @@ class _Parser:
                 self.expect_sym("->")
                 b = self.expect_ident("idempotent")
                 try:
-                    phi.idem_values[src.idem(a.value).index] = \
-                        tgt.idem(b.value).index
+                    i, j = src.idem(a.value).index, tgt.idem(b.value).index
                 except KeyError as exc:
                     self.err(f"unknown idempotent {exc}", a)
+                if i in phi.idem_values:
+                    self.err(f"duplicate map entry for {a.value!r}", a)
+                phi.idem_values[i] = j
             else:
                 a = self.expect_ident("generator")
                 try:
                     g = src.gen(a.value)
                 except KeyError:
                     self.err(f"unknown source generator {a.value!r}", a)
+                if g.index in phi.gen_values:
+                    self.err(f"duplicate map entry for {a.value!r}", a)
                 self.expect_sym("->")
                 phi.gen_values[g.index] = self.parse_expr(tgt)
                 try:
@@ -483,6 +487,8 @@ class _Parser:
                 g = src.gen(a.value)
             except KeyError:
                 self.err(f"unknown generator {a.value!r}", a)
+            if g.index in eps.values:
+                self.err(f"duplicate augmentation entry for {a.value!r}", a)
             self.expect_sym("->")
             eps.values[g.index] = self.parse_coeff_expr(src)
             try:

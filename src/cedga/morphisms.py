@@ -138,13 +138,17 @@ class ChainMapReport:
                           for g, (a, b) in self.lines.items()}}
 
 
-def verify_chain_map(phi: GenMap) -> ChainMapReport:
-    """Check phi(d g) = d(phi g) on every source generator."""
-    for P in (phi.source, phi.target):
+def _require_valid(*presentations):
+    for P in presentations:
         rep = P.validate()
         if not rep.ok:
             raise PresentationError("presentation fails validation: "
                                     + str(rep.violations[0]))
+
+
+def verify_chain_map(phi: GenMap) -> ChainMapReport:
+    """Check phi(d g) = d(phi g) on every source generator."""
+    _require_valid(phi.source, phi.target)
     if not phi.is_total():
         raise MapError(f"{phi.name}: not a total map")
     T = phi.target
@@ -430,8 +434,7 @@ def _add_corrections(solver, rhs, S, T, symbolic, bit, idem_images,
     """Add a column per bounded correction z of each symbolic generator h
     (the zbit part of phi(h) that lands in the target's parity): z's mapped
     words, and when phi(d h) is known, d z, which must equal the opposite
-    part of phi(d h).  Returns the name of a symbolic generator whose image
-    ends are unknown (its block and later ones are not added), else None.
+    part of phi(d h).
     """
     blocks = {}
     for coeff, lw, h, rw in symbolic:
@@ -439,9 +442,6 @@ def _add_corrections(solver, rhs, S, T, symbolic, bit, idem_images,
         blocks.setdefault((h, zbit), []).append((coeff, lw, rw))
     for (h, zbit), slots in sorted(blocks.items()):
         hg = S.generators[h]
-        z_ends = _image_ends(idem_images, hg)
-        if not z_ends:
-            return hg.name
         constraint = constraints.get(h)
         if constraint is not None:
             cpart = _parity_part(T, constraint, 1 - zbit)
@@ -454,7 +454,8 @@ def _add_corrections(solver, rhs, S, T, symbolic, bit, idem_images,
             cpart = None
             transcript.append(f"  symbolic phi({hg.name}) is unconstrained")
         z_cands = composable_words(
-            T, degree=hg.degree, ends=z_ends, max_len=bounds.max_word_length,
+            T, degree=hg.degree, ends=_image_ends(idem_images, hg),
+            max_len=bounds.max_word_length,
             max_level=bounds.max_level, parity=zbit)
         for zw in z_cands:
             col = {}
@@ -470,7 +471,6 @@ def _add_corrections(solver, rhs, S, T, symbolic, bit, idem_images,
         if cpart is not None:
             for rw, rc in cpart.items():
                 rhs[("c", h, zbit, rw)] = rc
-    return None
 
 
 def obstruct_y_filling(domain: Presentation, codomain: Presentation,
@@ -484,6 +484,7 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
     component that is certifiably not a boundary within bounds --
     corrections included -- is decisive and yields Obstructed.
     """
+    _require_valid(domain, codomain)
     pf = check_parity_flip(codomain)
     if not pf.ok:
         raise UnsupportedCodomainError(
@@ -528,13 +529,8 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
                 solver.add_column(("u", w), {("m", rw): rc
                                              for rw, rc in T.d_word(w).items()})
             rhs = {("m", w): c for w, c in target.items()}
-            unknown = _add_corrections(solver, rhs, S, T, symbolic, bit,
-                                       idem_images, constraints, bounds,
-                                       transcript)
-            if unknown is not None:
-                transcript.append(f"skip {g.name}: ends of phi({unknown}) "
-                                  f"unknown")
-                break
+            _add_corrections(solver, rhs, S, T, symbolic, bit, idem_images,
+                             constraints, bounds, transcript)
             if solver.solve(rhs) is None:
                 # `candidates` counts the u columns: the search at
                 # correction zero that this certificate states

@@ -1,14 +1,16 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cedga import (Bounds, NonHomogeneousTargetError, Presentation,
                    UnsupportedPresentationError, check_d_squared,
                    check_degree, check_parity_flip, composable_words,
                    example, exactness_search, gf2, h0, is_trivial,
                    make_point_algebra, rationals)
-from cedga.analysis import RewriteSystem
+from cedga.analysis import RewriteSystem, walk_words
+from cedga.dsl import parse_element
 
 F2 = gf2()
 BOUNDS5 = Bounds(max_word_length=5, max_level=2)
@@ -204,9 +206,8 @@ def test_normal_form_is_idempotent_and_kills_relations():
     for g in P.generators:
         if g.degree == -1 and P.differential[g.index]:
             relations.append(P.differential[g.index])
-    for rel in relations:
-        rs.orient(rel)
-    rs.interreduce()
+    assert not rs.complete(relations, 8)
+    assert _rule_lines(P, rs) == rep.rules
     for rel in relations:
         assert rs.normal_form(rel) == {}
     for w in list(P.differential[P.gen("a").index]):
@@ -239,6 +240,200 @@ def test_h0_keeps_a_collapse_found_during_interreduction():
     rep = h0(P)
     assert not rep.is_ground_ring
     assert rep.degenerate
+
+
+def test_h0_at_bound_0_does_not_claim_the_ground_ring():
+    # k[x]: at bound 0 the basis walk never reaches x, and no rule
+    # rewrites x away, so the basis e1 is not the ground ring
+    P = _simple()
+    P.set_differential(P.add_generator("x", 0, "e1", "e1"), P.zero())
+    rep = h0(P, degree_bound=0)
+    assert rep.basis == ["e1"] and rep.rules == [] and not rep.truncated
+    assert not rep.is_ground_ring
+
+
+def test_collapses_are_monic_distinct_and_sorted():
+    # over Q, d s2 = b - 3*e2 and d r3 = a - e1 collapse to -3*e2 and -e1
+    # once b -> 0 and a -> 0; d r2 = a + 2*e1 gives 2*e1, a repeat of e1
+    P = Presentation(rationals())
+    P.add_idempotent("e1")
+    P.add_idempotent("e2")
+    for name, e in (("a", "e1"), ("b", "e2")):
+        P.set_differential(P.add_generator(name, 0, e, e), P.zero())
+    for name, e, text in (("s1", "e2", "b"), ("s2", "e2", "b - 3*e2"),
+                          ("r1", "e1", "a"), ("r2", "e1", "a + 2*e1"),
+                          ("r3", "e1", "a - e1")):
+        P.add_generator(name, -1, e, e)
+        P.set_differential(name, parse_element(text, P))
+    rep = h0(P, degree_bound=4)
+    assert rep.degenerate == ["e1", "e2"]
+    assert rep.rules == ["a -> 0", "b -> 0"] and not rep.is_ground_ring
+
+
+def test_truncation_is_read_off_the_final_rules():
+    # the restart loop met an overlap longer than 8 between rules it later
+    # replaced; no two final rules overlap in more than 5 letters
+    P = _binomials(1, [(0, 0)] * 3, [((1, 1), (2, 0), -1), ((0, 1), (2, 0), 1),
+                                     ((0, 1), (1, 1), 1), ((0, 1), (2, 1), 1)])
+    rep = h0(P, degree_bound=8)
+    assert _reference_h0(P, 8).truncated and not rep.truncated
+    assert rep.rules == ["a1*a1 -> - a0*a1", "a2*a0 -> - a0*a1",
+                         "a2*a1 -> - a0*a1", "a0*a0*a1 -> 0",
+                         "a1*a0*a1 -> 0"]
+    assert max(_overlap_lengths(rep.rules)) == 5
+
+
+def _rule_lines(P, rs):
+    return [f"{P.format_word(r.lhs)} -> {P.format_element(r.rhs)}"
+            for r in rs.rules]
+
+
+def _overlap_lengths(rules):
+    lhs = [r.split(" -> ")[0].split("*") for r in rules]
+    return [len(u) + len(v) - k for u in lhs for v in lhs
+            for k in range(1, min(len(u), len(v))) if u[-k:] == v[:k]]
+
+
+def _reference_interreduce(rs):
+    """The fixed-point interreduction the pair queue replaced."""
+    P = rs.P
+
+    def signature():
+        return tuple(sorted(
+            (r.lhs, tuple(sorted((P.sort_key(w), P.ring.format(c))
+                                 for w, c in r.rhs.items())))
+            for r in rs.rules))
+
+    for _ in range(200):
+        before = signature()
+        rels = [P.sub({r.lhs: P.ring.one()}, r.rhs) for r in rs.rules]
+        rels.sort(key=lambda el: max(P.sort_key(w) for w in el))
+        rs.rules = []
+        for el in rels:
+            rs.orient(el)
+        if signature() == before:
+            break
+    rs.rules.sort(key=lambda r: P.sort_key(r.lhs))
+
+
+def _reference_h0(P, degree_bound):
+    """The restart-on-first-new-rule completion the pair queue replaced,
+    kept as the reference for its rules, truncation and basis."""
+    relations = [P.differential[g.index] for g in P.generators
+                 if g.degree == -1 and P.differential.get(g.index)]
+    rs = RewriteSystem(P)
+    for rel in relations:
+        rs.orient(rel)
+    _reference_interreduce(rs)
+    truncated = False
+    pending = True
+    while pending:
+        pending = False
+        snapshot = list(rs.rules)
+        for r1 in snapshot:
+            for r2 in snapshot:
+                for k in range(1, min(len(r1.lhs), len(r2.lhs))):
+                    if r1.lhs[len(r1.lhs) - k:] != r2.lhs[:k]:
+                        continue
+                    word = r1.lhs + r2.lhs[k:]
+                    if len(word) > degree_bound:
+                        truncated = True
+                        continue
+                    x1 = P.mul(rs.normal_form(r1.rhs),
+                               {r2.lhs[k:]: P.ring.one()})
+                    x2 = P.mul({r1.lhs[:len(r1.lhs) - k]: P.ring.one()},
+                               rs.normal_form(r2.rhs))
+                    if rs.orient(P.sub(x1, x2)) == "added":
+                        pending = True
+            if pending:
+                break
+        if pending:
+            _reference_interreduce(rs)
+    lhs_set = {r.lhs for r in rs.rules}
+
+    def irreducible(word, src, deg):
+        return not any(len(l) <= len(word) and word[-len(l):] == l
+                       for l in lhs_set)
+
+    letters = [g for g in P.generators if g.degree == 0]
+    basis = [e.index for e in P.idempotents] + [
+        w for t in sorted({g.target for g in letters})
+        for w, _, _ in walk_words(letters, t, degree_bound, irreducible)]
+    return SimpleNamespace(rules=_rule_lines(P, rs), truncated=truncated,
+                           collapsed=bool(rs.collapses),
+                           basis=[P.format_word(w) for w in basis])
+
+
+def _binomials(n_idem, ends, relations, ring=None):
+    """Degree-0 letters a0, a1, ... with the given (source, target) ends
+    and degree -1 generators r0, r1, ... with d r_k = w1 + c*w2 for each
+    (w1, w2, c); a word is a tuple of letter indices or an idempotent."""
+    P = Presentation(ring or rationals())
+    for i in range(n_idem):
+        P.add_idempotent(f"e{i + 1}")
+    for k, (s, t) in enumerate(ends):
+        P.set_differential(P.add_generator(f"a{k}", 0, s, t), P.zero())
+    for k, (w1, w2, c) in enumerate(relations):
+        P.add_generator(f"r{k}", -1, P.word_source(w1), P.word_target(w1))
+        P.set_differential(f"r{k}", P.add({w1: P.ring.one()},
+                                          {w2: P.ring.from_int(c)}))
+    return P
+
+
+@st.composite
+def binomial_presentations(draw):
+    n = draw(st.integers(1, 2))
+    ends = [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+            for _ in range(draw(st.integers(2, 4)))]
+
+    def word(target, length):
+        # a word and its source, grown from the target end: each letter's
+        # target is the source of the word so far (length 0: an idempotent)
+        w, cur = (), target
+        for _ in range(length):
+            options = [k for k, (s, t) in enumerate(ends) if t == cur]
+            if not options:
+                return None, None
+            w += (draw(st.sampled_from(options)),)
+            cur = ends[w[-1]][0]
+        return w or cur, cur
+
+    relations = []
+    for _ in range(draw(st.integers(1, 4))):
+        w1, src = word(draw(st.integers(0, n - 1)), draw(st.integers(1, 3)))
+        if w1 is None:
+            continue
+        w2, w2_src = word(ends[w1[0]][1], draw(st.integers(0, 3)))
+        if w2_src == src and w2 != w1:
+            relations.append((w1, w2, draw(st.sampled_from((1, -1)))))
+    assume(relations)
+    ring = draw(st.sampled_from((rationals(), F2)))
+    return _binomials(n, ends, relations, ring), draw(st.integers(3, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(binomial_presentations())
+def test_h0_matches_the_restart_loop_completion(case):
+    P, bound = case
+    rep, ref = h0(P, degree_bound=bound), _reference_h0(P, bound)
+    if not rep.degenerate:
+        assert (rep.rules, rep.basis) == (ref.rules, ref.basis)
+        assert rep.dimension == len(ref.basis)
+    assert bool(rep.degenerate) == ref.collapsed
+    assert not rep.truncated or ref.truncated
+    assert rep.truncated == any(n > bound
+                                for n in _overlap_lengths(rep.rules))
+    rs = RewriteSystem(P)
+    rs.complete([P.differential[g.index] for g in P.generators
+                 if g.degree == -1 and P.differential[g.index]], bound)
+    assert _rule_lines(P, rs) == rep.rules
+    for g in P.generators:
+        if g.degree == -1:
+            rest = rs.normal_form(P.differential[g.index])
+            assert not rest or (rep.degenerate and
+                                all(isinstance(w, int) for w in rest))
+    if is_trivial(P, Bounds(max_word_length=3)).certified_trivial:
+        assert not rep.is_ground_ring
 
 
 # -- the word walker ----------------------------------------------------------

@@ -1,8 +1,14 @@
+import functools
 import json
 
 import pytest
 
+from cedga import analysis
 from cedga.cli import main
+
+
+_TWO_LETTERS = ("ring Q\nidempotents e1\ngen a deg 0 from e1 to e1\n"
+                "gen b deg 0 from e1 to e1\ndiff a = 0\ndiff b = 0\n")
 
 
 def run(capsys, *argv):
@@ -210,14 +216,81 @@ def test_bound_flags_a_command_does_not_read_are_usage_errors(
     assert "unrecognized arguments" in err
 
 
-def test_truncated_h0_reports_a_basis_with_all_bounds(tmp_path, capsys,
-                                                     monkeypatch):
+def test_truncated_h0_is_inconclusive_with_all_bounds(tmp_path, capsys,
+                                                    monkeypatch):
     monkeypatch.delenv("CEDGA_MAX_LEN", raising=False)
     f = tmp_path / "u2.cedga"
     f.write_text(run(capsys, "catalog", "unknot_two_handles", "--emit")[1])
     code, out, _ = run(capsys, "h0", str(f), "--degree-bound", "0", "--json")
     obj = json.loads(out)
-    assert code == 0 and obj["verdict"] == "basis"
+    assert code == 1 and obj["verdict"] == "inconclusive"
     assert obj["certificates"]["h0"]["truncated"] is True
     assert obj["bounds"] == {"degree_bound": 0, "max_level": 2,
                              "max_word_length": 6}
+
+
+@pytest.mark.parametrize("text,argv,verdict,code", [
+    # complete and collapse-free: a basis up to the bound
+    (_TWO_LETTERS, [], "basis", 0),
+    # d r = a*b - 1, d s = a: the collapse -1 = 0 is found, so no verdict
+    (_TWO_LETTERS + "gen r deg -1 from e1 to e1\n"
+     "gen s deg -1 from e1 to e1\ndiff r = a*b - e1\ndiff s = a\n",
+     [], "inconclusive", 1),
+    # d r = a, d s = b: every letter is rewritten away
+    (_TWO_LETTERS + "gen r deg -1 from e1 to e1\n"
+     "gen s deg -1 from e1 to e1\ndiff r = a\ndiff s = b\n",
+     [], "ground-ring", 0),
+    # k<a, b> at bound 0: complete, but the letters were never tested
+    (_TWO_LETTERS, ["--degree-bound", "0"], "basis", 0),
+], ids=["basis", "collapse", "ground_ring", "free_at_bound_0"])
+def test_h0_verdicts(tmp_path, capsys, text, argv, verdict, code):
+    f = tmp_path / "h.cedga"
+    f.write_text(text)
+    got, out, _ = run(capsys, "h0", str(f), "--json", *argv)
+    assert (json.loads(out)["verdict"], got) == (verdict, code)
+
+
+def test_h0_basis_cut_at_the_cap_is_inconclusive(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(analysis, "BASIS_CAP", 3)
+    monkeypatch.setattr(analysis, "h0",
+                        functools.partial(analysis.h0, basis_cap=3))
+    f = tmp_path / "h.cedga"
+    f.write_text(_TWO_LETTERS)
+    code, out, _ = run(capsys, "h0", str(f), "--json")
+    obj = json.loads(out)
+    assert (obj["verdict"], code) == ("inconclusive", 1)
+    assert obj["certificates"]["h0"]["basis"] == ["e1", "a", "a*a"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["obstruct", "{f}", "--map", "nosuch"], "no link map named 'nosuch'"),
+    (["obstruct", "{f}"], "choose one link map with --map"),
+    (["linearize", "{f}", "{f}", "-o", "-", "--aug", "nosuch"],
+     "no augmentation named 'nosuch'"),
+    (["linearize", "{f}", "{f}", "-o", "-"],
+     "choose one augmentation with --aug"),
+    (["verify-map", "{f}", "--map", "nosuch"], "no map named 'nosuch'"),
+    (["verify-map", "{e}"], "the file has no map"),
+    (["verify-aug", "{f}", "--aug", "nosuch"],
+     "no augmentation named 'nosuch'"),
+    (["verify-aug", "{e}"], "the file has no augmentation"),
+    (["h0", "{f}", "--pres", "nosuch"], "no presentation named 'nosuch'"),
+    (["h0", "{e}"], "no presentation named 'main'"),
+], ids=["obstruct_map", "obstruct_none", "linearize_aug", "linearize_none",
+        "verify_map_map", "verify_map_empty", "verify_aug_aug",
+        "verify_aug_empty", "h0_pres", "h0_default"])
+def test_unknown_or_missing_names_are_one_line_usage_errors(
+        tmp_path, capsys, argv, message):
+    # two maps and two augmentations, so nothing is chosen by default
+    f = tmp_path / "two.cedga"
+    letters = _TWO_LETTERS.replace("e1\ngen b", "e1 short l\ngen b")
+    f.write_text(letters + "map m1 : main -> main { a -> a; }\n"
+                 "map m2 : main -> main { a -> b; }\n"
+                 "aug eps1 on main scope l { a -> 1; }\n"
+                 "aug eps2 on main scope l { a -> 0; }\n")
+    e = tmp_path / "empty.cedga"
+    e.write_text("ring Q\npresentation other {\n  idempotents e1\n}\n")
+    code, _, err = run(capsys, *[a.format(f=f, e=e) for a in argv])
+    assert code == 2
+    assert err == f"cedga: error: {message}\n"

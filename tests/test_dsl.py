@@ -178,9 +178,18 @@ def test_parse_never_panics_on_garbage():
      "aug eps on main scope l { y -> 1; }\n", 5, 27),
     ("ring Q\nidempotents e1\ngen x deg 1 from e1 to e1 short l\n"
      "aug eps on main scope l { x -> 1; }\n", 4, 27),
+    ("ring GF2\nidempotents e1\ngen x deg 0 from e1 to e1\n"
+     "gen y deg 0 from e1 to e1\nmap phi : main -> main { x -> x; x -> y; }\n",
+     5, 34),
+    ("ring GF2\nidempotents e1\n"
+     "map phi : main -> main { idem e1 -> e1; idem e1 -> e1; }\n", 3, 46),
+    ("ring Q\nidempotents e1\ngen x deg 0 from e1 to e1 short l\n"
+     "aug eps on main scope l { x -> 1; x -> 0; }\n", 4, 35),
 ], ids=["half_in_gf2", "zero_denominator_in_q", "duplicate_idempotent",
         "duplicate_gen", "generator_as_endpoint", "map_value_of_wrong_degree",
-        "aug_value_out_of_scope", "aug_value_on_nonzero_degree"])
+        "aug_value_out_of_scope", "aug_value_on_nonzero_degree",
+        "duplicate_map_entry", "duplicate_idem_map_entry",
+        "duplicate_aug_entry"])
 def test_bad_coefficients_and_duplicates_are_positioned(text, line, col):
     with pytest.raises(ParseError) as exc:
         parse(text)

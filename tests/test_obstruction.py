@@ -1,8 +1,9 @@
 import pytest
 
 from cedga import (Bounds, GenMap, MapError, Presentation,
-                   UnsupportedCodomainError, example, exactness_search, gf2,
-                   obstruct_y_filling)
+                   PresentationError, UnsupportedCodomainError, example,
+                   exactness_search, gf2, obstruct_y_filling)
+from cedga.cli import main
 from cedga.dsl import parse
 
 BOUNDS = Bounds(max_word_length=6, max_level=2)
@@ -226,21 +227,46 @@ def test_generators_whose_differential_cannot_be_mapped_are_skipped():
     assert rep.certificate is None and rep.decisive_generator is None
 
 
-def test_unknown_ends_skip_the_generator_and_the_search_goes_on():
-    # d g = e1 + h + x puts h, a loop at e2, into an equation at e1:
-    # obstruct does not validate the domain, and no short letter fixes
-    # phi(h)'s ends; the skip also passes over the odd part s of g
-    rep, cod = _obstruct("""
+def test_an_invalid_domain_is_refused(tmp_path, capsys):
+    # d g = e1 + h + x puts h, a loop at e2, into an equation at e1
+    text = """
     ring GF2
     presentation dom {
       idempotents e1 e2
       gen x deg 0 from e1 to e1 short l
       gen h deg 0 from e2 to e2 long
       gen g deg -1 from e1 to e1 long
-      gen g2 deg -1 from e1 to e1 long
       diff x = 0
       diff h = 0
       diff g = e1 + h + x
+    }
+    presentation cod {
+      idempotents f1
+      gen s deg 0 from f1 to f1 short l
+      diff s = 0
+    }
+    map link : dom -> cod { x -> s; }
+    """
+    with pytest.raises(PresentationError, match="fails validation"):
+        _obstruct(text)
+    f = tmp_path / "bad.cedga"
+    f.write_text(text)
+    assert main(["obstruct", str(f)]) == 2
+    assert "fails validation" in capsys.readouterr().err
+
+
+def test_a_generator_whose_image_ends_cannot_be_derived_is_skipped():
+    # no short letter touches e2, so phi(h) has no known ends; the search
+    # goes on to g2
+    rep, cod = _obstruct("""
+    ring GF2
+    presentation dom {
+      idempotents e1 e2
+      gen x deg 0 from e1 to e1 short l
+      gen h deg 0 from e2 to e2 long
+      gen g2 deg -1 from e1 to e1 long
+      diff x = 0
+      diff h = 0
       diff g2 = e1
     }
     presentation cod {
@@ -254,9 +280,6 @@ def test_unknown_ends_skip_the_generator_and_the_search_goes_on():
     assert (rep.decisive_generator, rep.decisive_parity) == ("g2", "even")
     assert rep.transcript == [
         "skip h: image ends of phi(h) cannot be derived",
-        "g: even part of the mapped differential is f1; a solution needs "
-        "the odd part of phi(g) to bound it",
-        "skip g: ends of phi(h) unknown",
         "g2: even part of the mapped differential is f1; a solution needs "
         "the odd part of phi(g2) to bound it",
         "decisive: no bounded solution at g2 (even part)"]
