@@ -215,45 +215,24 @@ class Presentation:
         return {} if self.ring.is_zero(c) else {w: c}
 
     def add(self, x: Element, y: Element) -> Element:
-        out = dict(x)
-        for w, c in y.items():
-            s = self.ring.add(out.get(w, self.ring.zero()), c)
-            if self.ring.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return out
+        return self.ring.add_into(dict(x), y.items())
 
     def neg(self, x: Element) -> Element:
         return {w: self.ring.neg(c) for w, c in x.items()}
 
     def sub(self, x: Element, y: Element) -> Element:
-        return self.add(x, self.neg(y))
+        return self.ring.add_into(dict(x), y.items(), self.ring.from_int(-1))
 
     def scale(self, c, x: Element) -> Element:
-        if self.ring.is_zero(c):
-            return {}
-        out = {}
-        for w, cw in x.items():
-            s = self.ring.mul(c, cw)
-            if not self.ring.is_zero(s):
-                out[w] = s
-        return out
+        return self.ring.add_into({}, x.items(), c)
 
     def mul(self, x: Element, y: Element) -> Element:
         """Bilinear extension of word concatenation."""
         out: Element = {}
         for wx, cx in x.items():
-            for wy, cy in y.items():
-                w = self.concat(wx, wy)
-                if w is None:
-                    continue
-                s = self.ring.add(out.get(w, self.ring.zero()),
-                                  self.ring.mul(cx, cy))
-                if self.ring.is_zero(s):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+            self.ring.add_into(
+                out, [(w, cy) for wy, cy in y.items()
+                      if (w := self.concat(wx, wy)) is not None], cx)
         return out
 
     def equal(self, x: Element, y: Element) -> bool:
@@ -271,29 +250,10 @@ class Presentation:
             return "0"
         parts = []
         for w in sorted(x, key=self.sort_key):
-            c = x[w]
+            neg, factor = self.ring.sign_and_factor(x[w])
             word = self.format_word(w)
-            rational = None
-            if self.ring.kind == "Q":
-                rational = c
-            elif self.ring.kind == "laurent" and len(c) == 1:
-                (exps, q), = c.items()
-                if not any(exps):
-                    rational = q
-            if self.ring.kind == "GF2":
-                parts.append(f"+ {word}" if parts else word)
-            elif rational is not None:
-                neg = rational < 0
-                mag = -rational if neg else rational
-                body = word if mag == 1 else f"{mag}*{word}"
-                sign = "- " if neg else ("+ " if parts else "")
-                parts.append(f"{sign}{body}" if parts or neg else body)
-            else:
-                cs = self.ring.format(c)
-                if " " in cs or cs.startswith("-"):
-                    cs = f"({cs})"
-                body = f"{cs}*{word}"
-                parts.append(f"+ {body}" if parts else body)
+            parts.append(("- " if neg else "+ " if parts else "")
+                         + (f"{factor}*{word}" if factor else word))
         return " ".join(parts)
 
     # -- differential ---------------------------------------------------------
@@ -313,46 +273,31 @@ class Presentation:
         for t in range(len(w)):
             dg = self.d_gen(w[t])
             if dg:
-                sign = self.ring.sign_pow(sign_exp)
                 prefix, suffix = w[:t], w[t + 1:]
-                for dw, dc in dg.items():
-                    mid = () if isinstance(dw, int) else dw
-                    nw = prefix + mid + suffix
-                    if not nw:
-                        nw = dw  # single idempotent survives as a length-0 word
-                    c = self.ring.mul(sign, dc)
-                    s = self.ring.add(out.get(nw, self.ring.zero()), c)
-                    if self.ring.is_zero(s):
-                        out.pop(nw, None)
-                    else:
-                        out[nw] = s
+                self.ring.add_into(
+                    out, [(splice(prefix, dw, suffix), dc)
+                          for dw, dc in dg.items()],
+                    self.ring.from_int(-1) if sign_exp % 2 else None)
             sign_exp += self.generators[w[t]].degree
         return out
 
     def apply_differential(self, x: Element) -> Element:
         """Linear, graded-Leibniz extension of the generator assignments."""
-        ring = self.ring
         out: Element = {}
         for w, c in x.items():
-            for dw, dc in self.d_word(w).items():
-                s = ring.add(out.get(dw, ring.zero()), ring.mul(c, dc))
-                if ring.is_zero(s):
-                    out.pop(dw, None)
-                else:
-                    out[dw] = s
+            self.ring.add_into(out, self.d_word(w).items(), c)
         return out
 
     # -- validation -------------------------------------------------------------
 
-    def validate(self, require_total: bool = True) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Name uniqueness, composability and degree homogeneity of every diff."""
         violations = []
         for g in self.generators:
             dg = self.differential.get(g.index)
             if dg is None:
-                if require_total:
-                    violations.append(Violation(
-                        "missing-differential", g.name, "no diff statement"))
+                violations.append(Violation(
+                    "missing-differential", g.name, "no diff statement"))
                 continue
             for w in dg:
                 if (self.word_source(w) != g.source
@@ -399,6 +344,14 @@ class Presentation:
     def __str__(self):
         return (f"Presentation({self.ring}, {len(self.idempotents)} idempotents, "
                 f"{len(self.generators)} generators)")
+
+
+def splice(prefix: tuple, w: Word, suffix: tuple) -> Word:
+    """prefix * w * suffix for a word w between two tuple words; an
+    idempotent w is absorbed unless both sides are empty."""
+    if isinstance(w, int):
+        return prefix + suffix or w
+    return prefix + w + suffix
 
 
 def check_ring(P: Presentation, Q: Presentation):

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import Element, Presentation, PresentationError, Word
+from .algebra import Element, Presentation, PresentationError, splice
 
 
 class NonHomogeneousTargetError(ValueError):
@@ -215,19 +215,9 @@ class LinearSolver:
             if hit is None:
                 return vec, combo, lead
             bvec, bcombo = hit
-            f = ring.div(vec[lead], bvec[lead])
-            for k, c in bvec.items():
-                s = ring.sub(vec.get(k, ring.zero()), ring.mul(f, c))
-                if ring.is_zero(s):
-                    vec.pop(k, None)
-                else:
-                    vec[k] = s
-            for k, c in bcombo.items():
-                s = ring.sub(combo.get(k, ring.zero()), ring.mul(f, c))
-                if ring.is_zero(s):
-                    combo.pop(k, None)
-                else:
-                    combo[k] = s
+            f = ring.neg(ring.div(vec[lead], bvec[lead]))
+            ring.add_into(vec, bvec.items(), f)
+            ring.add_into(combo, bcombo.items(), f)
         return vec, combo, None
 
     def add_column(self, tag, raw_vec):
@@ -350,33 +340,24 @@ class RewriteSystem:
                     return ri, pos
         return None
 
-    def normal_form_word(self, w: Word) -> Element:
-        return self.normal_form({w: self.P.ring.one()})
-
     def normal_form(self, el: Element) -> Element:
-        P = self.P
-        out: Element = {}
-        queue = list(el.items())
-        while queue:
-            w, c = queue.pop()
+        """Rewrite every word of `el` until no rule applies; `pending`
+        holds the terms still to rewrite, summed as they meet."""
+        ring = self.P.ring
+        irreducible = []
+        pending = dict(el)
+        while pending:
+            w, c = pending.popitem()
             hit = self._find(w)
             if hit is None:
-                s = P.ring.add(out.get(w, P.ring.zero()), c)
-                if P.ring.is_zero(s):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                irreducible.append((w, c))
                 continue
             ri, pos = hit
             rule = self.rules[ri]
             prefix, suffix = w[:pos], w[pos + len(rule.lhs):]
-            for rw, rc in rule.rhs.items():
-                mid = () if isinstance(rw, int) else rw
-                nw = prefix + mid + suffix
-                if not nw:
-                    nw = rw
-                queue.append((nw, P.ring.mul(c, rc)))
-        return out
+            ring.add_into(pending, [(splice(prefix, rw, suffix), rc)
+                                    for rw, rc in rule.rhs.items()], c)
+        return ring.add_into({}, irreducible)
 
     def orient(self, el: Element):
         """Reduce, then turn a nonzero element into a rule lead -> rest.
@@ -424,6 +405,12 @@ class RewriteSystem:
         overlap word of length <= degree_bound, with one FIFO queue of
         elements to orient (Buchberger/Mora pair handling).  Returns
         whether two final rules overlap beyond the bound (truncated).
+
+        A collapse is not made a rule, so a relation that reduced to zero
+        under a rule retired later may no longer reduce to idempotents.
+        When the queue drains with a collapse recorded, every relation
+        whose normal form keeps a word of positive length is queued
+        again, until none does.
         """
         P, one = self.P, self.P.ring.one()
         queue = collections.deque(relations)
@@ -431,23 +418,30 @@ class RewriteSystem:
         # rules, so the reducible words of length <= max(bound, longest
         # relation word), the only lengths that occur, grow strictly with
         # each added rule, and each addition pushes finitely many elements.
+        # The first relation queued again adds a rule: its normal form has
+        # a word of positive length, and that word leads.
         while queue:
-            if self.orient(queue.popleft()) != "added":
-                continue
-            new = self.rules[-1]
-            kept = []
-            for r in self.rules[:-1]:
-                if _contains(r.lhs, new.lhs):
-                    queue.append(P.sub({r.lhs: one}, r.rhs))
-                else:
-                    kept.append(r)
-            self.rules = kept + [new]
-            for r1, r2, k, n in self._overlap_words(new):
-                if n <= degree_bound:
-                    # S-element: the overlap word rewritten both ways
-                    queue.append(P.sub(
-                        P.mul(r1.rhs, {r2.lhs[k:]: one}),
-                        P.mul({r1.lhs[:len(r1.lhs) - k]: one}, r2.rhs)))
+            while queue:
+                if self.orient(queue.popleft()) != "added":
+                    continue
+                new = self.rules[-1]
+                kept = []
+                for r in self.rules[:-1]:
+                    if _contains(r.lhs, new.lhs):
+                        queue.append(P.sub({r.lhs: one}, r.rhs))
+                    else:
+                        kept.append(r)
+                self.rules = kept + [new]
+                for r1, r2, k, n in self._overlap_words(new):
+                    if n <= degree_bound:
+                        # S-element: the overlap word rewritten both ways
+                        queue.append(P.sub(
+                            P.mul(r1.rhs, {r2.lhs[k:]: one}),
+                            P.mul({r1.lhs[:len(r1.lhs) - k]: one}, r2.rhs)))
+            if self.collapses:
+                queue.extend(r for r in relations
+                             if not all(isinstance(w, int)
+                                        for w in self.normal_form(r)))
         self.interreduce()
         return any(n > degree_bound for *_, n in self._overlap_words())
 
@@ -462,6 +456,7 @@ class H0Report:
     degenerate: list
     truncated: bool
     degree_bound: int
+    cut: bool  # the basis walk stopped at BASIS_CAP; not serialized
 
     def to_json_dict(self):
         return {"relations": self.relations, "rules": self.rules,
@@ -487,14 +482,14 @@ def _contains(word, factor):
 BASIS_CAP = 100000
 
 
-def h0(P: Presentation, degree_bound: int = 8,
-       basis_cap: int = BASIS_CAP) -> H0Report:
+def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     """Quotient of the degree-0 subalgebra by the degree-(-1) differentials.
 
     Completes the relations to a rewrite system up to words of length
-    `degree_bound`, then counts normal-form words up to that length.  The
-    ground ring is claimed only for a complete (not truncated, not capped)
-    run with no collapse whose rules rewrite every degree-0 letter.
+    `degree_bound`, then counts normal-form words up to that length, at
+    most BASIS_CAP of them.  The ground ring is claimed only for a
+    complete (not truncated, not cut) run with no collapse whose rules
+    rewrite every degree-0 letter.
     """
     if not P.ring.is_field():
         raise UnsupportedPresentationError("h0 needs a field (Q or GF2)")
@@ -525,9 +520,9 @@ def h0(P: Presentation, degree_bound: int = 8,
     walk = (w for t in sorted({g.target for g in letters})
             for w, _, _ in walk_words(letters, t, degree_bound, irreducible))
     basis = [e.index for e in P.idempotents]
-    basis += itertools.islice(walk, max(basis_cap - len(basis), 0))
-    capped = next(walk, None) is not None
-    is_ground = (not rs.collapses and not capped and not truncated
+    basis += itertools.islice(walk, max(BASIS_CAP - len(basis), 0))
+    cut = next(walk, None) is not None
+    is_ground = (not rs.collapses and not cut and not truncated
                  and all((g.index,) in lhs_set for g in letters))
     return H0Report(
         relations=[P.format_element(r) for r in relations],
@@ -539,4 +534,5 @@ def h0(P: Presentation, degree_bound: int = 8,
         degenerate=sorted(rs.collapses, key=lambda c: (rs.collapses[c], c)),
         truncated=truncated,
         degree_bound=degree_bound,
+        cut=cut,
     )

@@ -104,12 +104,11 @@ def add_point_family(P: Presentation, *, prefix, n, potentials, p_max=2,
             _gen_name(prefix, p, i, j), _degree(P.convention, m, p, i, j),
             legs[i - 1], legs[j - 1], role="short", link=link_id, level=p)
     for (p, i, j) in _family_indices(n, p_max):
-        el = P.zero()
-        if p == 1 and i == j:
-            el = P.add(el, P.el_idem(legs[i - 1]))
+        el = P.el_idem(legs[i - 1]) if p == 1 and i == j else P.zero()
         for left, right in _quadratic_terms(n, p, i, j):
             coeff = P.ring.sign_pow(_sign_exp(signs, m, j, left[1]))
-            el = P.add(el, P.el_word([gens[left], gens[right]], coeff))
+            P.ring.add_into(el, P.el_word([gens[left], gens[right]],
+                                          coeff).items())
         P.set_differential(gens[(p, i, j)], el)
     return gens
 
@@ -135,10 +134,8 @@ def add_hat_family(P: Presentation, *, n, potentials, p_max=2, legs=None,
             legs_ix[i - 1], legs_ix[j - 1], role="short", link=link_id,
             level=p)
     for (p, i, j) in _family_indices(n, p_max):
-        el = P.zero()
-        if not closed:
-            el = P.add(el, P.el_gen(x[(p, i, j)]))
-            el = P.sub(el, P.el_gen(y[(p, i, j)]))
+        el = (P.zero() if closed else
+              P.sub(P.el_gen(x[(p, i, j)]), P.el_gen(y[(p, i, j)])))
         # G of the point-family differential; the idempotent term has no
         # slot to hat and contributes nothing.  The G contribution enters
         # with a global minus sign: that is the completion with d^2 = 0
@@ -146,11 +143,11 @@ def add_hat_family(P: Presentation, *, n, potentials, p_max=2, legs=None,
         # invisible.
         for left, right in _quadratic_terms(n, p, i, j):
             s = _sign_exp(signs, m, j, left[1]) + 1
-            el = P.add(el, P.el_word([hats[left], x[right]],
-                                     P.ring.sign_pow(s)))
+            P.ring.add_into(el, P.el_word([hats[left], x[right]],
+                                          P.ring.sign_pow(s)).items())
             koszul = _degree(P.convention, m, *left)
-            el = P.add(el, P.el_word([y[left], hats[right]],
-                                     P.ring.sign_pow(s + koszul)))
+            P.ring.add_into(el, P.el_word([y[left], hats[right]],
+                                          P.ring.sign_pow(s + koszul)).items())
         P.set_differential(hats[(p, i, j)], el)
     return x, y, hats
 
@@ -270,6 +267,13 @@ class CatalogBundle:
         return self.presentations["main"]
 
 
+def _plus_words(P, el, *words):
+    """el plus each word, a list of generator names, summed in place."""
+    for w in words:
+        P.ring.add_into(el, P.el_word(w).items())
+    return el
+
+
 def _unknot_one_handle(p_max):
     P = Presentation(rationals(), POTENTIAL_PLUS)
     e1 = P.add_idempotent("e1")
@@ -385,11 +389,9 @@ def _theta(p_max):
     b = P.add_generator("b", 0, es[1], es[2], role="long")
     a = P.add_generator("a", -1, es[0], es[0], role="long")
     P.set_differential(b, P.add(P.el_word(["x0_23"]), P.el_word(["y0_23"])))
-    da = P.el_idem(es[0])
-    da = P.add(da, P.el_word(["y1_31", "b", "x0_12"]))
-    da = P.add(da, P.el_word(["y1_31", "x0_13"]))
-    da = P.add(da, P.el_word(["y1_21", "x0_12"]))
-    P.set_differential(a, da)
+    P.set_differential(a, _plus_words(
+        P, P.el_idem(es[0]),
+        ["y1_31", "b", "x0_12"], ["y1_31", "x0_13"], ["y1_21", "x0_12"]))
     notes = [
         "theta graph: three parallel edges, both vertex links attach with"
         " identity legs; potentials zero",
@@ -410,16 +412,12 @@ def _a3_link_main(p_max):
     a1 = P.add_generator("a1", -1, es[0], es[0], role="long")
     a2 = P.add_generator("a2", -1, es[1], es[1], role="long")
     b = P.add_generator("b", -1, es[2], es[3], role="long")
-    d = P.el_idem(es[0])
-    d = P.add(d, P.el_word(["v1_31", "b", "x0_12"]))
-    d = P.add(d, P.el_word(["v1_21", "w0_23", "x0_12"]))
-    d = P.add(d, P.el_word(["v1_31", "y0_23", "x0_13"]))
-    P.set_differential(a1, d)
-    d = P.el_idem(es[1])
-    d = P.add(d, P.el_word(["y1_31", "b", "w0_12"]))
-    d = P.add(d, P.el_word(["y1_21", "x0_23", "w0_12"]))
-    d = P.add(d, P.el_word(["y1_31", "v0_23", "w0_13"]))
-    P.set_differential(a2, d)
+    P.set_differential(a1, _plus_words(
+        P, P.el_idem(es[0]), ["v1_31", "b", "x0_12"],
+        ["v1_21", "w0_23", "x0_12"], ["v1_31", "y0_23", "x0_13"]))
+    P.set_differential(a2, _plus_words(
+        P, P.el_idem(es[1]), ["y1_31", "b", "w0_12"],
+        ["y1_21", "x0_23", "w0_12"], ["y1_31", "v0_23", "w0_13"]))
     P.set_differential(b, P.add(P.el_word(["y0_23", "x0_23"]),
                                 P.el_word(["v0_23", "w0_23"])))
     return P
@@ -486,19 +484,15 @@ def _a3_arboreal(p_max):
     a2 = P.add_generator("a2", -1, es[2], es[2], role="long")
     P.set_differential(b, P.add(P.el_word(["v0_23", "x0_23"]),
                                 P.el_word(["y0_23"])))
-    d = P.el_word(["w0_23"])
-    d = P.add(d, P.el_word(["y1_31", "b", "x0_12"]))
-    d = P.add(d, P.el_word(["y1_21", "x0_12"]))
-    d = P.add(d, P.el_word(["y1_31", "v0_23", "x0_13"]))
-    P.set_differential(a1, d)
-    d = P.el_idem(es[2])
-    d = P.add(d, P.el_word(["w1_21", "x1_31", "v0_12"]))
-    d = P.add(d, P.el_word(["w1_31", "y1_31", "v0_13"]))
-    d = P.add(d, P.el_word(["w1_31", "a1", "x1_31", "v0_12"]))
-    d = P.add(d, P.el_word(["w1_31", "y1_21", "x1_32", "v0_12"]))
-    d = P.add(d, P.el_word(["w1_31", "y1_31", "b", "x1_32", "v0_12"]))
-    d = P.add(d, P.el_word(["w1_31", "y1_31", "v0_23", "x1_33", "v0_12"]))
-    P.set_differential(a2, d)
+    P.set_differential(a1, _plus_words(
+        P, P.el_word(["w0_23"]), ["y1_31", "b", "x0_12"], ["y1_21", "x0_12"],
+        ["y1_31", "v0_23", "x0_13"]))
+    P.set_differential(a2, _plus_words(
+        P, P.el_idem(es[2]), ["w1_21", "x1_31", "v0_12"],
+        ["w1_31", "y1_31", "v0_13"], ["w1_31", "a1", "x1_31", "v0_12"],
+        ["w1_31", "y1_21", "x1_32", "v0_12"],
+        ["w1_31", "y1_31", "b", "x1_32", "v0_12"],
+        ["w1_31", "y1_31", "v0_23", "x1_33", "v0_12"]))
 
     cod = _a3_pairing_codomain(p_max, (0, 0, 0), (2, 0, 1))
     values = {
@@ -536,10 +530,11 @@ def _singular_torus(p_max):
     P.set_differential(qh, P.sub(P.el_gen(q),
                                  P.el_word(["c0_12", "q", "c1_21"])))
     P.set_differential(a, P.sub(P.el_idem(e), P.el_gen(p)))
+    minus = ring.from_int(-1)
     d = P.el_gen(a)
-    d = P.sub(d, P.el_word(["c1_21", "a", "c0_12"]))
-    d = P.add(d, P.el_gen(ph))
-    d = P.sub(d, P.el_word(["c1_11"]))
+    ring.add_into(d, P.el_word(["c1_21", "a", "c0_12"], minus).items())
+    ring.add_into(d, P.el_gen(ph).items())
+    ring.add_into(d, P.el_word(["c1_11"], minus).items())
     P.set_differential(ah, d)
 
     lam = ring.parameter("lam")

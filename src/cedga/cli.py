@@ -83,6 +83,8 @@ def cmd_catalog(args):
         for name in catalog.catalog_names():
             print(name)
         return 0
+    _select(dict.fromkeys(catalog.catalog_names()), args.name,
+            "catalog example")
     bundle = catalog.example(args.name, p_max=args.p_max)
     if args.map:
         sub = catalog.CatalogBundle(
@@ -109,45 +111,39 @@ def cmd_catalog(args):
     return 0
 
 
-def cmd_check_d2(args):
+def _report(check):
+    """A per-presentation check as (certificate, ok)."""
+    def run(P):
+        rep = check(P)
+        return rep.to_json_dict(), rep.ok
+    return run
+
+
+def _grade(P):
+    val, deg = P.validate(), analysis.check_degree(P)
+    return ({"validation": val.to_json_dict(), "degree": deg.to_json_dict()},
+            val.ok and deg.ok)
+
+
+# command -> (help, verdict on failure, presentation -> (certificate, ok))
+CHECKS = {
+    "check-d2": ("d squared vanishes", "counterexample",
+                 _report(analysis.check_d_squared)),
+    "grade": ("degree homogeneity", "violation", _grade),
+    "parity": ("word-length parity flip", "counterexample",
+               _report(analysis.check_parity_flip)),
+}
+
+
+def cmd_check(args):
     t0 = time.monotonic()
-    bundle = _load(args.file)
+    _, failed, check = CHECKS[args.command]
     certs, ok = {}, True
-    for name, P in _select(bundle.presentations, args.pres,
-                           "presentation").items():
-        rep = analysis.check_d_squared(P)
-        certs[name] = rep.to_json_dict()
-        ok = ok and rep.ok
-    _emit(args, "check-d2", "pass" if ok else "counterexample", certs,
-          None, t0)
-    return 0 if ok else 1
-
-
-def cmd_grade(args):
-    t0 = time.monotonic()
-    bundle = _load(args.file)
-    certs, ok = {}, True
-    for name, P in _select(bundle.presentations, args.pres,
-                           "presentation").items():
-        val = P.validate()
-        deg = analysis.check_degree(P)
-        certs[name] = {"validation": val.to_json_dict(),
-                       "degree": deg.to_json_dict()}
-        ok = ok and val.ok and deg.ok
-    _emit(args, "grade", "pass" if ok else "violation", certs, None, t0)
-    return 0 if ok else 1
-
-
-def cmd_parity(args):
-    t0 = time.monotonic()
-    bundle = _load(args.file)
-    certs, ok = {}, True
-    for name, P in _select(bundle.presentations, args.pres,
-                           "presentation").items():
-        rep = analysis.check_parity_flip(P)
-        certs[name] = rep.to_json_dict()
-        ok = ok and rep.ok
-    _emit(args, "parity", "pass" if ok else "counterexample", certs, None, t0)
+    for name, P in _select(_load(args.file).presentations, args.pres,
+                           "presentation", "--pres").items():
+        certs[name], passed = check(P)
+        ok = ok and passed
+    _emit(args, args.command, "pass" if ok else failed, certs, None, t0)
     return 0 if ok else 1
 
 
@@ -157,9 +153,8 @@ def cmd_h0(args):
     P = _single(bundle, args)
     bounds = _bounds(args)
     rep = analysis.h0(P, degree_bound=bounds.degree_bound)
-    # a basis only from a complete, uncapped run with no collapse
-    complete = not (rep.truncated or rep.degenerate
-                    or rep.dimension >= analysis.BASIS_CAP)
+    # a basis only from a complete, uncut run with no collapse
+    complete = not (rep.truncated or rep.degenerate or rep.cut)
     verdict = ("ground-ring" if rep.is_ground_ring else
                "basis" if complete else "inconclusive")
     _emit(args, "h0", verdict, {"h0": rep.to_json_dict()}, bounds, t0)
@@ -290,13 +285,11 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_catalog)
 
-    for cmd, fn, help_ in (("check-d2", cmd_check_d2, "d squared vanishes"),
-                           ("grade", cmd_grade, "degree homogeneity"),
-                           ("parity", cmd_parity, "word-length parity flip")):
+    for cmd, (help_, _, _) in CHECKS.items():
         p = sub.add_parser(cmd, help=help_)
         p.add_argument("file")
         common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("h0", help="degree-0 homology by rewriting")
     p.add_argument("file")
@@ -356,7 +349,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"cedga: error: {exc}", file=sys.stderr)
         return 2
 

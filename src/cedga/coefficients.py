@@ -100,12 +100,8 @@ class CoeffRing:
         return self.kind in (RATIONALS, GF2)
 
     def is_zero(self, a) -> bool:
-        if self.kind == LAURENT:
-            return not a
-        return a == 0
-
-    def is_one(self, a) -> bool:
-        return a == self.one()
+        # 0, Fraction(0) and the empty Laurent dict are the falsy values
+        return not a
 
     # -- arithmetic --------------------------------------------------------
 
@@ -132,6 +128,25 @@ class CoeffRing:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def add_into(self, out: dict, x, f=None) -> dict:
+        """out += f*x in place (f=None: out += x).  `out` is a sparse
+        vector, a dict from keys to coefficients; `x` is one given as
+        (key, coefficient) pairs, such as a dict's items(), where a key
+        may repeat.  A key whose coefficient becomes zero is dropped, and
+        a new key goes last.  Returns out."""
+        add, mul, is_zero = self.add, self.mul, self.is_zero
+        for k, c in x:
+            if f is not None:
+                c = mul(f, c)
+            old = out.get(k)
+            if old is not None:
+                c = add(old, c)
+            if is_zero(c):
+                out.pop(k, None)
+            else:
+                out[k] = c
+        return out
 
     def mul(self, a, b):
         if self.kind == RATIONALS:
@@ -174,6 +189,24 @@ class CoeffRing:
         return self.from_int(-1 if k % 2 else 1)
 
     # -- canonical text form ------------------------------------------------
+
+    def sign_and_factor(self, a) -> tuple[bool, str]:
+        """How a nonzero coefficient prints in front of a word: whether it
+        leads with a minus sign, and the factor text ('' for 1 or -1).
+        A rational constant prints as a sign and magnitude, any other
+        Laurent element as one factor, parenthesized when it is a sum or
+        starts with a minus sign."""
+        if self.kind == GF2:
+            return False, ""
+        if self.kind == LAURENT:
+            if len(a) != 1 or any(next(iter(a))):
+                text = self.format(a)
+                if " " in text or text.startswith("-"):
+                    text = f"({text})"
+                return False, text
+            (a,) = a.values()
+        mag = abs(a)
+        return a < 0, "" if mag == 1 else str(mag)
 
     def format(self, a) -> str:
         """Canonical text; Laurent terms sorted lexicographically by exponents."""

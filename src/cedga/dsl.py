@@ -30,7 +30,7 @@ from fractions import Fraction
 from .algebra import (POTENTIAL_MINUS, POTENTIAL_PLUS, Presentation,
                       PresentationError)
 from .catalog import CatalogBundle
-from .coefficients import GF2, LAURENT, RATIONALS, CoeffRing, RingMismatchError
+from .coefficients import RingMismatchError, gf2, laurent, rationals
 from .morphisms import Augmentation, GenMap, MapError, ScopeError
 
 KEYWORDS = {"ring", "convention", "idempotents", "gen", "diff",
@@ -213,9 +213,9 @@ class _Parser:
         t = self.next()
         kind = self.expect_ident("ring kind")
         if kind.value == "Q":
-            self.ring = CoeffRing(RATIONALS)
+            self.ring = rationals()
         elif kind.value == "GF2":
-            self.ring = CoeffRing(GF2)
+            self.ring = gf2()
         elif kind.value == "laurent":
             self.expect_sym("(")
             params = [self.expect_ident("parameter").value]
@@ -223,7 +223,7 @@ class _Parser:
                 self.next()
                 params.append(self.expect_ident("parameter").value)
             self.expect_sym(")")
-            self.ring = CoeffRing(LAURENT, tuple(params))
+            self.ring = laurent(*params)
         else:
             self.err(f"unknown ring {kind.value!r}", kind)
 
@@ -297,21 +297,13 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def _at_term_start(self):
-        t = self.peek()
-        if t.kind == "int":
-            return True
-        if t.kind == "ident" and t.value not in KEYWORDS:
-            return True
-        return t.kind == "sym" and t.value == "("
-
     def parse_expr(self, P):
         el = P.zero()
         sign = 1
         if self.peek().value in ("+", "-"):
             sign = -1 if self.next().value == "-" else 1
         while True:
-            el = P.add(el, self.parse_term(P, sign))
+            P.ring.add_into(el, self.parse_term(P, sign).items())
             t = self.peek()
             if t.kind == "sym" and t.value in ("+", "-"):
                 self.next()
@@ -377,8 +369,7 @@ class _Parser:
                     self.err(f"coefficient {num}/{den} is undefined in "
                              f"{ring}", t)
             return ring.from_int(num)
-        if t.kind == "ident" and ring.kind == LAURENT \
-                and t.value in ring.parameters:
+        if t.kind == "ident" and t.value in ring.parameters:
             self.next()
             exp = 1
             if self.peek().kind == "sym" and self.peek().value == "^":
@@ -521,12 +512,6 @@ def parse_element(text: str, P: Presentation):
 # canonical serializer
 # ---------------------------------------------------------------------------
 
-def _ring_line(ring: CoeffRing) -> str:
-    if ring.kind == LAURENT:
-        return f"ring laurent({','.join(ring.parameters)})"
-    return f"ring {ring.kind}"
-
-
 def serialize_presentation(P: Presentation, name: str) -> str:
     lines = [f"presentation {name} {{"]
     if P.idempotents:
@@ -564,7 +549,7 @@ def serialize(bundle: CatalogBundle) -> str:
         raise ValueError("bundle mixes rings or conventions")
     parts = []
     some = anchors[0]
-    parts.append(_ring_line(some.ring))
+    parts.append(f"ring {some.ring}")
     parts.append(f"convention {some.convention}")
     names = {id(P): n for n, P in bundle.presentations.items()}
     for pname in bundle.presentations:

@@ -102,7 +102,7 @@ class GenMap:
                                        f"{S.generators[i].name} unassigned")
                     v = self.gen_values[i]
                     term = v if term is None else T.mul(term, v)
-            out = T.add(out, T.scale(c, term))
+            T.ring.add_into(out, term.items(), c)
         return out
 
 
@@ -274,7 +274,7 @@ def partial_linearize(P: Presentation, eps: Augmentation) -> Presentation:
         el = out.zero()
         for w, c in P.differential.get(g.index, {}).items():
             if isinstance(w, int):
-                el = out.add(el, out.scale(c, out.el_idem(w)))
+                P.ring.add_into(el, ((w, c),))
                 continue
             coeff = c
             letters = []
@@ -287,16 +287,14 @@ def partial_linearize(P: Presentation, eps: Augmentation) -> Presentation:
                         raise ScopeError(
                             f"short generator {gg.name} has no {eps.name} value")
                     coeff = P.ring.mul(coeff, eps.value(gg.index))
-            if P.ring.is_zero(coeff):
-                continue
             if not letters:
                 if g.source == g.target:
-                    el = out.add(el, out.scale(coeff, out.el_idem(g.source)))
+                    P.ring.add_into(el, ((g.source, coeff),))
                 continue
             nw = tuple(gmap[i].index for i in letters)
             if out.composable(nw) and out.word_source(nw) == g.source \
                     and out.word_target(nw) == g.target:
-                el = out.add(el, {nw: coeff})
+                P.ring.add_into(el, ((nw, coeff),))
         out.set_differential(gmap[g.index], el)
     d2 = check_d_squared(out)
     if not d2.ok:
@@ -402,8 +400,7 @@ def _map_differential(S, T, assigned, idem_images, gidx):
             if not idem_images[w]:
                 return None, None, (f"no image idempotents derived for "
                                     f"{S.idempotents[w].label}")
-            for d in sorted(idem_images[w]):
-                known = T.add(known, T.scale(c, T.el_idem(d)))
+            T.ring.add_into(known, [(d, c) for d in sorted(idem_images[w])])
             continue
         longs = [k for k, i in enumerate(w) if S.generators[i].role == "long"]
         if len(longs) > 1:
@@ -425,7 +422,7 @@ def _map_differential(S, T, assigned, idem_images, gidx):
             if not T.composable(word):
                 raise MapError(f"link map image of {S.format_word(w)} is "
                                f"not composable")
-            known = T.add(known, {word: coeff})
+            T.ring.add_into(known, ((word, coeff),))
     return known, symbolic, None
 
 
@@ -439,7 +436,8 @@ def _add_corrections(solver, rhs, S, T, symbolic, bit, idem_images,
     blocks = {}
     for coeff, lw, h, rw in symbolic:
         zbit = (bit - len(lw) - len(rw)) % 2
-        blocks.setdefault((h, zbit), []).append((coeff, lw, rw))
+        # d u = target + sum coeff*lw*z*rw: z's terms join d u negated
+        blocks.setdefault((h, zbit), []).append((T.ring.neg(coeff), lw, rw))
     for (h, zbit), slots in sorted(blocks.items()):
         hg = S.generators[h]
         constraint = constraints.get(h)
@@ -458,12 +456,9 @@ def _add_corrections(solver, rhs, S, T, symbolic, bit, idem_images,
             max_len=bounds.max_word_length,
             max_level=bounds.max_level, parity=zbit)
         for zw in z_cands:
-            col = {}
-            for coeff, lw, rw in slots:
-                word = lw + zw + rw
-                if T.composable(word):
-                    key = ("m", word)
-                    col[key] = T.ring.sub(col.get(key, T.ring.zero()), coeff)
+            col = T.ring.add_into(
+                {}, [(("m", word), coeff) for coeff, lw, rw in slots
+                     if T.composable(word := lw + zw + rw)])
             if cpart is not None:
                 for rw, rc in T.d_word(zw).items():
                     col[("c", h, zbit, rw)] = rc

@@ -9,6 +9,7 @@ from cedga import (Bounds, NonHomogeneousTargetError, Presentation,
                    check_degree, check_parity_flip, composable_words,
                    example, exactness_search, gf2, h0, is_trivial,
                    make_point_algebra, rationals)
+from cedga import analysis
 from cedga.analysis import RewriteSystem, walk_words
 from cedga.dsl import parse_element
 
@@ -169,7 +170,7 @@ def test_h0_truncated_completion_does_not_claim_the_ground_ring():
     assert not rep.is_ground_ring
 
 
-def test_h0_free_degree_zero_algebra():
+def test_h0_free_degree_zero_algebra(monkeypatch):
     P = Presentation(rationals())
     e1, e2 = P.add_idempotent("e1"), P.add_idempotent("e2")
     x = P.add_generator("x", 0, e1, e2)
@@ -182,8 +183,11 @@ def test_h0_free_degree_zero_algebra():
     assert rep.dimension == 2 + 2 + 2 + 2 + 2  # lengths 0..4
     assert rep.relations == []
     # a basis cut at the idempotents is not evidence of the ground ring
-    capped = h0(P, degree_bound=4, basis_cap=2)
+    assert not rep.cut
+    monkeypatch.setattr(analysis, "BASIS_CAP", 2)
+    capped = h0(P, degree_bound=4)
     assert capped.basis == ["e1", "e2"] and not capped.is_ground_ring
+    assert capped.cut
 
 
 def test_h0_rejects_mixed_degree_relations():
@@ -211,7 +215,7 @@ def test_normal_form_is_idempotent_and_kills_relations():
     for rel in relations:
         assert rs.normal_form(rel) == {}
     for w in list(P.differential[P.gen("a").index]):
-        nf1 = rs.normal_form_word(w)
+        nf1 = rs.normal_form({w: P.ring.one()})
         nf2 = rs.normal_form(nf1)
         assert nf1 == nf2
 
@@ -434,6 +438,20 @@ def test_h0_matches_the_restart_loop_completion(case):
                                 all(isinstance(w, int) for w in rest))
     if is_trivial(P, Bounds(max_word_length=3)).certified_trivial:
         assert not rep.is_ground_ring
+
+
+def test_h0_queues_again_a_relation_lost_behind_a_collapse():
+    # a0*a1 + a0*a1*a1 reduces to 0 under a1*a1 -> - a1, a rule retired
+    # when a1 -> e2 arrives; its element then collapses to e2, which is no
+    # rule, so the relation is queued again and reduces to 2*a0
+    P = _binomials(2, [(1, 0), (1, 1)], [((1,), (1, 1), 1),
+                                         ((0, 1), (0, 1, 1), 1),
+                                         ((1,), 1, -1)])
+    rep = h0(P, degree_bound=3)
+    assert rep.relations == ["a1 + a1*a1", "a0*a1 + a0*a1*a1", "- e2 + a1"]
+    assert rep.degenerate == ["e2"]
+    assert rep.rules == ["a0 -> 0", "a1 -> e2"]
+    assert (rep.dimension, rep.basis) == (2, ["e1", "e2"])
 
 
 # -- the word walker ----------------------------------------------------------

@@ -1,0 +1,90 @@
+"""Canonical output bytes, pinned by sha256.
+
+Each digest covers one family of CLI runs over the catalog: the exit
+code, standard error, and standard output with the `timings` object
+dropped from the JSON line.  The digests were recorded before every
+linear combination was routed through CoeffRing.add_into; a refactor
+that keeps verdicts, certificates and `.cedga` text must keep them.
+"""
+import contextlib
+import hashlib
+import io
+import json
+
+from cedga import catalog, dsl
+from cedga.cli import main
+
+PINNED = {
+    "exact": "75a83c19770ce09a8c761bac926843051bdc62042094b73d24255f407bbe5c8e",
+    "h0": "cc5dd784a0a12386f6c8668417783bae8086fb0f394d2c28694e23b699a84040",
+    "linearize": "5b8d64d77b1b846a4e8981148ac20fd96bfae2c8f3376b5e157a6b77e8cd6449",
+    "obstruct": "be82a6baba945d5811c12a3c18efc0c74e0c6fa3ce14c3c7fd4e9385ed629d31",
+    "serialize": "802338f8ba62d82eb67eb28850887d7fe2a1f141ce517ad73cd986f6e4c54b10",
+    "trivial": "3a22e6484f5c5293f11cfb18dc96372093581441145f1f9abfb9f44b4caf80de",
+}
+
+LINK_MAPS = (("unknot_edge", "y_filling_links"), ("a3_link", "pairing_xw_yv"),
+             ("a3_link", "pairing_yv_xw"), ("a3_arboreal", "pairing_b"))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = out.getvalue().splitlines()
+    if lines and lines[-1].startswith("{"):
+        obj = json.loads(lines[-1])
+        del obj["timings"]
+        lines[-1] = json.dumps(obj, sort_keys=True)
+    return f"{argv}\n{code}\n{err.getvalue()}" + "\n".join(lines) + "\n"
+
+
+def _families():
+    """{family: sha256 of its runs}; writes the catalog files to the
+    working directory, so that no run's text holds a path."""
+    runs = {family: [] for family in PINNED}
+    files = {}
+    for name in catalog.catalog_names():
+        bundle = catalog.example(name)
+        text = dsl.serialize(bundle)
+        runs["serialize"].append(text)
+        files[name] = f"{name}.cedga"
+        with open(files[name], "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for aug in bundle.augmentations:
+            runs["linearize"].append(_run(["linearize", files[name],
+                                           files[name], "-o", "-", "--aug",
+                                           aug, "--json"]))
+        for pres, P in bundle.presentations.items():
+            runs["h0"].append(_run(["h0", files[name], "--pres", pres,
+                                    "--degree-bound", "6", "--json"]))
+            if not P.ring.is_field():
+                continue
+            runs["trivial"].append(_run(["trivial", files[name], "--pres",
+                                         pres, "--max-len", "3", "--json"]))
+            # g itself is an odd witness of d g; an even one must come
+            # from elimination, or be certified absent.  Every long
+            # generator, and the short ones of the small presentations.
+            for g in P.generators:
+                if P.differential[g.index] and (g.role == "long"
+                                                or len(P.generators) < 25):
+                    for parity in ("odd", "even"):
+                        runs["exact"].append(_run(
+                            ["exact", files[name], "--pres", pres,
+                             "--target",
+                             P.format_element(P.differential[g.index]),
+                             "--max-len", "3", "--parity", parity,
+                             "--json"]))
+    for name, link_map in LINK_MAPS:
+        for length in ("3", "4", "5"):
+            runs["obstruct"].append(_run(["obstruct", files[name], "--map",
+                                          link_map, "--max-len", length,
+                                          "--json"]))
+    return {family: hashlib.sha256("".join(texts).encode()).hexdigest()
+            for family, texts in runs.items()}
+
+
+def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CEDGA_MAX_LEN", raising=False)
+    assert _families() == PINNED

@@ -1,4 +1,3 @@
-import functools
 import json
 
 import pytest
@@ -253,8 +252,6 @@ def test_h0_verdicts(tmp_path, capsys, text, argv, verdict, code):
 def test_h0_basis_cut_at_the_cap_is_inconclusive(tmp_path, capsys,
                                                  monkeypatch):
     monkeypatch.setattr(analysis, "BASIS_CAP", 3)
-    monkeypatch.setattr(analysis, "h0",
-                        functools.partial(analysis.h0, basis_cap=3))
     f = tmp_path / "h.cedga"
     f.write_text(_TWO_LETTERS)
     code, out, _ = run(capsys, "h0", str(f), "--json")
@@ -277,9 +274,17 @@ def test_h0_basis_cut_at_the_cap_is_inconclusive(tmp_path, capsys,
     (["verify-aug", "{e}"], "the file has no augmentation"),
     (["h0", "{f}", "--pres", "nosuch"], "no presentation named 'nosuch'"),
     (["h0", "{e}"], "no presentation named 'main'"),
+    (["check-d2", "{f}", "--pres", "nosuch"],
+     "no presentation named 'nosuch'"),
+    (["catalog", "nosuch"], "no catalog example named 'nosuch'"),
+    (["check-d2", "{r}"], "the file has no presentation"),
+    (["grade", "{r}"], "the file has no presentation"),
+    (["parity", "{r}"], "the file has no presentation"),
 ], ids=["obstruct_map", "obstruct_none", "linearize_aug", "linearize_none",
         "verify_map_map", "verify_map_empty", "verify_aug_aug",
-        "verify_aug_empty", "h0_pres", "h0_default"])
+        "verify_aug_empty", "h0_pres", "h0_default", "check_pres",
+        "catalog_name", "check_d2_ring_only", "grade_ring_only",
+        "parity_ring_only"])
 def test_unknown_or_missing_names_are_one_line_usage_errors(
         tmp_path, capsys, argv, message):
     # two maps and two augmentations, so nothing is chosen by default
@@ -291,6 +296,8 @@ def test_unknown_or_missing_names_are_one_line_usage_errors(
                  "aug eps2 on main scope l { a -> 0; }\n")
     e = tmp_path / "empty.cedga"
     e.write_text("ring Q\npresentation other {\n  idempotents e1\n}\n")
-    code, _, err = run(capsys, *[a.format(f=f, e=e) for a in argv])
-    assert code == 2
+    r = tmp_path / "ring_only.cedga"
+    r.write_text("ring Q\n")
+    code, out, err = run(capsys, *[a.format(f=f, e=e, r=r) for a in argv])
+    assert (code, out) == (2, "")
     assert err == f"cedga: error: {message}\n"
