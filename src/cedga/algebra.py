@@ -98,9 +98,14 @@ class Presentation:
 
     # -- construction ------------------------------------------------------
 
+    def _claim(self, name: str):
+        """Refuse a name already taken by an idempotent, a generator or a
+        ring parameter, which the text form could not tell apart."""
+        if self.has_name(name) or name in self.ring.parameters:
+            raise PresentationError(f"duplicate name {name!r}")
+
     def add_idempotent(self, label: str) -> Idempotent:
-        if label in self._idem_by_label or label in self._gen_by_name:
-            raise PresentationError(f"duplicate name {label!r}")
+        self._claim(label)
         e = Idempotent(len(self.idempotents), label)
         self.idempotents.append(e)
         self._idem_by_label[label] = e
@@ -108,8 +113,7 @@ class Presentation:
 
     def add_generator(self, name, degree, source, target, role="long",
                       link=None, level=None) -> Generator:
-        if name in self._gen_by_name or name in self._idem_by_label:
-            raise PresentationError(f"duplicate name {name!r}")
+        self._claim(name)
         src = source if isinstance(source, int) else self.idem(source).index
         tgt = target if isinstance(target, int) else self.idem(target).index
         n = len(self.idempotents)
@@ -344,6 +348,16 @@ class Presentation:
     def __str__(self):
         return (f"Presentation({self.ring}, {len(self.idempotents)} idempotents, "
                 f"{len(self.generators)} generators)")
+
+
+def require_valid(*presentations: Presentation):
+    """Raise PresentationError unless every presentation validates."""
+    for P in presentations:
+        rep = P.validate()
+        if not rep.ok:
+            raise PresentationError(
+                "presentation fails validation: "
+                + "; ".join(str(v) for v in rep.violations[:3]))
 
 
 def splice(prefix: tuple, w: Word, suffix: tuple) -> Word:

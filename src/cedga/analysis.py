@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import Element, Presentation, PresentationError, splice
+from .algebra import (Element, Presentation, PresentationError, require_valid,
+                      splice)
 
 
 class NonHomogeneousTargetError(ValueError):
@@ -59,11 +60,7 @@ class DSquaredReport:
 
 def check_d_squared(P: Presentation) -> DSquaredReport:
     """d(d g) for every generator; Pass iff all vanish."""
-    rep = P.validate()
-    if not rep.ok:
-        raise PresentationError(
-            "presentation fails validation: "
-            + "; ".join(str(v) for v in rep.violations[:3]))
+    require_valid(P)
     bad = []
     for g in P.generators:
         residual = P.apply_differential(P.differential[g.index])
@@ -270,6 +267,7 @@ def exactness_search(P: Presentation, target: Element, bounds: Bounds,
     re-checked exactly before being reported.  NoneWithinBounds is a
     bounded certificate, not a proof of unbounded non-exactness.
     """
+    require_valid(P)
     if not target:
         raise NonHomogeneousTargetError("target is zero")
     deg = P.is_homogeneous(target)
@@ -491,6 +489,7 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     complete (not truncated, not cut) run with no collapse whose rules
     rewrite every degree-0 letter.
     """
+    require_valid(P)
     if not P.ring.is_field():
         raise UnsupportedPresentationError("h0 needs a field (Q or GF2)")
     relations = []

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -35,8 +34,7 @@ def _bounds(args) -> Bounds:
     default, so the JSON `bounds` object always has all three fields."""
     given = {k: v for k, v in vars(args).items() if v is not None}
     return Bounds(
-        max_word_length=given.get("max_len",
-                                  int(os.environ.get("CEDGA_MAX_LEN", 6))),
+        max_word_length=given.get("max_len", 6),
         max_level=given.get("max_level", 2),
         degree_bound=given.get("degree_bound", 8),
     )

@@ -18,12 +18,17 @@ generator or idempotent names and coefficient atoms (`-3`, `2/3`,
 unit (the sum of all idempotents), so `1` and `0` mean what they say.
 In a word the rightmost factor acts first.
 
-Names must be declared before use; keywords (ring, gen, diff, ...) are
-reserved.  The serializer emits a canonical, byte-stable form that parses
-back to an equal bundle.
+Names (`[A-Za-z_][A-Za-z_0-9]*`) and integers (`[0-9]+`) are ASCII.
+`ring` and `convention` come at most once each, before any presentation,
+map or augmentation.  Names must be declared before use, may not equal a
+ring parameter, and keywords (ring, gen, diff, ...) are reserved.  The
+serializer emits a canonical, byte-stable form that parses back to an
+equal bundle.
 """
 from __future__ import annotations
 
+import re
+from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,63 +53,33 @@ class ParseError(ValueError):
 
 @dataclass
 class _Tok:
-    kind: str  # ident | int | sym
+    kind: str  # ident | int | sym | eof
     value: str
     line: int
     col: int
 
 
-_SYMBOLS = ("->", "{", "}", "(", ")", ":", ";", "=", "^", "*", "/", "+",
-            "-", ",")
+# one alternative per token kind, then the text between tokens, then any
+# other character, which is an error
+_TOKEN = re.compile(r"""(?P<sym>->|[{}():;=^*/+,-])
+                      | (?P<int>[0-9]+)
+                      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+                      | (?P<newline>\n)
+                      | [ \t\r]+ | \#[^\n]*
+                      | (?P<bad>.)""", re.VERBOSE)
 
 
 def _tokenize(text):
-    toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            toks.append(_Tok("sym", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "{}():;=^*/+-,":
-            toks.append(_Tok("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+    toks, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind is not None:
+            toks.append(_Tok(kind, m.group(), line, col))
+    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -116,7 +91,7 @@ class _Parser:
         self.target_env = dict(target_env if target_env is not None
                                else self.env)
         self.ring = None
-        self.convention = POTENTIAL_PLUS
+        self.convention = None
         self.bundle = CatalogBundle("parsed")
 
     # -- token plumbing ------------------------------------------------------
@@ -133,102 +108,117 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(msg, tok.line, tok.col)
 
-    def expect_sym(self, s):
-        t = self.next()
-        if t.kind != "sym" or t.value != s:
-            self.err(f"expected {s!r}, found {t.value!r}", t)
-        return t
+    def at_sym(self, *values):
+        t = self.peek()
+        return t.kind == "sym" and t.value in values
 
-    def expect_ident(self, what="name"):
-        t = self.next()
-        if t.kind != "ident":
-            self.err(f"expected {what}, found {t.value!r}", t)
-        return t
-
-    def expect_keyword(self, kw):
-        t = self.next()
-        if t.kind != "ident" or t.value != kw:
-            self.err(f"expected {kw!r}, found {t.value!r}", t)
-        return t
-
-    def expect_int(self):
-        t = self.next()
-        sign = 1
-        if t.kind == "sym" and t.value == "-":
-            sign = -1
-            t = self.next()
-        if t.kind != "int":
-            self.err(f"expected integer, found {t.value!r}", t)
-        return sign * int(t.value)
+    def accept(self, *values):
+        """Consume and return the next token if it is one of the symbols
+        `values`; else None."""
+        return self.next() if self.at_sym(*values) else None
 
     def at_ident(self, value=None):
         t = self.peek()
         return t.kind == "ident" and (value is None or t.value == value)
 
+    def expect_sym(self, s):
+        if not self.at_sym(s):
+            self.err(f"expected {s!r}, found {self.peek().value!r}")
+        return self.next()
+
+    def expect_ident(self, what="name"):
+        if not self.at_ident():
+            self.err(f"expected {what}, found {self.peek().value!r}")
+        return self.next()
+
+    def expect_keyword(self, kw):
+        if not self.at_ident(kw):
+            self.err(f"expected {kw!r}, found {self.peek().value!r}")
+        return self.next()
+
+    def expect_int(self):
+        sign = -1 if self.accept("-") else 1
+        t = self.next()
+        if t.kind != "int":
+            self.err(f"expected integer, found {t.value!r}", t)
+        return sign * int(t.value)
+
+    def names(self):
+        """The identifier tokens up to the next keyword or symbol."""
+        toks = []
+        while self.at_ident() and self.peek().value not in KEYWORDS:
+            toks.append(self.next())
+        return toks
+
+    def find(self, lookup, tok, msg):
+        """lookup(tok.value), with a KeyError reported as `msg` at tok."""
+        try:
+            return lookup(tok.value)
+        except KeyError:
+            self.err(msg, tok)
+
     # -- file structure ------------------------------------------------------
 
     def parse(self):
+        statements = {"ring": self.parse_ring,
+                      "convention": self.parse_convention,
+                      "presentation": self.parse_presentation_block,
+                      "map": self.parse_map, "aug": self.parse_aug}
         while self.peek().kind != "eof":
             t = self.peek()
             if t.kind != "ident":
                 self.err(f"expected a statement, found {t.value!r}")
-            if t.value == "ring":
-                self.parse_ring()
-            elif t.value == "convention":
-                self.parse_convention()
-            elif t.value == "presentation":
-                self.parse_presentation_block()
-            elif t.value == "map":
-                self.parse_map()
-            elif t.value == "aug":
-                self.parse_aug()
-            elif t.value in ("idempotents", "gen", "diff"):
+            if t.value in ("idempotents", "gen", "diff"):
                 self.parse_pstmt(self.presentation("main"))
+            elif t.value in statements:
+                statements[t.value]()
             else:
                 self.err(f"unknown statement {t.value!r}")
         return self.bundle
 
-    def need_ring(self, tok):
-        if self.ring is None:
-            raise ParseError("ring must be declared first", tok.line, tok.col)
-        return self.ring
-
     def presentation(self, name):
         if name not in self.bundle.presentations:
-            self.need_ring(self.peek())
+            if self.ring is None:
+                self.err("ring must be declared first")
             self.bundle.presentations[name] = Presentation(
-                self.ring, self.convention)
+                self.ring, self.convention or POTENTIAL_PLUS)
         return self.bundle.presentations[name]
 
-    def lookup_presentation(self, tok, role="source"):
-        name = tok.value
-        if name in self.bundle.presentations:
-            return self.bundle.presentations[name]
-        ext = self.env if role == "source" else self.target_env
-        if name in ext:
-            return ext[name]
-        raise ParseError(f"unknown presentation {name!r}", tok.line, tok.col)
+    def lookup_presentation(self, tok, env):
+        return self.find(ChainMap(self.bundle.presentations, env).__getitem__,
+                         tok, f"unknown presentation {tok.value!r}")
+
+    def header(self, current):
+        """Consume a `ring` or `convention` keyword: each comes once, and
+        before anything that would be built over it."""
+        t = self.next()
+        if current is not None:
+            self.err(f"duplicate {t.value} statement", t)
+        if self.bundle.presentations or self.bundle.maps \
+                or self.bundle.augmentations:
+            self.err(f"{t.value} must come before any presentation, map "
+                     f"or augmentation", t)
 
     def parse_ring(self):
-        t = self.next()
+        self.header(self.ring)
         kind = self.expect_ident("ring kind")
-        if kind.value == "Q":
-            self.ring = rationals()
-        elif kind.value == "GF2":
-            self.ring = gf2()
-        elif kind.value == "laurent":
+        make = {"Q": rationals, "GF2": gf2, "laurent": laurent}.get(kind.value)
+        if make is None:
+            self.err(f"unknown ring {kind.value!r}", kind)
+        params = []
+        if make is laurent:
             self.expect_sym("(")
-            params = [self.expect_ident("parameter").value]
-            while self.peek().value == ",":
-                self.next()
+            params.append(self.expect_ident("parameter").value)
+            while self.accept(","):
                 params.append(self.expect_ident("parameter").value)
             self.expect_sym(")")
-            self.ring = laurent(*params)
-        else:
-            self.err(f"unknown ring {kind.value!r}", kind)
+        try:
+            self.ring = make(*params)
+        except ValueError as exc:
+            self.err(str(exc), kind)
 
     def parse_convention(self):
-        self.next()
+        self.header(self.convention)
         t = self.expect_ident("convention")
         if t.value not in (POTENTIAL_PLUS, POTENTIAL_MINUS):
             self.err(f"unknown convention {t.value!r}", t)
@@ -236,18 +226,15 @@ class _Parser:
 
     def parse_presentation_block(self):
         self.next()
-        name = self.expect_ident("presentation name").value
-        P = self.presentation(name)
+        P = self.presentation(self.expect_ident("presentation name").value)
         self.expect_sym("{")
-        while not (self.peek().kind == "sym" and self.peek().value == "}"):
+        while not self.accept("}"):
             self.parse_pstmt(P)
-        self.expect_sym("}")
 
     def parse_pstmt(self, P):
         t = self.next()
         if t.value == "idempotents":
-            while self.at_ident() and self.peek().value not in KEYWORDS:
-                tok = self.next()
+            for tok in self.names():
                 try:
                     P.add_idempotent(tok.value)
                 except PresentationError as exc:
@@ -272,22 +259,16 @@ class _Parser:
             if self.at_ident("level"):
                 self.next()
                 level = self.expect_int()
-            ends = []
-            for e in (src, tgt):
-                try:
-                    ends.append(P.idem(e.value))
-                except KeyError:
-                    self.err(f"undeclared idempotent {e.value!r}", e)
+            ends = [self.find(P.idem, e, f"undeclared idempotent {e.value!r}")
+                    for e in (src, tgt)]
             try:
                 P.add_generator(name.value, degree, *ends, role, link, level)
             except PresentationError as exc:
                 self.err(str(exc), name)
         elif t.value == "diff":
             name = self.expect_ident("generator name")
-            try:
-                g = P.gen(name.value)
-            except KeyError:
-                self.err(f"undeclared generator {name.value!r}", name)
+            g = self.find(P.gen, name,
+                          f"undeclared generator {name.value!r}")
             if g.index in P.differential:
                 self.err(f"duplicate diff for {name.value!r}", name)
             self.expect_sym("=")
@@ -297,60 +278,57 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def parse_expr(self, P):
-        el = P.zero()
-        sign = 1
-        if self.peek().value in ("+", "-"):
-            sign = -1 if self.next().value == "-" else 1
+    def parse_sum(self, term, total, add):
+        """An optional sign, then `+`/`-`-separated summands: each is
+        term(sign), folded into `total` with add(total, summand)."""
+        sign = self.accept("+", "-")
         while True:
-            P.ring.add_into(el, self.parse_term(P, sign).items())
-            t = self.peek()
-            if t.kind == "sym" and t.value in ("+", "-"):
-                self.next()
-                sign = -1 if t.value == "-" else 1
-                continue
-            return el
+            total = add(total, term(-1 if sign and sign.value == "-" else 1))
+            sign = self.accept("+", "-")
+            if sign is None:
+                return total
 
-    def parse_term(self, P, sign):
+    def parse_expr(self, P):
+        return self.parse_sum(lambda sign: self.parse_term(P, sign).items(),
+                              P.zero(), P.ring.add_into)
+
+    def parse_coeff_expr(self, P):
+        return self.parse_sum(lambda sign: self.parse_factors(P, sign),
+                              P.ring.zero(), P.ring.add)
+
+    def parse_factors(self, P, sign, letters=None):
+        """`*`-joined factors; their coefficient product times sign is
+        returned.  Given a `letters` list, the presentation's names are
+        factors too, and their tokens are appended to it."""
         ring = P.ring
         coeff = ring.from_int(sign)
-        letters = []
-        consumed = False
         while True:
             tok = self.peek()
-            if tok.kind == "ident" and tok.value not in KEYWORDS \
-                    and P.has_name(tok.value):
-                self.next()
-                letters.append((tok, tok.value))
+            if letters is not None and tok.kind == "ident" \
+                    and tok.value not in KEYWORDS and P.has_name(tok.value):
+                letters.append(self.next())
             else:
                 c = self.try_coeff_atom(P)
                 if c is None:
-                    if not consumed:
-                        self.err("expected a term")
-                    break
+                    self.err("expected a coefficient" if letters is None
+                             else "expected a term")
                 coeff = ring.mul(coeff, c)
-            consumed = True
-            if self.peek().kind == "sym" and self.peek().value == "*":
-                self.next()
-                continue
-            break
+            if not self.accept("*"):
+                return coeff
+
+    def parse_term(self, P, sign):
+        letters = []
+        coeff = self.parse_factors(P, sign, letters)
         if not letters:
             return P.scale(coeff, P.one())
-        word = None
-        for tok, name in letters:
-            piece = tok  # position for errors
-            if name in P._idem_by_label:
-                w = P.idem(name).index
-            else:
-                w = (P.gen(name).index,)
+        words = [P.idem(t.value).index if t.value in P._idem_by_label
+                 else (P.gen(t.value).index,) for t in letters]
+        word = words[0]
+        for tok, w in zip(letters[1:], words[1:]):
+            word = P.concat(word, w)
             if word is None:
-                word = w
-            else:
-                nw = P.concat(word, w)
-                if nw is None:
-                    self.err("non-composable word "
-                             + "*".join(n for _, n in letters), piece)
-                word = nw
+                self.err("non-composable word "
+                         + "*".join(t.value for t in letters), tok)
         return {word: coeff} if not P.ring.is_zero(coeff) else {}
 
     def try_coeff_atom(self, P):
@@ -360,27 +338,19 @@ class _Parser:
         if t.kind == "int":
             self.next()
             num = int(t.value)
-            if self.peek().kind == "sym" and self.peek().value == "/":
-                self.next()
-                den = self.expect_int()
-                try:
-                    return ring.from_fraction(Fraction(num, den))
-                except ZeroDivisionError:
-                    self.err(f"coefficient {num}/{den} is undefined in "
-                             f"{ring}", t)
-            return ring.from_int(num)
+            if not self.accept("/"):
+                return ring.from_int(num)
+            den = self.expect_int()
+            try:
+                return ring.from_fraction(Fraction(num, den))
+            except ZeroDivisionError:
+                self.err(f"coefficient {num}/{den} is undefined in {ring}", t)
         if t.kind == "ident" and t.value in ring.parameters:
             self.next()
-            exp = 1
-            if self.peek().kind == "sym" and self.peek().value == "^":
-                self.next()
-                exp = self.expect_int()
-            i = ring.parameters.index(t.value)
-            exps = tuple(exp if k == i else 0
-                         for k in range(len(ring.parameters)))
-            return ring.monomial(exps)
-        if t.kind == "sym" and t.value == "(":
-            self.next()
+            exp = self.expect_int() if self.accept("^") else 1
+            return ring.monomial(tuple(exp if p == t.value else 0
+                                       for p in ring.parameters))
+        if self.accept("("):
             val = self.parse_coeff_expr(P)
             self.expect_sym(")")
             return val
@@ -388,65 +358,38 @@ class _Parser:
             self.err(f"undeclared name {t.value!r}", t)
         return None
 
-    def parse_coeff_expr(self, P):
-        ring = P.ring
-        total = ring.zero()
-        sign = 1
-        if self.peek().value in ("+", "-"):
-            sign = -1 if self.next().value == "-" else 1
-        while True:
-            c = ring.from_int(sign)
-            while True:
-                atom = self.try_coeff_atom(P)
-                if atom is None:
-                    self.err("expected a coefficient")
-                c = ring.mul(c, atom)
-                if self.peek().kind == "sym" and self.peek().value == "*":
-                    self.next()
-                    continue
-                break
-            total = ring.add(total, c)
-            t = self.peek()
-            if t.kind == "sym" and t.value in ("+", "-"):
-                self.next()
-                sign = -1 if t.value == "-" else 1
-                continue
-            return total
-
     # -- maps and augmentations --------------------------------------------------
 
     def parse_map(self):
         self.next()
         name = self.expect_ident("map name")
         self.expect_sym(":")
-        src = self.lookup_presentation(self.expect_ident("source"))
+        src = self.lookup_presentation(self.expect_ident("source"), self.env)
         self.expect_sym("->")
         tgt = self.lookup_presentation(self.expect_ident("target"),
-                                       role="target")
+                                       self.target_env)
         try:
             phi = GenMap(src, tgt, name=name.value)
         except RingMismatchError as exc:
             self.err(str(exc), name)
         self.expect_sym("{")
-        while not (self.peek().kind == "sym" and self.peek().value == "}"):
+        while not self.accept("}"):
             if self.at_ident("idem"):
                 self.next()
                 a = self.expect_ident("idempotent")
                 self.expect_sym("->")
                 b = self.expect_ident("idempotent")
-                try:
-                    i, j = src.idem(a.value).index, tgt.idem(b.value).index
-                except KeyError as exc:
-                    self.err(f"unknown idempotent {exc}", a)
+                i = self.find(src.idem, a,
+                              f"unknown idempotent {a.value!r}").index
+                j = self.find(tgt.idem, b,
+                              f"unknown idempotent {b.value!r}").index
                 if i in phi.idem_values:
                     self.err(f"duplicate map entry for {a.value!r}", a)
                 phi.idem_values[i] = j
             else:
                 a = self.expect_ident("generator")
-                try:
-                    g = src.gen(a.value)
-                except KeyError:
-                    self.err(f"unknown source generator {a.value!r}", a)
+                g = self.find(src.gen, a,
+                              f"unknown source generator {a.value!r}")
                 if g.index in phi.gen_values:
                     self.err(f"duplicate map entry for {a.value!r}", a)
                 self.expect_sym("->")
@@ -455,29 +398,22 @@ class _Parser:
                     phi.check_value(g.index)
                 except MapError as exc:
                     self.err(str(exc), a)
-            if self.peek().kind == "sym" and self.peek().value == ";":
-                self.next()
-        self.expect_sym("}")
+            self.accept(";")
         self.bundle.maps[name.value] = phi
 
     def parse_aug(self):
         self.next()
         name = self.expect_ident("augmentation name").value
         self.expect_keyword("on")
-        src = self.lookup_presentation(self.expect_ident("source"))
+        src = self.lookup_presentation(self.expect_ident("source"), self.env)
         self.expect_keyword("scope")
-        links = []
-        while self.at_ident() and self.peek().value not in KEYWORDS:
-            links.append(self.next().value)
+        links = {t.value for t in self.names()}
         eps = Augmentation(src, name=name, scope=frozenset(
             g.index for g in src.generators if g.link in links))
         self.expect_sym("{")
-        while not (self.peek().kind == "sym" and self.peek().value == "}"):
+        while not self.accept("}"):
             a = self.expect_ident("generator")
-            try:
-                g = src.gen(a.value)
-            except KeyError:
-                self.err(f"unknown generator {a.value!r}", a)
+            g = self.find(src.gen, a, f"unknown generator {a.value!r}")
             if g.index in eps.values:
                 self.err(f"duplicate augmentation entry for {a.value!r}", a)
             self.expect_sym("->")
@@ -486,9 +422,7 @@ class _Parser:
                 eps.check_value(g.index)
             except ScopeError as exc:
                 self.err(str(exc), a)
-            if self.peek().kind == "sym" and self.peek().value == ";":
-                self.next()
-        self.expect_sym("}")
+            self.accept(";")
         self.bundle.augmentations[name] = eps
 
 
@@ -500,12 +434,12 @@ def parse(text: str, env=None, target_env=None) -> CatalogBundle:
 def parse_element(text: str, P: Presentation):
     """Parse one element expression against an existing presentation."""
     parser = _Parser(text)
-    parser.ring = P.ring
     el = parser.parse_expr(P)
     tok = parser.peek()
     if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+        parser.err(f"trailing input {tok.value!r}")
     return el
+
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +507,9 @@ def serialize(bundle: CatalogBundle) -> str:
         P = a.presentation
         links = sorted({P.generators[gi].link for gi in a.scope
                         if P.generators[gi].link})
+        if a.scope != {g.index for g in P.generators if g.link in links}:
+            raise ValueError(f"augmentation {aname}: scope is not a union "
+                             f"of whole links")
         lines = [f"aug {aname} on {src} scope {' '.join(links)} {{"]
         for gi in sorted(a.values):
             if P.ring.is_zero(a.values[gi]):

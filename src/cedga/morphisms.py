@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import Element, Presentation, PresentationError, check_ring
+from .algebra import Element, Presentation, check_ring, require_valid
 from .analysis import (Bounds, ExactnessResult, LinearSolver, check_d_squared,
                        check_parity_flip, composable_words)
 
@@ -138,17 +138,9 @@ class ChainMapReport:
                           for g, (a, b) in self.lines.items()}}
 
 
-def _require_valid(*presentations):
-    for P in presentations:
-        rep = P.validate()
-        if not rep.ok:
-            raise PresentationError("presentation fails validation: "
-                                    + str(rep.violations[0]))
-
-
 def verify_chain_map(phi: GenMap) -> ChainMapReport:
     """Check phi(d g) = d(phi g) on every source generator."""
-    _require_valid(phi.source, phi.target)
+    require_valid(phi.source, phi.target)
     if not phi.is_total():
         raise MapError(f"{phi.name}: not a total map")
     T = phi.target
@@ -479,7 +471,7 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
     component that is certifiably not a boundary within bounds --
     corrections included -- is decisive and yields Obstructed.
     """
-    _require_valid(domain, codomain)
+    require_valid(domain, codomain)
     pf = check_parity_flip(codomain)
     if not pf.ok:
         raise UnsupportedCodomainError(

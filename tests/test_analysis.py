@@ -191,13 +191,17 @@ def test_h0_free_degree_zero_algebra(monkeypatch):
 
 
 def test_h0_rejects_mixed_degree_relations():
+    # a valid presentation whose degree -1 relation mixes letters of
+    # degree 1 and -1
     P = _simple()
     t = P.add_generator("t", 0, "e1", "e1")
-    u = P.add_generator("u", -2, "e1", "e1")
+    p = P.add_generator("p", 1, "e1", "e1")
+    m = P.add_generator("m", -1, "e1", "e1")
     g = P.add_generator("g", -1, "e1", "e1")
-    for x in (t, u):
+    for x in (t, p, m):
         P.set_differential(x, P.zero())
-    P.set_differential(g, P.el_word([t, u, t]))
+    P.set_differential(g, P.el_word([t, p, m]))
+    assert P.validate().ok
     with pytest.raises(UnsupportedPresentationError):
         h0(P)
 

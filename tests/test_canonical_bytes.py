@@ -86,5 +86,4 @@ def _families():
 
 def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("CEDGA_MAX_LEN", raising=False)
     assert _families() == PINNED

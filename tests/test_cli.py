@@ -178,13 +178,10 @@ def test_json_determinism_excluding_timings(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_env_var_bounds_default(tmp_path, capsys, monkeypatch):
+def test_max_len_flag_sets_the_bound(tmp_path, capsys):
     code, text, _ = run(capsys, "catalog", "unknot_one_handle", "--emit")
     f = tmp_path / "u.cedga"
     f.write_text(text)
-    monkeypatch.setenv("CEDGA_MAX_LEN", "3")
-    code, out, _ = run(capsys, "trivial", str(f), "--json")
-    assert json.loads(out)["bounds"]["max_word_length"] == 3
     code, out, _ = run(capsys, "trivial", str(f), "--max-len", "4", "--json")
     assert json.loads(out)["bounds"]["max_word_length"] == 4
 
@@ -215,9 +212,7 @@ def test_bound_flags_a_command_does_not_read_are_usage_errors(
     assert "unrecognized arguments" in err
 
 
-def test_truncated_h0_is_inconclusive_with_all_bounds(tmp_path, capsys,
-                                                    monkeypatch):
-    monkeypatch.delenv("CEDGA_MAX_LEN", raising=False)
+def test_truncated_h0_is_inconclusive_with_all_bounds(tmp_path, capsys):
     f = tmp_path / "u2.cedga"
     f.write_text(run(capsys, "catalog", "unknot_two_handles", "--emit")[1])
     code, out, _ = run(capsys, "h0", str(f), "--degree-bound", "0", "--json")
@@ -301,3 +296,35 @@ def test_unknown_or_missing_names_are_one_line_usage_errors(
     code, out, err = run(capsys, *[a.format(f=f, e=e, r=r) for a in argv])
     assert (code, out) == (2, "")
     assert err == f"cedga: error: {message}\n"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("ring Q\nidempotents e1\ngen a deg ² from e1 to e1\n", "3:11:"),
+    ("ring laurent(t,t)\nidempotents e1\n", "1:6:"),
+    ("ring laurent(é)\nidempotents e1\n", "1:14:"),
+    ("ring Q\nidempotents e1\nring GF2\npresentation p { idempotents e1 }\n",
+     "3:1:"),
+], ids=["superscript_digit", "repeated_parameter", "non_ascii_parameter",
+        "second_ring"])
+def test_bad_text_is_one_positioned_line_and_exit_2(tmp_path, capsys, text,
+                                                    where):
+    f = tmp_path / "bad.cedga"
+    f.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check-d2", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cedga: error: {where} ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["h0"], ["exact", "--target", "e1"],
+                                  ["trivial"]])
+def test_invalid_presentation_is_refused_by_every_search(tmp_path, capsys,
+                                                         argv):
+    # d a puts the loop e2 and the letter x: e2 -> e1 into an equation at e1
+    f = tmp_path / "mixed_ends.cedga"
+    f.write_text("ring Q\nidempotents e1 e2\ngen a deg -1 from e1 to e1\n"
+                 "gen x deg 0 from e2 to e1\ndiff a = e1 + e2 + x\n"
+                 "diff x = 0\n")
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert (code, out) == (2, "")
+    assert "fails validation" in err

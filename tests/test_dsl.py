@@ -1,9 +1,12 @@
 import functools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cedga import catalog_names, example
+from cedga import (POTENTIAL_MINUS, POTENTIAL_PLUS, Augmentation,
+                   CatalogBundle, GenMap, Presentation, PresentationError,
+                   catalog_names, example, gf2, laurent, rationals)
 from cedga.dsl import (ParseError, _tokenize, bundle_equal, parse,
                        parse_element, serialize)
 
@@ -185,11 +188,27 @@ def test_parse_never_panics_on_garbage():
      "map phi : main -> main { idem e1 -> e1; idem e1 -> e1; }\n", 3, 46),
     ("ring Q\nidempotents e1\ngen x deg 0 from e1 to e1 short l\n"
      "aug eps on main scope l { x -> 1; x -> 0; }\n", 4, 35),
+    ("ring Q\nidempotents e1\ngen a deg \u00b2 from e1 to e1\n", 3, 11),
+    ("ring Q\nidempotents e1\ngen a deg \u0663 from e1 to e1\n", 3, 11),
+    ("ring laurent(t,t)\n", 1, 6),
+    ("ring laurent(\u00e9)\n", 1, 14),
+    ("ring Q\nidempotents e1\nring GF2\n"
+     "presentation p { idempotents e1 }\n", 3, 1),
+    ("ring Q\nring Q\n", 2, 1),
+    ("ring Q\nidempotents e1\nconvention potential_minus\n", 3, 1),
+    ("ring Q\nconvention potential_plus\nconvention potential_plus\n",
+     3, 1),
+    ("ring laurent(t)\nidempotents e1\ngen t deg 0 from e1 to e1\n", 3, 5),
+    ("ring laurent(t)\nidempotents t\n", 2, 13),
 ], ids=["half_in_gf2", "zero_denominator_in_q", "duplicate_idempotent",
         "duplicate_gen", "generator_as_endpoint", "map_value_of_wrong_degree",
         "aug_value_out_of_scope", "aug_value_on_nonzero_degree",
         "duplicate_map_entry", "duplicate_idem_map_entry",
-        "duplicate_aug_entry"])
+        "duplicate_aug_entry", "superscript_digit", "arabic_indic_digit",
+        "repeated_parameter", "non_ascii_parameter", "second_ring",
+        "repeated_ring", "convention_after_presentation",
+        "repeated_convention", "generator_named_as_parameter",
+        "idempotent_named_as_parameter"])
 def test_bad_coefficients_and_duplicates_are_positioned(text, line, col):
     with pytest.raises(ParseError) as exc:
         parse(text)
@@ -201,13 +220,18 @@ def _catalog_tokens(name):
     return tuple(t.value for t in _tokenize(serialize(example(name)))[:-1])
 
 
+# tokens outside the grammar's ASCII alphabet, and the pieces of a
+# `laurent(...)` ring, mixed into every fuzzed text
+_EXTRA_TOKENS = ("\u00b2", "\u0663", "\u00e9", "laurent", "(", ",")
+
+
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(catalog_names()), data=st.data())
 def test_mutated_catalog_bundles_parse_or_raise_parse_error(name, data):
     # delete, duplicate, swap or replace (by another token of the same
-    # bundle) one to three tokens of the canonical text
+    # bundle, or an extra token) one to three tokens of the canonical text
     tokens = list(_catalog_tokens(name))
-    vocabulary = sorted(set(tokens))
+    vocabulary = sorted(set(tokens) | set(_EXTRA_TOKENS))
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(0, len(tokens) - 1))
         kind = data.draw(st.sampled_from(("delete", "duplicate", "swap",
@@ -234,3 +258,218 @@ def test_map_between_presentations_over_different_rings_is_positioned():
         parse("map m : a -> b { }", env={"a": over_q},
               target_env={"b": over_gf2})
     assert (exc.value.line, exc.value.col) == (1, 5)
+
+
+# Statement templates of the grammar, as token lists with typed slots: a
+# name (N), an integer (I) or a coefficient (C).  Each slot takes a random
+# token, valid or not, so that a stream reaches the checks deep inside a
+# statement as well as the tokenizer.
+N, I, C = "<name>", "<int>", "<coeff>"
+_RINGS = (("ring", "Q"), ("ring", "GF2"), ("ring", "laurent", "(", N, ")"),
+          ("ring", "laurent", "(", N, ",", N, ")"))
+_STATEMENTS = _RINGS + (
+    ("convention", N), ("idempotents", N, N),
+    ("gen", N, "deg", I, "from", N, "to", N),
+    ("gen", N, "deg", I, "from", N, "to", N, "short", N, "level", I),
+    ("diff", N, "=", C), ("diff", N, "=", C, "*", N, "+", C),
+    ("presentation", N, "{", "idempotents", N, "}"),
+    ("map", N, ":", "main", "->", "main", "{", N, "->", C, ";", "idem", N,
+     "->", N, "}"),
+    ("aug", N, "on", "main", "scope", N, "{", N, "->", C, "}"),
+)
+_SLOTS = {N: ("e1", "e2", "a", "t", "main", "l", "potential_minus", "gen",
+              "\u00e9"),
+          I: ("0", "1", "-1", "\u00b2", "\u0663", "a"),
+          C: ("0", "1", "- 2 / 3", "t ^ -1", "( 1 - t )", "a * a", "e1 + a",
+              "1 / 0", "\u00b2", "(", ",", "laurent", "*")}
+
+
+@st.composite
+def _token_streams(draw):
+    """A ring statement, then up to eight statements, with filled slots."""
+    statements = [draw(st.sampled_from(_RINGS))]
+    statements += draw(st.lists(st.sampled_from(_STATEMENTS), max_size=8))
+    sep = draw(st.sampled_from((" ", "\n")))
+    return sep.join(" ".join(draw(st.sampled_from(_SLOTS[t])) if t in _SLOTS
+                             else t for t in statement)
+                    for statement in statements)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_streams())
+def test_random_token_streams_parse_or_raise_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+def _reference_tokenize(text):
+    """The character-at-a-time tokenizer the regular expression replaced,
+    kept as a reference for its tokens and error positions."""
+    toks = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("->", i):
+            toks.append(("sym", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in "{}():;=^*/+-,":
+            toks.append(("sym", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def _outcome(tokenize, text):
+    try:
+        return [(t.kind, t.value, t.line, t.col) if not isinstance(t, tuple)
+                else t for t in tokenize(text)]
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="aZ_09 \t\r\n#{}():;=^*/+-,>@.", max_size=60))
+def test_tokenizer_matches_the_reference(text):
+    new, ref = _outcome(_tokenize, text), _outcome(_reference_tokenize, text)
+    if "#" in text.rsplit("\n", 1)[-1] and isinstance(new, list):
+        # the reference does not advance the column through a comment, so
+        # the end-of-input column after a trailing comment differs
+        new, ref = new[:-1] + [new[-1][:3]], ref[:-1] + [ref[-1][:3]]
+    assert new == ref
+
+
+def _random_word(P, draw):
+    """A composable word of length 0 to 3 (length 0: an idempotent)."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(P.idempotents)).index
+    word = (draw(st.sampled_from(P.generators)).index,)
+    for _ in range(draw(st.integers(0, 2))):
+        before = [g.index for g in P.generators
+                  if g.source == P.generators[word[0]].target]
+        if not before:
+            break
+        word = (draw(st.sampled_from(before)),) + word
+    return word
+
+
+def _random_coeff(ring, draw):
+    q = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 3))))
+    if ring.is_field():
+        return ring.from_fraction(q)
+    return ring.add(ring.monomial((draw(st.integers(-2, 2)),), q),
+                    ring.monomial((draw(st.integers(-2, 2)),),
+                                  draw(st.integers(-1, 1))))
+
+
+def _random_element(P, draw, keep=lambda w: True):
+    el = {}
+    for _ in range(draw(st.integers(0, 3))):
+        w = _random_word(P, draw)
+        if keep(w):
+            P.ring.add_into(el, [(w, _random_coeff(P.ring, draw))])
+    return el
+
+
+@st.composite
+def _random_bundles(draw):
+    """One presentation over Q, GF2 or laurent(t), with a map to itself
+    and an augmentation whose scope is made of whole links."""
+    ring = draw(st.sampled_from((rationals(), gf2(), laurent("t"))))
+    P = Presentation(ring, draw(st.sampled_from((POTENTIAL_PLUS,
+                                                 POTENTIAL_MINUS))))
+    for i in range(draw(st.integers(1, 3))):
+        P.add_idempotent(f"e{i + 1}")
+    ends = st.integers(0, len(P.idempotents) - 1)
+    for k in range(draw(st.integers(1, 6))):
+        link = draw(st.sampled_from((None, "l0", "l1")))
+        P.add_generator(f"g{k}", draw(st.integers(-2, 2)), draw(ends),
+                        draw(ends), "long" if link is None else "short", link,
+                        draw(st.sampled_from((None, -1, 0, 2))))
+    for g in P.generators:
+        if draw(st.booleans()) or draw(st.booleans()):
+            P.set_differential(g, _random_element(P, draw))
+    phi = GenMap(P, P, name="phi")
+    for g in P.generators:
+        if draw(st.booleans()):
+            value = _random_element(
+                P, draw, lambda w: P.word_degree(w) == g.degree
+                and (P.word_source(w), P.word_target(w)) == (g.source,
+                                                              g.target))
+            phi.gen_values[g.index] = value
+    for e in P.idempotents:
+        if draw(st.booleans()):
+            phi.idem_values[e.index] = draw(ends)
+    links = draw(st.sets(st.sampled_from(("l0", "l1"))))
+    scope = [g for g in P.generators if g.link in links]
+    eps = Augmentation(P, scope=frozenset(g.index for g in scope), name="eps",
+                       values={g.index: _random_coeff(ring, draw)
+                               for g in scope if g.degree == 0
+                               and draw(st.booleans())})
+    return CatalogBundle("random", {"main": P}, {"phi": phi}, {"eps": eps})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_bundles())
+def test_random_bundles_round_trip(bundle):
+    text = serialize(bundle)
+    parsed = parse(text)
+    assert bundle_equal(bundle, parsed)
+    assert serialize(parsed) == text
+
+
+def test_names_may_not_equal_a_ring_parameter():
+    P = Presentation(laurent("t"))
+    P.add_idempotent("e1")
+    with pytest.raises(PresentationError, match="duplicate name 't'"):
+        P.add_generator("t", 0, "e1", "e1")
+    with pytest.raises(PresentationError, match="duplicate name 't'"):
+        P.add_idempotent("t")
+
+
+def test_serialize_refuses_a_scope_that_is_not_whole_links():
+    P = example("unknot_one_handle").main
+    part = CatalogBundle("part", {"main": P}, {},
+                         {"eps": Augmentation(P, scope={"t0_12"})})
+    with pytest.raises(ValueError, match="whole links"):
+        serialize(part)
+    link0 = {g.name for g in P.generators if g.link == "link0"}
+    whole = CatalogBundle("whole", {"main": P}, {},
+                          {"eps": Augmentation(P, scope=link0)})
+    assert bundle_equal(whole, parse(serialize(whole)))
