@@ -80,12 +80,8 @@ class DegreeReport:
 
 def check_degree(P: Presentation) -> DegreeReport:
     """Every monomial of every d(g) raises degree by exactly one."""
-    bad = []
-    for g in P.generators:
-        for w in P.differential.get(g.index, {}):
-            if P.word_degree(w) != g.degree + 1:
-                bad.append(f"{g.name}: word {P.format_word(w)} has degree "
-                           f"{P.word_degree(w)}, expected {g.degree + 1}")
+    bad = [f"{v.generator}: {v.detail}" for v in P.validate().violations
+           if v.kind == "degree"]
     return DegreeReport(ok=not bad, violations=bad)
 
 
@@ -125,19 +121,24 @@ def walk_words(letters, target, max_len, viable):
     the current source.  A word for which viable(word, source, degree) is
     false is skipped together with all of its extensions.
     """
+    if max_len < 1:
+        return
     by_target: dict[int, list] = {}
     for g in letters:
         by_target.setdefault(g.target, []).append(g)
-
-    def grow(word, cur, deg):
-        if len(word) < max_len:
-            for g in by_target.get(cur, ()):
-                nw, nd = word + (g.index,), deg + g.degree
-                if viable(nw, g.source, nd):
-                    yield nw, g.source, nd
-                    yield from grow(nw, g.source, nd)
-
-    return grow((), target, 0)
+    # one frame per word being extended: (word, degree, its next letters)
+    stack = [((), 0, iter(by_target.get(target, ())))]
+    while stack:
+        word, deg, after = stack[-1]
+        for g in after:
+            nw, nd = word + (g.index,), deg + g.degree
+            if viable(nw, g.source, nd):
+                yield nw, g.source, nd
+                if len(nw) < max_len:
+                    stack.append((nw, nd, iter(by_target.get(g.source, ()))))
+                    break
+        else:
+            stack.pop()
 
 
 def _closings(letters, source, max_len):

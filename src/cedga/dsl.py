@@ -21,9 +21,10 @@ In a word the rightmost factor acts first.
 Names (`[A-Za-z_][A-Za-z_0-9]*`) and integers (`[0-9]+`) are ASCII.
 `ring` and `convention` come at most once each, before any presentation,
 map or augmentation.  Names must be declared before use, may not equal a
-ring parameter, and keywords (ring, gen, diff, ...) are reserved.  The
-serializer emits a canonical, byte-stable form that parses back to an
-equal bundle.
+ring parameter, and keywords (ring, gen, diff, ...) are reserved.  An
+augmentation scope names only links that some generator of its source is
+on; an empty scope is legal.  The serializer emits a canonical,
+byte-stable form that parses back to an equal bundle.
 """
 from __future__ import annotations
 
@@ -405,9 +406,15 @@ class _Parser:
         self.next()
         name = self.expect_ident("augmentation name").value
         self.expect_keyword("on")
-        src = self.lookup_presentation(self.expect_ident("source"), self.env)
+        src_tok = self.expect_ident("source")
+        src = self.lookup_presentation(src_tok, self.env)
         self.expect_keyword("scope")
-        links = {t.value for t in self.names()}
+        carried, links = {g.link for g in src.generators}, set()
+        for t in self.names():
+            if t.value not in carried:
+                self.err(f"no generator of {src_tok.value!r} is on link "
+                         f"{t.value!r}", t)
+            links.add(t.value)
         eps = Augmentation(src, name=name, scope=frozenset(
             g.index for g in src.generators if g.link in links))
         self.expect_sym("{")

@@ -1,13 +1,24 @@
+import errno
 import json
+import os
 
 import pytest
 
-from cedga import analysis
+from cedga import analysis, catalog, dsl
 from cedga.cli import main
 
 
 _TWO_LETTERS = ("ring Q\nidempotents e1\ngen a deg 0 from e1 to e1\n"
                 "gen b deg 0 from e1 to e1\ndiff a = 0\ndiff b = 0\n")
+# a link map on which `obstruct` is inconclusive
+_INCONCLUSIVE = (
+    "ring GF2\npresentation dom {\n  idempotents e1\n"
+    "  gen x deg 0 from e1 to e1 short l\n  gen g deg -1 from e1 to e1 long\n"
+    "  diff x = 0\n  diff g = e1 + x\n}\n"
+    "presentation cod {\n  idempotents e1\n"
+    "  gen s deg 0 from e1 to e1 short l\n  gen u deg -1 from e1 to e1 long\n"
+    "  diff s = 0\n  diff u = e1\n}\n"
+    "map lm : dom -> cod {\n  x -> s;\n}\n")
 
 
 def run(capsys, *argv):
@@ -145,19 +156,7 @@ def test_obstruct_three_file_workflow(tmp_path, capsys):
 
 def test_obstruct_inconclusive_exit_code(tmp_path, capsys):
     f = tmp_path / "both.cedga"
-    f.write_text(
-        "ring GF2\n"
-        "presentation dom {\n"
-        "  idempotents e1\n"
-        "  gen x deg 0 from e1 to e1 short l\n"
-        "  gen g deg -1 from e1 to e1 long\n"
-        "  diff x = 0\n  diff g = e1 + x\n}\n"
-        "presentation cod {\n"
-        "  idempotents e1\n"
-        "  gen s deg 0 from e1 to e1 short l\n"
-        "  gen u deg -1 from e1 to e1 long\n"
-        "  diff s = 0\n  diff u = e1\n}\n"
-        "map lm : dom -> cod {\n  x -> s;\n}\n")
+    f.write_text(_INCONCLUSIVE)
     code, out, _ = run(capsys, "obstruct", str(f), "--map", "lm", "--json")
     assert code == 1
     assert json.loads(out)["verdict"] == "inconclusive"
@@ -304,12 +303,14 @@ def test_unknown_or_missing_names_are_one_line_usage_errors(
     ("ring laurent(é)\nidempotents e1\n", "1:14:"),
     ("ring Q\nidempotents e1\nring GF2\npresentation p { idempotents e1 }\n",
      "3:1:"),
+    (b"ring Q\n\xff\n", "2:1:"),
+    (b"ring Q\r\nidempotents e1 \xc3\xa9\xff\n", "2:17:"),
 ], ids=["superscript_digit", "repeated_parameter", "non_ascii_parameter",
-        "second_ring"])
+        "second_ring", "not_utf8", "not_utf8_after_a_wide_character"])
 def test_bad_text_is_one_positioned_line_and_exit_2(tmp_path, capsys, text,
                                                     where):
     f = tmp_path / "bad.cedga"
-    f.write_text(text, encoding="utf-8")
+    f.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     code, out, err = run(capsys, "check-d2", str(f))
     assert (code, out) == (2, "")
     assert err.startswith(f"cedga: error: {where} ")
@@ -328,3 +329,86 @@ def test_invalid_presentation_is_refused_by_every_search(tmp_path, capsys,
     code, out, err = run(capsys, argv[0], str(f), *argv[1:])
     assert (code, out) == (2, "")
     assert "fails validation" in err
+
+
+def test_a_directory_as_file_is_one_line_and_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "check-d2", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == (f"cedga: error: [Errno {errno.EISDIR}] "
+                   f"{os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n")
+
+
+def test_an_unexpected_exception_is_one_named_line_and_exit_2(
+        tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("no rewriting today")
+
+    monkeypatch.setattr(analysis, "h0", fail)
+    f = tmp_path / "h.cedga"
+    f.write_text(_TWO_LETTERS)
+    assert run(capsys, "h0", str(f), "--json") == (
+        2, "", "cedga: error: RuntimeError: no rewriting today\n")
+
+
+def test_h0_walks_a_basis_deeper_than_the_recursion_limit(tmp_path, capsys):
+    f = tmp_path / "loop.cedga"
+    f.write_text("ring Q\nidempotents e1\ngen a deg 0 from e1 to e1\n"
+                 "diff a = 0\n")
+    code, out, _ = run(capsys, "h0", str(f), "--degree-bound", "1000",
+                       "--json")
+    obj = json.loads(out)
+    assert (code, obj["verdict"]) == (0, "basis")
+    assert obj["certificates"]["h0"]["dimension"] == 1001
+
+
+_R = _TWO_LETTERS + "gen r deg -1 from e1 to e1\n"
+_AUG = ("ring Q\nidempotents e1\ngen a deg 0 from e1 to e1 short l\n"
+        "gen r deg -1 from e1 to e1 short l\ndiff a = 0\ndiff r = a - e1\n"
+        "aug eps on main scope l { a -> %s; }\n")
+_MAP = _R + ("diff r = a\nmap m : main -> main {\n"
+             "  idem e1 -> e1; a -> %s; b -> b; r -> r;\n}\n")
+
+
+@pytest.mark.parametrize("argv,text,code", [
+    (["check-d2"], _TWO_LETTERS, 0),
+    (["check-d2"], "ring Q\nidempotents e1\ngen b deg 1 from e1 to e1\n"
+     "gen a deg 0 from e1 to e1\ndiff b = b*b\ndiff a = b\n", 1),
+    (["grade"], _TWO_LETTERS, 0),
+    (["grade"], _R + "diff r = a*r\n", 1),
+    (["parity"], _R + "diff r = a*b - b*a\n", 0),
+    (["parity"], _R + "diff r = a\n", 1),
+    (["h0"], _TWO_LETTERS, 0),
+    (["h0"], _R + "gen s deg -1 from e1 to e1\ndiff r = a*b - e1\n"
+     "diff s = a\n", 1),
+    (["exact", "--target", "a"], _R + "diff r = a\n", 0),
+    (["exact", "--target", "b"], _R + "diff r = a\n", 1),
+    (["trivial"], _R + "diff r = e1\n", 0),
+    (["trivial", "--max-len", "2"], _R + "diff r = a\n", 1),
+    (["verify-map"], _MAP % "a", 0),
+    (["verify-map"], _MAP % "b", 1),
+    (["verify-aug"], _AUG % "1", 0),
+    (["verify-aug"], _AUG % "0", 1),
+    (["linearize", "{f}", "-o", "{out}"], _AUG % "1", 0),
+    (["obstruct", "--map", "y_filling_links"],
+     dsl.serialize(catalog.example("unknot_edge")), 0),
+    (["obstruct", "--map", "lm"], _INCONCLUSIVE, 1),
+], ids=["check_d2_pass", "check_d2_fail", "grade_pass", "grade_fail",
+        "parity_pass", "parity_fail", "h0_pass", "h0_fail", "exact_pass",
+        "exact_fail", "trivial_pass", "trivial_fail", "verify_map_pass",
+        "verify_map_fail", "verify_aug_pass", "verify_aug_fail",
+        "linearize_pass", "obstruct_pass", "obstruct_fail"])
+def test_every_verdict_has_one_envelope_and_exit_code(tmp_path, capsys, argv,
+                                                      text, code):
+    f = tmp_path / "in.cedga"
+    f.write_text(text)
+    command, *rest = [a.format(f=f, out=tmp_path / "out.cedga")
+                      for a in argv]
+    got, out, err = run(capsys, command, str(f), *rest, "--json")
+    obj = json.loads(out)
+    assert (got, err) == (code, "")
+    assert set(obj) == {"bounds", "certificates", "command", "timings",
+                        "verdict"}
+    assert obj["command"] == command
+    got, out, _ = run(capsys, command, str(f), *rest)
+    assert got == code
+    assert out.splitlines()[0] == f"{command}: {obj['verdict']}"

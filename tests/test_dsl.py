@@ -181,6 +181,8 @@ def test_parse_never_panics_on_garbage():
      "aug eps on main scope l { y -> 1; }\n", 5, 27),
     ("ring Q\nidempotents e1\ngen x deg 1 from e1 to e1 short l\n"
      "aug eps on main scope l { x -> 1; }\n", 4, 27),
+    ("ring Q\nidempotents e1\ngen x deg 0 from e1 to e1 short l\n"
+     "aug eps on main scope l nosuch { }\n", 4, 25),
     ("ring GF2\nidempotents e1\ngen x deg 0 from e1 to e1\n"
      "gen y deg 0 from e1 to e1\nmap phi : main -> main { x -> x; x -> y; }\n",
      5, 34),
@@ -203,6 +205,7 @@ def test_parse_never_panics_on_garbage():
 ], ids=["half_in_gf2", "zero_denominator_in_q", "duplicate_idempotent",
         "duplicate_gen", "generator_as_endpoint", "map_value_of_wrong_degree",
         "aug_value_out_of_scope", "aug_value_on_nonzero_degree",
+        "aug_scope_names_an_unknown_link",
         "duplicate_map_entry", "duplicate_idem_map_entry",
         "duplicate_aug_entry", "superscript_digit", "arabic_indic_digit",
         "repeated_parameter", "non_ascii_parameter", "second_ring",
@@ -470,6 +473,7 @@ def test_serialize_refuses_a_scope_that_is_not_whole_links():
     with pytest.raises(ValueError, match="whole links"):
         serialize(part)
     link0 = {g.name for g in P.generators if g.link == "link0"}
-    whole = CatalogBundle("whole", {"main": P}, {},
-                          {"eps": Augmentation(P, scope=link0)})
-    assert bundle_equal(whole, parse(serialize(whole)))
+    for scope in (link0, set()):
+        whole = CatalogBundle("whole", {"main": P}, {},
+                              {"eps": Augmentation(P, scope=scope)})
+        assert bundle_equal(whole, parse(serialize(whole)))
