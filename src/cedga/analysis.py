@@ -13,10 +13,13 @@ from __future__ import annotations
 import collections
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .algebra import (Element, Presentation, PresentationError, require_valid,
                       splice)
+from .coefficients import gf2
 
 
 class NonHomogeneousTargetError(ValueError):
@@ -77,12 +80,17 @@ class DegreeReport:
     def to_json_dict(self):
         return {"ok": self.ok, "violations": self.violations}
 
+    @classmethod
+    def from_validation(cls, report) -> DegreeReport:
+        """The `degree` violations of a ValidationReport, as strings."""
+        bad = [f"{v.generator}: {v.detail}" for v in report.violations
+               if v.kind == "degree"]
+        return cls(ok=not bad, violations=bad)
+
 
 def check_degree(P: Presentation) -> DegreeReport:
     """Every monomial of every d(g) raises degree by exactly one."""
-    bad = [f"{v.generator}: {v.detail}" for v in P.validate().violations
-           if v.kind == "degree"]
-    return DegreeReport(ok=not bad, violations=bad)
+    return DegreeReport.from_validation(P.validate())
 
 
 @dataclass
@@ -182,53 +190,85 @@ def composable_words(P: Presentation, *, degree, ends, max_len, max_level,
 
 
 class LinearSolver:
-    """Incremental exact column echelon over a coefficient field.
+    """Incremental exact column echelon over Q or GF(2).
 
     Columns are sparse vectors keyed by arbitrary hashable row labels;
     `solve` returns a combination of the added columns equal to the right
-    hand side, or None when the system is infeasible.
+    hand side, or None when the system is infeasible.  Rows and their
+    combinations are ints: primitive and fraction-free over Q, XOR over GF2.
     """
+    _RHS = object()  # the tag under which `solve` reduces its right side
 
     def __init__(self, ring):
         if not ring.is_field():
             raise ValueError("linear search needs a field (Q or GF2)")
-        self.ring = ring
+        self._xor = ring == gf2()
+        self._step = _xor_step if self._xor else _integer_step
         self._row_ids: dict = {}
         self._basis: dict = {}  # lead row id -> (vec, combo)
 
-    def _intern(self, raw):
-        vec = {}
-        for key, c in raw.items():
-            if self.ring.is_zero(c):
-                continue
-            rid = self._row_ids.setdefault(key, len(self._row_ids))
-            vec[rid] = c
-        return vec
-
-    def _reduce(self, vec, combo):
-        ring = self.ring
+    def _reduce(self, tag, raw):
+        """Column `tag` = raw on row ids, cleared of denominators over Q and
+        reduced: (vec, combo, lead or None), vec = sum(combo[t]*column[t])."""
+        ids, basis, step = self._row_ids, self._basis, self._step
+        vec = {ids.setdefault(k, len(ids)): c for k, c in raw.items() if c}
+        combo = {tag: 1}
+        if not self._xor:
+            m = combo[tag] = lcm(*(c.denominator for c in vec.values()))
+            vec = {r: c.numerator * (m // c.denominator)
+                   for r, c in vec.items()}
         while vec:
             lead = max(vec)
-            hit = self._basis.get(lead)
+            hit = basis.get(lead)
             if hit is None:
                 return vec, combo, lead
-            bvec, bcombo = hit
-            f = ring.neg(ring.div(vec[lead], bvec[lead]))
-            ring.add_into(vec, bvec.items(), f)
-            ring.add_into(combo, bcombo.items(), f)
+            step(vec, combo, lead, *hit)
         return vec, combo, None
 
     def add_column(self, tag, raw_vec):
-        vec, combo, lead = self._reduce(self._intern(raw_vec),
-                                        {tag: self.ring.one()})
+        vec, combo, lead = self._reduce(tag, raw_vec)
         if lead is not None:
             self._basis[lead] = (vec, combo)
 
     def solve(self, raw_rhs):
-        vec, combo, lead = self._reduce(self._intern(raw_rhs), {})
+        vec, combo, lead = self._reduce(self._RHS, raw_rhs)
         if lead is not None:
             return None
-        return {tag: self.ring.neg(c) for tag, c in combo.items()}
+        s = combo.pop(self._RHS)  # s*rhs + sum(combo[t]*column[t]) = 0
+        if self._xor:
+            return combo  # -1 = 1
+        return {tag: Fraction(-c, s) for tag, c in combo.items()}
+
+
+def _xor_step(vec, combo, lead, bvec, bcombo):
+    """vec += bvec, combo += bcombo in place; a new key goes last."""
+    for out, x in ((vec, bvec), (combo, bcombo)):
+        for k in x:
+            if not out.pop(k, 0):
+                out[k] = 1
+
+
+def _integer_step(vec, combo, lead, bvec, bcombo):
+    """(vec, combo) := (p*(vec, combo) - q*(bvec, bcombo)) / content in
+    place, with p/q = bvec[lead]/vec[lead] in lowest terms."""
+    p, q = bvec[lead], vec[lead]
+    g = gcd(p, q) if p > 0 else -gcd(p, q)  # p > 0, often 1
+    p, q = p // g, q // g
+    for out, x in ((vec, bvec), (combo, bcombo)):
+        if p != 1:
+            for k in out:
+                out[k] *= p
+        for k, c in x.items():
+            c = out.get(k, 0) - q * c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+    g = gcd(*vec.values(), *combo.values())
+    if g > 1:
+        for out in (vec, combo):
+            for k in out:
+                out[k] //= g
 
 
 @dataclass

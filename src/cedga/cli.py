@@ -97,7 +97,8 @@ def _report(rep):
 
 
 def _grade(P):
-    val, deg = P.validate(), analysis.check_degree(P)
+    val = P.validate()
+    deg = analysis.DegreeReport.from_validation(val)
     return ({"validation": val.to_json_dict(), "degree": deg.to_json_dict()},
             val.ok and deg.ok)
 
@@ -226,7 +227,9 @@ def build_parser():
                        metavar="MAX_LEN")
         p.add_argument("--max-level", type=int)
 
-    p = command("catalog", cmd_catalog, "list or emit worked examples")
+    # catalog prints names or .cedga text and has no envelope, so no --json
+    p = sub.add_parser("catalog", help="list or emit worked examples")
+    p.set_defaults(func=cmd_catalog)
     p.add_argument("name", nargs="?")
     p.add_argument("--emit", action="store_true")
     p.add_argument("--p-max", type=int, default=2)

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from cedga import analysis, catalog, dsl
+from cedga.algebra import Presentation
 from cedga.cli import main
 
 
@@ -31,6 +32,33 @@ def test_catalog_lists_names(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0
     assert "unknot_one_handle" in out.split()
+
+
+def test_catalog_takes_no_json_flag(capsys):
+    # catalog prints names or .cedga text, never an envelope
+    code, out, err = run(capsys, "catalog", "--json")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --json\n")
+
+
+@pytest.mark.parametrize("name", catalog.catalog_names())
+def test_grade_validates_each_presentation_once(tmp_path, capsys,
+                                                monkeypatch, name):
+    f = tmp_path / "x.cedga"
+    f.write_text(dsl.serialize(catalog.example(name)))
+    names = list(dsl.parse(f.read_text()).presentations)
+    seen = []
+    validate = Presentation.validate
+
+    def counted(P):
+        seen.append(P)
+        return validate(P)
+
+    monkeypatch.setattr(Presentation, "validate", counted)
+    code, out, _ = run(capsys, "grade", str(f), "--json")
+    assert code == 0
+    assert sorted(json.loads(out)["certificates"]) == sorted(names)
+    assert len(seen) == len(set(map(id, seen))) == len(names)
 
 
 def test_catalog_emit_h0_pipeline(tmp_path, capsys):

@@ -1,11 +1,14 @@
-"""Every linear combination goes through CoeffRing.add_into.
+"""Sparse sums against the inline loops they replaced.
 
-The references below are the inline accumulate loops that add_into
-replaced in Presentation.mul, d_word, apply_differential and
-LinearSolver._reduce.  The new code must agree with them term for term
-and in the same key order, so that nothing that iterates over a sum can
-tell the two apart.
+Presentation.mul, d_word and apply_differential go through
+CoeffRing.add_into; the references below are the inline accumulate loops
+it replaced, and the new code must agree with them term for term and in
+the same key order, so that nothing that iterates over a sum can tell the
+two apart.  LinearSolver eliminates on integer rows; its reference is the
+Fraction elimination it replaced, and the two must store the same pairs
+up to a rational factor and return the same solutions.
 """
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -62,7 +65,23 @@ def _ref_apply_differential(P, x):
     return out
 
 
-class _RefSolver(LinearSolver):
+class _RefSolver:
+    """The Fraction column echelon that LinearSolver's integer rows
+    replaced, in full: every step is ring arithmetic on Fraction or GF(2)
+    values."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self._row_ids = {}
+        self._basis = {}  # lead row id -> (vec, combo)
+
+    def _intern(self, raw):
+        vec = {}
+        for key, c in raw.items():
+            if not self.ring.is_zero(c):
+                vec[self._row_ids.setdefault(key, len(self._row_ids))] = c
+        return vec
+
     def _reduce(self, vec, combo):
         ring = self.ring
         while vec:
@@ -85,6 +104,45 @@ class _RefSolver(LinearSolver):
                 else:
                     combo[k] = s
         return vec, combo, None
+
+    def add_column(self, tag, raw_vec):
+        vec, combo, lead = self._reduce(self._intern(raw_vec),
+                                        {tag: self.ring.one()})
+        if lead is not None:
+            self._basis[lead] = (vec, combo)
+
+    def solve(self, raw_rhs):
+        vec, combo, lead = self._reduce(self._intern(raw_rhs), {})
+        if lead is not None:
+            return None
+        return {tag: self.ring.neg(c) for tag, c in combo.items()}
+
+
+def _pairs(solver):
+    """lead row label -> (row by label, combination): the one place that
+    reads a solver's stored pairs."""
+    label = {rid: key for key, rid in solver._row_ids.items()}
+    return {label[lead]: ({label[r]: c for r, c in vec.items()}, combo)
+            for lead, (vec, combo) in solver._basis.items()}
+
+
+def _assert_same_echelon(ring, new, ref):
+    """Same lead labels; over Q each pair a nonzero rational multiple of
+    the reference pair, in primitive integers; over GF(2) equal pairs."""
+    got, want = _pairs(new), _pairs(ref)
+    assert got.keys() == want.keys()
+    for lead, (vec, combo) in want.items():
+        nvec, ncombo = got[lead]
+        if ring == gf2():
+            assert (nvec, ncombo) == (vec, combo)
+            continue
+        assert nvec.keys() == vec.keys() and ncombo.keys() == combo.keys()
+        r = Fraction(nvec[lead]) / vec[lead]
+        assert all(nvec[k] == r * c for k, c in vec.items())
+        assert all(ncombo[k] == r * c for k, c in combo.items())
+        values = [*nvec.values(), *ncombo.values()]
+        assert all(type(c) is int for c in values)
+        assert math.gcd(*values) == 1
 
 
 def _coeff(draw, ring):
@@ -159,9 +217,49 @@ def test_solver_matches_the_inline_elimination(data):
         col = P.d_word(w) if data.draw(st.booleans()) else element()
         new.add_column((k, w), col)
         ref.add_column((k, w), col)
-    assert list(new._basis.items()) == list(ref._basis.items())
+    _assert_same_echelon(P.ring, new, ref)
     for rhs in (element(), P.apply_differential(element())):
-        got, want = new.solve(rhs), ref.solve(rhs)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert list(got.items()) == list(want.items())
+        assert new.solve(rhs) == ref.solve(rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solver_solves_wide_rational_and_gf2_systems_exactly(data):
+    """Up to 30 columns over at most 14 rows, coefficients n/d with
+    n in -9..9 and d in 1..12 over Q; half the right hand sides lie in
+    the span.  A solution must satisfy A x = b exactly."""
+    draw = data.draw
+    ring = draw(st.sampled_from((rationals(), gf2())))
+    rows = draw(st.integers(1, 14))
+
+    def coeff():
+        if ring == gf2():
+            return draw(st.integers(0, 1))
+        return Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
+
+    def vector():
+        return {("r", draw(st.integers(0, rows - 1))): coeff()
+                for _ in range(draw(st.integers(0, 6)))}
+
+    cols = [vector() for _ in range(draw(st.integers(0, 30)))]
+    new, ref = LinearSolver(ring), _RefSolver(ring)
+    for k, col in enumerate(cols):
+        new.add_column(k, col)
+        ref.add_column(k, col)
+    _assert_same_echelon(ring, new, ref)
+    for _ in range(3):
+        in_span = bool(cols) and draw(st.booleans())
+        if in_span:
+            rhs = {}
+            for col in cols:
+                ring.add_into(rhs, col.items(), coeff())
+        else:
+            rhs = vector()
+        x = new.solve(rhs)
+        assert x == ref.solve(rhs)
+        assert x is not None or not in_span
+        if x is not None:
+            ax = {}
+            for k, c in x.items():
+                ring.add_into(ax, cols[k].items(), c)
+            assert ax == {r: c for r, c in rhs.items() if not ring.is_zero(c)}
