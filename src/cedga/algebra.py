@@ -47,10 +47,14 @@ class Generator:
     degree: int
     source: int
     target: int
-    role: str = "long"  # "long" | "short"
     link: Optional[str] = None
     level: Optional[int] = None
     index: int = -1
+
+    @property
+    def role(self) -> str:
+        """Short when the generator lies on a link, else long."""
+        return "long" if self.link is None else "short"
 
     def __str__(self):
         return self.name
@@ -111,15 +115,15 @@ class Presentation:
         self._idem_by_label[label] = e
         return e
 
-    def add_generator(self, name, degree, source, target, role="long",
-                      link=None, level=None) -> Generator:
+    def add_generator(self, name, degree, source, target, link=None,
+                      level=None) -> Generator:
         self._claim(name)
         src = source if isinstance(source, int) else self.idem(source).index
         tgt = target if isinstance(target, int) else self.idem(target).index
         n = len(self.idempotents)
         if not (0 <= src < n and 0 <= tgt < n):
             raise PresentationError(f"generator {name!r} has undeclared ends")
-        g = Generator(name, int(degree), src, tgt, role, link, level,
+        g = Generator(name, int(degree), src, tgt, link, level,
                       index=len(self.generators))
         self.generators.append(g)
         self._gen_by_name[name] = g
@@ -333,7 +337,7 @@ class Presentation:
             str(self.ring),
             self.convention,
             tuple(e.label for e in self.idempotents),
-            tuple((g.name, g.degree, g.source, g.target, g.role, g.link, g.level)
+            tuple((g.name, g.degree, g.source, g.target, g.link, g.level)
                   for g in self.generators),
             tuple(sorted(
                 (i, tuple(sorted(

@@ -297,7 +297,7 @@ class ExactnessResult:
         return d
 
 
-_PARITY_BIT = {"even": 0, "odd": 1}
+_PARITIES = ("even", "odd")  # word-length parity bit -> name
 
 
 def exactness_search(P: Presentation, target: Element, bounds: Bounds,
@@ -315,7 +315,7 @@ def exactness_search(P: Presentation, target: Element, bounds: Bounds,
     if deg is None:
         raise NonHomogeneousTargetError(
             f"target {P.format_element(target)} is not homogeneous")
-    pbit = _PARITY_BIT[parity] if parity is not None else None
+    pbit = _PARITIES.index(parity) if parity is not None else None
     ends = {(P.word_source(w), P.word_target(w)) for w in target}
     cands = composable_words(P, degree=deg - 1, ends=ends,
                              max_len=bounds.max_word_length,
@@ -327,21 +327,16 @@ def exactness_search(P: Presentation, target: Element, bounds: Bounds,
     if combo is None:
         return ExactnessResult("none_within_bounds", target, bounds, parity,
                                candidates=len(cands))
-    witness = {w: c for w, c in combo.items() if not P.ring.is_zero(c)}
-    if not P.equal(P.apply_differential(witness), target):
+    if not P.equal(P.apply_differential(combo), target):
         raise AssertionError("solver returned an unsound witness")
     return ExactnessResult("witness", target, bounds, parity,
-                           witness=witness, candidates=len(cands))
+                           witness=combo, candidates=len(cands))
 
 
 @dataclass
 class TrivialityResult:
     certified_trivial: bool
     search: ExactnessResult
-
-    def to_json_dict(self, P=None):
-        return {"certified_trivial": self.certified_trivial,
-                "search": self.search.to_json_dict(P)}
 
 
 def is_trivial(P: Presentation, bounds: Bounds,

@@ -10,12 +10,13 @@ sign readings are supported: ``alternating`` takes s(i,k) = (-1)^{m(i)+m(k)}
 (the default; it is the reading that satisfies d^2 = 0 over Q), while
 ``uniform_minus`` takes s(i,k) = -1.
 
-The hat family adds a second copy y of the x family plus hatted generators
-with d(hat c) = x - y + G(d hat c), where G replaces, in each monomial of
-the point-family differential written in hatted letters, everything right
-of the hatted slot by x letters and everything left by y letters, with
-Koszul sign given by the unhatted degrees left of the slot.  ``closed``
-identifies the x and y copies.
+The hat family, all on link ``hat``, adds a second copy ``y`` of the point
+family ``x`` plus a hatted chord ``xh`` per x chord, with d(hat c) =
+x - y + G(d hat c), where G replaces, in each monomial of the point-family
+differential written in hatted letters, everything right of the hatted
+slot by x letters and everything left by y letters, with Koszul sign given
+by the unhatted degrees left of the slot.  ``closed`` identifies the x and
+y copies.
 
 Transcribed examples attach link copies to ambient idempotents through a
 legs map (one idempotent per point of the link); the registry records the
@@ -102,7 +103,7 @@ def add_point_family(P: Presentation, *, prefix, n, potentials, p_max=2,
     for (p, i, j) in _family_indices(n, p_max):
         gens[(p, i, j)] = P.add_generator(
             _gen_name(prefix, p, i, j), _degree(P.convention, m, p, i, j),
-            legs[i - 1], legs[j - 1], role="short", link=link_id, level=p)
+            legs[i - 1], legs[j - 1], link=link_id, level=p)
     for (p, i, j) in _family_indices(n, p_max):
         el = P.el_idem(legs[i - 1]) if p == 1 and i == j else P.zero()
         for left, right in _quadratic_terms(n, p, i, j):
@@ -114,26 +115,20 @@ def add_point_family(P: Presentation, *, prefix, n, potentials, p_max=2,
 
 
 def add_hat_family(P: Presentation, *, n, potentials, p_max=2, legs=None,
-                   link_id=None, signs=ALTERNATING, x_prefix="x",
-                   y_prefix="y", hat_prefix="xh", closed=False):
-    """Attach the hat family (two point copies plus hatted generators)."""
+                   signs=ALTERNATING, closed=False):
+    """Attach the hat family on link ``hat``: point copies ``x`` and ``y``
+    (one copy ``x`` when `closed`) plus, for each x chord, a hatted chord
+    ``xh`` with its ends and level and degree one lower."""
     m = tuple(potentials)
-    link_id = link_id if link_id is not None else hat_prefix
-    x = add_point_family(P, prefix=x_prefix, n=n, potentials=m, p_max=p_max,
-                         legs=legs, link_id=link_id, signs=signs)
+    x = add_point_family(P, prefix="x", n=n, potentials=m, p_max=p_max,
+                         legs=legs, link_id="hat", signs=signs)
     y = x if closed else add_point_family(
-        P, prefix=y_prefix, n=n, potentials=m, p_max=p_max, legs=legs,
-        link_id=link_id, signs=signs)
-    legs_ix = ([P.idem(z).index for z in legs] if legs is not None
-               else list(range(n)))
-    hats = {}
-    for (p, i, j) in _family_indices(n, p_max):
-        hats[(p, i, j)] = P.add_generator(
-            _gen_name(hat_prefix, p, i, j),
-            _degree(P.convention, m, p, i, j) - 1,
-            legs_ix[i - 1], legs_ix[j - 1], role="short", link=link_id,
-            level=p)
-    for (p, i, j) in _family_indices(n, p_max):
+        P, prefix="y", n=n, potentials=m, p_max=p_max, legs=legs,
+        link_id="hat", signs=signs)
+    hats = {k: P.add_generator(_gen_name("xh", *k), g.degree - 1, g.source,
+                               g.target, link="hat", level=g.level)
+            for k, g in x.items()}
+    for (p, i, j), hat in hats.items():
         el = (P.zero() if closed else
               P.sub(P.el_gen(x[(p, i, j)]), P.el_gen(y[(p, i, j)])))
         # G of the point-family differential; the idempotent term has no
@@ -145,24 +140,27 @@ def add_hat_family(P: Presentation, *, n, potentials, p_max=2, legs=None,
             s = _sign_exp(signs, m, j, left[1]) + 1
             P.ring.add_into(el, P.el_word([hats[left], x[right]],
                                           P.ring.sign_pow(s)).items())
-            koszul = _degree(P.convention, m, *left)
-            P.ring.add_into(el, P.el_word([y[left], hats[right]],
-                                          P.ring.sign_pow(s + koszul)).items())
-        P.set_differential(hats[(p, i, j)], el)
+            P.ring.add_into(el, P.el_word(
+                [y[left], hats[right]],
+                P.ring.sign_pow(s + y[left].degree)).items())
+        P.set_differential(hat, el)
     return x, y, hats
+
+
+def _standalone(n, potentials, ring, convention):
+    """A presentation with idempotents e1..en over `ring` (default GF2),
+    and the potentials (default all zero) of a family on its n points."""
+    P = Presentation(ring if ring is not None else gf2(), convention)
+    for i in range(1, n + 1):
+        P.add_idempotent(f"e{i}")
+    return P, tuple(potentials) if potentials is not None else (0,) * n
 
 
 def make_point_algebra(n, potentials=None, p_max=2, ring=None, *,
                        convention=POTENTIAL_PLUS, signs=ALTERNATING,
                        prefix="c", link_id="pts") -> Presentation:
     """The standalone n-point algebra with one idempotent per point."""
-    if n < 2:
-        raise InvalidFamilyError(f"point algebra needs n >= 2, got {n}")
-    ring = ring if ring is not None else gf2()
-    m = tuple(potentials) if potentials is not None else (0,) * n
-    P = Presentation(ring, convention)
-    for i in range(1, n + 1):
-        P.add_idempotent(f"e{i}")
+    P, m = _standalone(n, potentials, ring, convention)
     add_point_family(P, prefix=prefix, n=n, potentials=m, p_max=p_max,
                      link_id=link_id, signs=signs)
     return P
@@ -172,27 +170,21 @@ def make_hat_point_algebra(n, potentials=None, p_max=2, closed=False,
                            ring=None, *, convention=POTENTIAL_PLUS,
                            signs=ALTERNATING) -> Presentation:
     """The standalone hat algebra over an interval of singularities."""
-    if n < 2:
-        raise InvalidFamilyError(f"hat algebra needs n >= 2, got {n}")
-    ring = ring if ring is not None else gf2()
-    m = tuple(potentials) if potentials is not None else (0,) * n
-    P = Presentation(ring, convention)
-    for i in range(1, n + 1):
-        P.add_idempotent(f"e{i}")
+    P, m = _standalone(n, potentials, ring, convention)
     add_hat_family(P, n=n, potentials=m, p_max=p_max, closed=closed,
-                   link_id="hat", signs=signs)
+                   signs=signs)
     return P
 
 
-def free_product(p1: Presentation, p2: Presentation, shared="all",
-                 prefixes=("l_", "r_")):
+def free_product(p1: Presentation, p2: Presentation, shared="all"):
     """Free product over identified idempotents.
 
     `shared` maps labels of p2 idempotents to labels of p1 idempotents
     ("all" identifies by equal label).  Returns (P, inc1, inc2) where the
     inclusions are chain maps carrying each generator to its copy.
     Generator names are kept unless they collide, in which case the
-    colliding pair is renamed with `prefixes`.
+    colliding pair is renamed ``l_``/``r_``; so is an unshared p2
+    idempotent whose label is taken.
     """
     check_ring(p1, p2)
     if p1.convention != p2.convention:
@@ -207,47 +199,34 @@ def free_product(p1: Presentation, p2: Presentation, shared="all",
         raise PresentationError("idempotent identification is not bijective")
 
     P = Presentation(p1.ring, p1.convention)
-    idem1 = {}
-    for e in p1.idempotents:
-        idem1[e.index] = P.add_idempotent(e.label).index
+    idem1 = {e.index: P.add_idempotent(e.label).index for e in p1.idempotents}
     idem2 = {}
     for e in p2.idempotents:
         if e.label in shared:
             idem2[e.index] = idem1[p1.idem(shared[e.label]).index]
         else:
-            label = e.label if not P.has_name(e.label) else prefixes[1] + e.label
+            label = e.label if not P.has_name(e.label) else "r_" + e.label
             idem2[e.index] = P.add_idempotent(label).index
 
     collide = {g.name for g in p1.generators} & {g.name for g in p2.generators}
-    name1 = {g.index: (prefixes[0] + g.name if g.name in collide else g.name)
-             for g in p1.generators}
-    name2 = {g.index: (prefixes[1] + g.name if g.name in collide else g.name)
-             for g in p2.generators}
-
-    gmap1, gmap2 = {}, {}
-    for src, names, idem_map, gmap in ((p1, name1, idem1, gmap1),
-                                       (p2, name2, idem2, gmap2)):
+    incs = []
+    for src, prefix, idem_map, name in ((p1, "l_", idem1, "inc1"),
+                                        (p2, "r_", idem2, "inc2")):
+        gmap = {g.index: P.add_generator(
+                    prefix + g.name if g.name in collide else g.name, g.degree,
+                    idem_map[g.source], idem_map[g.target], g.link,
+                    g.level).index
+                for g in src.generators}
         for g in src.generators:
-            gmap[g.index] = P.add_generator(
-                names[g.index], g.degree, idem_map[g.source],
-                idem_map[g.target], g.role, g.link, g.level).index
-    for src, idem_map, gmap in ((p1, idem1, gmap1), (p2, idem2, gmap2)):
-        for g in src.generators:
-            el = {}
-            for w, c in src.differential.get(g.index, {}).items():
-                nw = idem_map[w] if isinstance(w, int) else tuple(gmap[i] for i in w)
-                el[nw] = c
-            P.set_differential(gmap[g.index], el)
-
-    inc1 = GenMap(p1, P, name="inc1",
-                  gen_values={g.index: {(gmap1[g.index],): p1.ring.one()}
-                              for g in p1.generators},
-                  idem_values=dict(idem1))
-    inc2 = GenMap(p2, P, name="inc2",
-                  gen_values={g.index: {(gmap2[g.index],): p2.ring.one()}
-                              for g in p2.generators},
-                  idem_values=dict(idem2))
-    return P, inc1, inc2
+            P.set_differential(gmap[g.index], {
+                idem_map[w] if isinstance(w, int)
+                else tuple(gmap[i] for i in w): c
+                for w, c in src.differential.get(g.index, {}).items()})
+        incs.append(GenMap(src, P, name=name,
+                           gen_values={gi: {(j,): P.ring.one()}
+                                       for gi, j in gmap.items()},
+                           idem_values=dict(idem_map)))
+    return (P, *incs)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +259,7 @@ def _unknot_one_handle(p_max):
     # both link points lie on the single top handle
     add_point_family(P, prefix="t", n=2, potentials=(1, 0), p_max=p_max,
                      legs=[e1, e1], link_id="link0")
-    a = P.add_generator("a", -1, e1, e1, role="long")
+    a = P.add_generator("a", -1, e1, e1)
     P.set_differential(a, P.sub(P.el_idem(e1), P.el_word(["t0_12"])))
     notes = [
         "one-handle unknot: link algebra on two points with potentials (1,0)",
@@ -296,7 +275,7 @@ def _unknot_two_handles(p_max):
     for pref, link in (("t1_", "link1"), ("t2_", "link2")):
         add_point_family(P, prefix=pref, n=2, potentials=(1, 0), p_max=p_max,
                          legs=[e1, e2], link_id=link)
-    a = P.add_generator("a", -1, e1, e2, role="long")
+    a = P.add_generator("a", -1, e1, e2)
     P.set_differential(a, P.sub(P.el_word(["t1_0_12"]), P.el_word(["t2_0_12"])))
     notes = [
         "two-handle unknot: two two-point link copies joining the handles",
@@ -309,9 +288,9 @@ def _saddle_cobordism(p_max):
     ring = gf2()
     dom = Presentation(ring, POTENTIAL_PLUS)
     e1 = dom.add_idempotent("e1")
-    b = dom.add_generator("b", 0, e1, e1, role="long")
-    a1p = dom.add_generator("a1_plus", -1, e1, e1, role="long")
-    a2p = dom.add_generator("a2_plus", -1, e1, e1, role="long")
+    b = dom.add_generator("b", 0, e1, e1)
+    a1p = dom.add_generator("a1_plus", -1, e1, e1)
+    a2p = dom.add_generator("a2_plus", -1, e1, e1)
     dom.set_differential(b, dom.zero())
     one_plus_b = dom.add(dom.el_idem(e1), dom.el_gen(b))
     dom.set_differential(a1p, one_plus_b)
@@ -320,9 +299,9 @@ def _saddle_cobordism(p_max):
     cod = Presentation(ring, POTENTIAL_PLUS)
     f1 = cod.add_idempotent("e1")
     add_hat_family(cod, n=3, potentials=(1, 0, 0), p_max=p_max,
-                   legs=[f1, f1, f1], link_id="hat")
-    a1m = cod.add_generator("a1_minus", -1, f1, f1, role="long")
-    a2m = cod.add_generator("a2_minus", -1, f1, f1, role="long")
+                   legs=[f1, f1, f1])
+    a1m = cod.add_generator("a1_minus", -1, f1, f1)
+    a2m = cod.add_generator("a2_minus", -1, f1, f1)
     cod.set_differential(a1m, cod.add(cod.el_idem(f1), cod.el_word(["x0_12"])))
     cod.set_differential(a2m, cod.add(cod.el_idem(f1), cod.el_word(["y0_12"])))
 
@@ -355,8 +334,8 @@ def _unknot_edge(p_max):
                      legs=[e1, e1, e3], link_id="linkx")
     add_point_family(P, prefix="y", n=3, potentials=(1, 0, 0), p_max=p_max,
                      legs=[e2, e2, e3], link_id="linky")
-    a1 = P.add_generator("a1", -1, e1, e1, role="long")
-    a2 = P.add_generator("a2", -1, e2, e2, role="long")
+    a1 = P.add_generator("a1", -1, e1, e1)
+    a2 = P.add_generator("a2", -1, e2, e2)
     P.set_differential(a1, P.add(P.el_idem(e1), P.el_word(["x0_12"])))
     P.set_differential(a2, P.add(P.el_idem(e2), P.el_word(["y0_12"])))
 
@@ -386,8 +365,8 @@ def _theta(p_max):
                      legs=es, link_id="linkx")
     add_point_family(P, prefix="y", n=3, potentials=(0, 0, 0), p_max=p_max,
                      legs=es, link_id="linky")
-    b = P.add_generator("b", 0, es[1], es[2], role="long")
-    a = P.add_generator("a", -1, es[0], es[0], role="long")
+    b = P.add_generator("b", 0, es[1], es[2])
+    a = P.add_generator("a", -1, es[0], es[0])
     P.set_differential(b, P.add(P.el_word(["x0_23"]), P.el_word(["y0_23"])))
     P.set_differential(a, _plus_words(
         P, P.el_idem(es[0]),
@@ -409,9 +388,9 @@ def _a3_link_main(p_max):
                        ("v", (1, 6, 4)), ("w", (2, 3, 6))):
         add_point_family(P, prefix=pref, n=3, potentials=m, p_max=p_max,
                          legs=[es[i - 1] for i in legs], link_id="link" + pref)
-    a1 = P.add_generator("a1", -1, es[0], es[0], role="long")
-    a2 = P.add_generator("a2", -1, es[1], es[1], role="long")
-    b = P.add_generator("b", -1, es[2], es[3], role="long")
+    a1 = P.add_generator("a1", -1, es[0], es[0])
+    a2 = P.add_generator("a2", -1, es[1], es[1])
+    b = P.add_generator("b", -1, es[2], es[3])
     P.set_differential(a1, _plus_words(
         P, P.el_idem(es[0]), ["v1_31", "b", "x0_12"],
         ["v1_21", "w0_23", "x0_12"], ["v1_31", "y0_23", "x0_13"]))
@@ -479,9 +458,9 @@ def _a3_arboreal(p_max):
                           ("w", (3, 1, 4), (0, 0, -1))):
         add_point_family(P, prefix=pref, n=3, potentials=m, p_max=p_max,
                          legs=[es[i - 1] for i in legs], link_id="link" + pref)
-    b = P.add_generator("b", 0, es[1], es[4], role="long")
-    a1 = P.add_generator("a1", -1, es[0], es[3], role="long")
-    a2 = P.add_generator("a2", -1, es[2], es[2], role="long")
+    b = P.add_generator("b", 0, es[1], es[4])
+    a1 = P.add_generator("a1", -1, es[0], es[3])
+    a2 = P.add_generator("a2", -1, es[2], es[2])
     P.set_differential(b, P.add(P.el_word(["v0_23", "x0_23"]),
                                 P.el_word(["y0_23"])))
     P.set_differential(a1, _plus_words(
@@ -517,12 +496,12 @@ def _singular_torus(p_max):
     e = P.add_idempotent("e1")
     add_point_family(P, prefix="c", n=2, potentials=(1, 0), p_max=p_max,
                      legs=[e, e], link_id="hopf")
-    p = P.add_generator("p", 0, e, e, role="short", link="hopf")
-    q = P.add_generator("q", 0, e, e, role="short", link="hopf")
-    ph = P.add_generator("ph", -1, e, e, role="short", link="hopf")
-    qh = P.add_generator("qh", -1, e, e, role="short", link="hopf")
-    a = P.add_generator("a", -1, e, e, role="long")
-    ah = P.add_generator("ah", -2, e, e, role="long")
+    p = P.add_generator("p", 0, e, e, link="hopf")
+    q = P.add_generator("q", 0, e, e, link="hopf")
+    ph = P.add_generator("ph", -1, e, e, link="hopf")
+    qh = P.add_generator("qh", -1, e, e, link="hopf")
+    a = P.add_generator("a", -1, e, e)
+    ah = P.add_generator("ah", -2, e, e)
     P.set_differential(p, P.zero())
     P.set_differential(q, P.zero())
     P.set_differential(ph, P.sub(P.el_gen(p),

@@ -250,20 +250,19 @@ class _Parser:
             src = self.expect_ident("idempotent")
             self.expect_keyword("to")
             tgt = self.expect_ident("idempotent")
-            role, link, level = "long", None, None
+            link, level = None, None
             if self.at_ident("long"):
                 self.next()
             elif self.at_ident("short"):
                 self.next()
                 link = self.expect_ident("link id").value
-                role = "short"
             if self.at_ident("level"):
                 self.next()
                 level = self.expect_int()
             ends = [self.find(P.idem, e, f"undeclared idempotent {e.value!r}")
                     for e in (src, tgt)]
             try:
-                P.add_generator(name.value, degree, *ends, role, link, level)
+                P.add_generator(name.value, degree, *ends, link, level)
             except PresentationError as exc:
                 self.err(str(exc), name)
         elif t.value == "diff":
@@ -461,11 +460,8 @@ def serialize_presentation(P: Presentation, name: str) -> str:
     for g in P.generators:
         bits = [f"  gen {g.name} deg {g.degree}",
                 f"from {P.idempotents[g.source].label}",
-                f"to {P.idempotents[g.target].label}"]
-        if g.role == "short":
-            bits.append(f"short {g.link}")
-        else:
-            bits.append("long")
+                f"to {P.idempotents[g.target].label}",
+                "long" if g.link is None else f"short {g.link}"]
         if g.level is not None:
             bits.append(f"level {g.level}")
         lines.append(" ".join(bits))

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import Element, Presentation, check_ring, require_valid
-from .analysis import (Bounds, ExactnessResult, LinearSolver, check_d_squared,
-                       check_parity_flip, composable_words)
+from .analysis import (_PARITIES, Bounds, ExactnessResult, LinearSolver,
+                       check_d_squared, check_parity_flip, composable_words)
 
 
 class MapError(ValueError):
@@ -195,19 +195,22 @@ class Augmentation:
 
     def eval(self, x: Element):
         """Evaluate in the commutative ground ring."""
-        P = self.presentation
-        out = P.ring.zero()
+        ring = self.presentation.ring
+        out = ring.zero()
         for w, c in x.items():
-            term = c
-            if not isinstance(w, int):
-                for i in w:
-                    if i not in self.scope:
-                        raise ScopeError(
-                            f"{self.name}: generator {P.generators[i].name} "
-                            f"outside the augmentation scope")
-                    term = P.ring.mul(term, self.value(i))
-            out = P.ring.add(out, term)
+            out = ring.add(out, self._term(w, c))
         return out
+
+    def _term(self, w, c):
+        """c times the values of the letters of word w."""
+        P = self.presentation
+        for i in () if isinstance(w, int) else w:
+            if i not in self.scope:
+                raise ScopeError(
+                    f"{self.name}: generator {P.generators[i].name} "
+                    f"outside the augmentation scope")
+            c = P.ring.mul(c, self.value(i))
+        return c
 
 
 @dataclass
@@ -258,36 +261,25 @@ def partial_linearize(P: Presentation, eps: Augmentation) -> Presentation:
     out = Presentation(P.ring, P.convention)
     for e in P.idempotents:
         out.add_idempotent(e.label)
-    longs = [g for g in P.generators if g.role == "long"]
     gmap = {g.index: out.add_generator(g.name, g.degree, g.source, g.target,
-                                       "long", g.link, g.level)
-            for g in longs}
-    for g in longs:
+                                       level=g.level).index
+            for g in P.generators if g.link is None}
+    for gi, oi in gmap.items():
+        g = P.generators[gi]
         el = out.zero()
-        for w, c in P.differential.get(g.index, {}).items():
+        for w, c in P.differential.get(gi, {}).items():
             if isinstance(w, int):
                 P.ring.add_into(el, ((w, c),))
                 continue
-            coeff = c
-            letters = []
-            for i in w:
-                gg = P.generators[i]
-                if gg.role == "long":
-                    letters.append(gg.index)
-                else:
-                    if gg.index not in eps.scope:
-                        raise ScopeError(
-                            f"short generator {gg.name} has no {eps.name} value")
-                    coeff = P.ring.mul(coeff, eps.value(gg.index))
-            if not letters:
+            coeff = eps._term(tuple(i for i in w if i not in gmap), c)
+            nw = tuple(gmap[i] for i in w if i in gmap)
+            if not nw:
                 if g.source == g.target:
                     P.ring.add_into(el, ((g.source, coeff),))
-                continue
-            nw = tuple(gmap[i].index for i in letters)
-            if out.composable(nw) and out.word_source(nw) == g.source \
+            elif out.composable(nw) and out.word_source(nw) == g.source \
                     and out.word_target(nw) == g.target:
                 P.ring.add_into(el, ((nw, coeff),))
-        out.set_differential(gmap[g.index], el)
+        out.set_differential(oi, el)
     d2 = check_d_squared(out)
     if not d2.ok:
         raise AssertionError(
@@ -326,9 +318,6 @@ class ObstructionReport:
                             else self.certificate.to_json_dict(codomain)),
             "bounds": self.bounds.to_json_dict(),
         }
-
-
-_PARITIES = ("even", "odd")
 
 
 def _validate_link_map(link_map: GenMap):

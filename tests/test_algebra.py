@@ -16,11 +16,21 @@ def unknotish():
     """Single idempotent, a of degree -1 with d a = e - t, d t = 0."""
     P = Presentation(rationals())
     e = P.add_idempotent("e1")
-    t = P.add_generator("t", 0, e, e, role="short", link="l")
+    t = P.add_generator("t", 0, e, e, link="l")
     a = P.add_generator("a", -1, e, e)
     P.set_differential(t, P.zero())
     P.set_differential(a, P.sub(P.el_idem(e), P.el_gen(t)))
     return P
+
+
+def test_a_generator_is_short_exactly_when_it_lies_on_a_link(unknotish):
+    t, a = unknotish.gen("t"), unknotish.gen("a")
+    assert (t.role, t.link) == ("short", "l")
+    assert (a.role, a.link) == ("long", None)
+    with pytest.raises(AttributeError):
+        a.role = "short"
+    with pytest.raises(TypeError):
+        unknotish.add_generator("b", 0, "e1", "e1", role="short")
 
 
 def test_word_concat_composable(i3):
@@ -105,8 +115,8 @@ def test_validate_flags_noncomposable_word():
 def test_validate_flags_degree_violation():
     P = Presentation(rationals())
     e = P.add_idempotent("e1")
-    u = P.add_generator("u", 1, e, e, role="short", link="l")
-    v = P.add_generator("v", 1, e, e, role="short", link="l")
+    u = P.add_generator("u", 1, e, e, link="l")
+    v = P.add_generator("v", 1, e, e, link="l")
     a = P.add_generator("a", -1, e, e)
     for g in (u, v):
         P.set_differential(g, P.zero())

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
-from cedga import (InvalidFamilyError, Presentation, catalog_names,
-                   check_d_squared, check_degree, check_parity_flip, example,
-                   free_product, gf2, make_hat_point_algebra,
-                   make_point_algebra, rationals, verify_chain_map)
+from cedga import (POTENTIAL_MINUS, UNIFORM_MINUS, InvalidFamilyError,
+                   Presentation, catalog_names, check_d_squared, check_degree,
+                   check_parity_flip, example, free_product, gf2,
+                   make_hat_point_algebra, make_point_algebra, rationals,
+                   verify_chain_map)
 
 F2 = gf2()
 
@@ -27,6 +30,44 @@ def test_grading_row():
 def test_small_family_rejected():
     with pytest.raises(InvalidFamilyError):
         make_point_algebra(1, (0,))
+    # the hat algebra's check is the point family's
+    with pytest.raises(InvalidFamilyError,
+                       match="point family needs n >= 2, got 1"):
+        make_hat_point_algebra(1, (0,))
+
+
+def test_family_names_past_nine_points_separate_the_indices():
+    P = make_point_algebra(10, p_max=0)
+    names = [g.name for g in P.generators]
+    assert len(names) == 45
+    assert names[:2] == ["c0_12", "c0_13"]
+    assert "c0_19" in names and "c0_1_10" in names
+    assert names[-1] == "c0_9_10"
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_potential_minus_families_validate_and_square_to_zero(n):
+    for m in itertools.product((-1, 0, 1), repeat=n):
+        for ring in (rationals(), F2):
+            built = [make_point_algebra(n, m, 1, ring,
+                                        convention=POTENTIAL_MINUS)]
+            if n < 4:
+                built += [make_hat_point_algebra(
+                    n, m, 1, closed=closed, ring=ring,
+                    convention=POTENTIAL_MINUS) for closed in (False, True)]
+            for P in built:
+                assert P.convention == POTENTIAL_MINUS
+                assert P.validate().ok, (m, ring)
+                assert check_d_squared(P).ok, (m, ring)
+
+
+def test_uniform_minus_squares_to_zero_only_for_one_parity():
+    for m, same in (((0, 2, -2), True), ((1, 1, -1), True),
+                    ((1, -1, 1, 3), True), ((0, 1, 0), False),
+                    ((1, 0, 0), False), ((0, 0, 1, 0), False)):
+        P = make_point_algebra(len(m), m, 2, rationals(),
+                               signs=UNIFORM_MINUS)
+        assert check_d_squared(P).ok == same, m
 
 
 def test_truncation_closure():
@@ -75,6 +116,8 @@ def test_hat_degree_shift():
         x = H.gen(f"x{p}_{i}{j}")
         hat = H.gen(f"xh{p}_{i}{j}")
         assert hat.degree == x.degree - 1
+        assert (hat.source, hat.target, hat.level, hat.link) == (
+            x.source, x.target, x.level, "hat")
 
 
 def test_free_product_doubles_generators():
@@ -104,6 +147,19 @@ def test_free_product_renames_collisions():
     names = [g.name for g in P.generators]
     assert len(set(names)) == len(names)
     assert "l_c0_12" in names and "r_c0_12" in names
+
+
+def test_free_product_renames_unshared_idempotents():
+    a = make_point_algebra(2, (0, 0), p_max=1, ring=F2, prefix="x")
+    b = make_point_algebra(2, (0, 0), p_max=1, ring=F2, prefix="y")
+    P, inc1, inc2 = free_product(a, b, shared={})
+    assert [e.label for e in P.idempotents] == ["e1", "e2", "r_e1", "r_e2"]
+    assert [g.name for g in P.generators] == (
+        [g.name for g in a.generators] + [g.name for g in b.generators])
+    assert P.gen("y0_12").source == P.idem("r_e1").index
+    assert inc2.idem_values == {0: 2, 1: 3}
+    assert verify_chain_map(inc1).ok
+    assert verify_chain_map(inc2).ok
 
 
 def test_registry_covers_the_worked_examples():

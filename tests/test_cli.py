@@ -34,6 +34,20 @@ def test_catalog_lists_names(capsys):
     assert "unknot_one_handle" in out.split()
 
 
+def test_catalog_name_lists_the_bundle_tables_and_notes(capsys):
+    code, out, _ = run(capsys, "catalog", "singular_torus")
+    assert code == 0
+    lines = out.splitlines()
+    # an empty table (here the maps) gets no line
+    assert lines[:2] == ["presentations: main",
+                         "augmentations: eps eps_prime"]
+    notes = catalog.example("singular_torus").notes
+    assert notes and lines[2:] == [f"note: {note}" for note in notes]
+    code, out, _ = run(capsys, "catalog", "saddle_cobordism")
+    assert out.splitlines()[:2] == ["presentations: main codomain",
+                                    "maps: Phi"]
+
+
 def test_catalog_takes_no_json_flag(capsys):
     # catalog prints names or .cedga text, never an envelope
     code, out, err = run(capsys, "catalog", "--json")
@@ -145,6 +159,32 @@ def test_verify_map_and_aug(tmp_path, capsys):
     g.write_text(text)
     code, out, _ = run(capsys, "verify-aug", str(g), "--json")
     assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
+def test_verify_map_reports_a_map_error_as_a_failure(tmp_path, capsys):
+    f = tmp_path / "partial.cedga"
+    f.write_text(_TWO_LETTERS + "map m : main -> main {\n  a -> a;\n"
+                 "  idem e1 -> e1;\n}\n")
+    code, out, _ = run(capsys, "verify-map", str(f), "--json")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["verdict"] == "failure"
+    assert obj["certificates"] == {"m": {"ok": False,
+                                         "error": "m: not a total map"}}
+
+
+def test_linearize_reads_the_augmentation_from_its_own_file(tmp_path,
+                                                           capsys):
+    _, text, _ = run(capsys, "catalog", "unknot_one_handle", "--emit")
+    f = tmp_path / "u.cedga"
+    f.write_text(text)
+    aug = tmp_path / "eps.cedga"
+    aug.write_text("aug eps on main scope link0 {\n"
+                   "  t0_12 -> 1;\n  t1_21 -> 1;\n}\n")
+    code, out, _ = run(capsys, "linearize", str(f), str(aug), "-o", "-")
+    assert code == 0
+    assert "  gen a deg -1 from e1 to e1 long\n  diff a = 0\n" in out
+    assert "\nlinearize: ok\n" in out
 
 
 def test_linearize_writes_a_parseable_file(tmp_path, capsys):

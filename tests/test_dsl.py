@@ -421,9 +421,8 @@ def _random_bundles(draw):
         P.add_idempotent(f"e{i + 1}")
     ends = st.integers(0, len(P.idempotents) - 1)
     for k in range(draw(st.integers(1, 6))):
-        link = draw(st.sampled_from((None, "l0", "l1")))
         P.add_generator(f"g{k}", draw(st.integers(-2, 2)), draw(ends),
-                        draw(ends), "long" if link is None else "short", link,
+                        draw(ends), draw(st.sampled_from((None, "l0", "l1"))),
                         draw(st.sampled_from((None, -1, 0, 2))))
     for g in P.generators:
         if draw(st.booleans()) or draw(st.booleans()):

@@ -191,3 +191,21 @@ def test_linearize_without_short_generators_is_identity():
     eps = Augmentation(P, scope=frozenset(), values={})
     L = partial_linearize(P, eps)
     assert L.same_data(P)
+
+
+def test_linearize_refuses_a_short_letter_outside_the_scope():
+    P = Presentation(rationals())
+    P.add_idempotent("e1")
+    t = P.add_generator("t", 0, "e1", "e1", link="l")
+    u = P.add_generator("u", 0, "e1", "e1", link="m")
+    a = P.add_generator("a", -1, "e1", "e1")
+    P.set_differential(t, P.zero())
+    P.set_differential(u, P.zero())
+    P.set_differential(a, P.add(P.el_idem("e1"), P.el_gen(u)))
+    eps = Augmentation(P, scope=frozenset([t.index]),
+                       values={t.index: P.ring.one()})
+    assert verify_augmentation(eps).ok  # the scope {t} is closed
+    with pytest.raises(ScopeError,
+                       match="eps: generator u outside the augmentation "
+                             "scope"):
+        partial_linearize(P, eps)

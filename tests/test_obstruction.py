@@ -58,9 +58,9 @@ def test_a3_arboreal_obstructed_via_b():
 def _domain_with_link_gen(ring):
     dom = Presentation(ring)
     e1 = dom.add_idempotent("e1")
-    x = dom.add_generator("x", 0, e1, e1, role="short", link="l")
+    x = dom.add_generator("x", 0, e1, e1, link="l")
     dom.set_differential(x, dom.zero())
-    g = dom.add_generator("g", -1, e1, e1, role="long")
+    g = dom.add_generator("g", -1, e1, e1)
     dom.set_differential(g, dom.add(dom.el_idem(e1), dom.el_gen(x)))
     return dom, x, g
 
@@ -72,8 +72,8 @@ def test_defeated_obstruction_is_inconclusive():
     dom, x, g = _domain_with_link_gen(ring)
     cod = Presentation(ring)
     f1 = cod.add_idempotent("e1")
-    s = cod.add_generator("s", 0, f1, f1, role="short", link="l")
-    u = cod.add_generator("u", -1, f1, f1, role="long")
+    s = cod.add_generator("s", 0, f1, f1, link="l")
+    u = cod.add_generator("u", -1, f1, f1)
     cod.set_differential(s, cod.zero())
     cod.set_differential(u, cod.el_idem(f1))
     link = GenMap(dom, cod, gen_values={x.index: cod.el_gen(s)})
@@ -88,7 +88,7 @@ def test_genuinely_obstructed_toy():
     dom, x, g = _domain_with_link_gen(ring)
     cod = Presentation(ring)
     f1 = cod.add_idempotent("e1")
-    s = cod.add_generator("s", 1, f1, f1, role="short", link="l")
+    s = cod.add_generator("s", 1, f1, f1, link="l")
     cod.set_differential(s, cod.zero())
     dom2, x2, g2 = _domain_with_link_gen(ring)
     dom2.generators[x2.index].degree = 1  # match degrees for the map
@@ -107,16 +107,16 @@ def test_cycle_correction_can_defeat_the_parity_argument():
     ring = gf2()
     dom = Presentation(ring)
     e1 = dom.add_idempotent("e1")
-    x = dom.add_generator("x", 0, e1, e1, role="short", link="l")
-    hh = dom.add_generator("h", 0, e1, e1, role="long")
-    g = dom.add_generator("g", -1, e1, e1, role="long")
+    x = dom.add_generator("x", 0, e1, e1, link="l")
+    hh = dom.add_generator("h", 0, e1, e1)
+    g = dom.add_generator("g", -1, e1, e1)
     dom.set_differential(x, dom.zero())
     dom.set_differential(hh, dom.zero())
     dom.set_differential(g, dom.add(dom.el_idem(e1), dom.el_word([hh, x])))
     cod = Presentation(ring)
     f1 = cod.add_idempotent("e1")
-    s = cod.add_generator("s", 0, f1, f1, role="short", link="l")
-    v = cod.add_generator("v", -1, f1, f1, role="long")
+    s = cod.add_generator("s", 0, f1, f1, link="l")
+    v = cod.add_generator("v", -1, f1, f1)
     cod.set_differential(s, cod.zero())
     cod.set_differential(v, cod.add(cod.el_idem(f1), cod.el_word([s, s])))
     link = GenMap(dom, cod, gen_values={x.index: cod.el_gen(s)})
@@ -132,9 +132,9 @@ def test_link_map_values_may_be_sums_of_single_generators():
     dom, x, g = _domain_with_link_gen(ring)
     cod = Presentation(ring)
     f1 = cod.add_idempotent("e1")
-    s = cod.add_generator("s", 0, f1, f1, role="short", link="l")
-    t = cod.add_generator("t", 0, f1, f1, role="short", link="l")
-    u = cod.add_generator("u", -1, f1, f1, role="long")
+    s = cod.add_generator("s", 0, f1, f1, link="l")
+    t = cod.add_generator("t", 0, f1, f1, link="l")
+    u = cod.add_generator("u", -1, f1, f1)
     cod.set_differential(s, cod.zero())
     cod.set_differential(t, cod.zero())
     cod.set_differential(u, cod.el_idem(f1))
@@ -149,8 +149,8 @@ def test_codomain_must_flip_parity():
     dom, x, g = _domain_with_link_gen(ring)
     cod = Presentation(ring)
     f1 = cod.add_idempotent("e1")
-    s = cod.add_generator("s", 0, f1, f1, role="short", link="l")
-    t = cod.add_generator("t", -1, f1, f1, role="short", link="l")
+    s = cod.add_generator("s", 0, f1, f1, link="l")
+    t = cod.add_generator("t", -1, f1, f1, link="l")
     cod.set_differential(s, cod.zero())
     cod.set_differential(t, cod.el_gen(s))  # length 1 -> length 1
     link = GenMap(dom, cod, gen_values={x.index: cod.el_gen(s)})
@@ -163,8 +163,8 @@ def test_link_map_must_send_shorts_to_single_generators():
     dom, x, g = _domain_with_link_gen(ring)
     cod = Presentation(ring)
     f1 = cod.add_idempotent("e1")
-    s = cod.add_generator("s", 0, f1, f1, role="short", link="l")
-    t = cod.add_generator("t", 0, f1, f1, role="short", link="l")
+    s = cod.add_generator("s", 0, f1, f1, link="l")
+    t = cod.add_generator("t", 0, f1, f1, link="l")
     cod.set_differential(s, cod.zero())
     cod.set_differential(t, cod.zero())
     link = GenMap(dom, cod, gen_values={x.index: cod.el_word([s, t])})
