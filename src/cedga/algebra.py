@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .coefficients import CoeffRing, RingMismatchError
+from .coefficients import CoeffRing, RingMismatchError, bad_name
 
 Word = Union[int, tuple]
 Element = dict
@@ -103,8 +103,10 @@ class Presentation:
     # -- construction ------------------------------------------------------
 
     def _claim(self, name: str):
-        """Refuse a name already taken by an idempotent, a generator or a
-        ring parameter, which the text form could not tell apart."""
+        """Refuse a name that the text form could not print (`bad_name`)
+        or tell apart from an idempotent, generator or ring parameter."""
+        if why := bad_name(name):
+            raise PresentationError(why)
         if self.has_name(name) or name in self.ring.parameters:
             raise PresentationError(f"duplicate name {name!r}")
 
@@ -118,6 +120,8 @@ class Presentation:
     def add_generator(self, name, degree, source, target, link=None,
                       level=None) -> Generator:
         self._claim(name)
+        if link is not None and (why := bad_name(link)):
+            raise PresentationError(f"link {why}")
         src = source if isinstance(source, int) else self.idem(source).index
         tgt = target if isinstance(target, int) else self.idem(target).index
         n = len(self.idempotents)
@@ -165,11 +169,6 @@ class Presentation:
         if isinstance(w, int):
             return 0
         return sum(self.generators[i].degree for i in w)
-
-    def word_level(self, w: Word) -> int:
-        if isinstance(w, int):
-            return 0
-        return max((self.generators[i].level or 0) for i in w)
 
     def composable(self, w: tuple) -> bool:
         """Whether each letter of a tuple word acts after its right-hand

@@ -285,13 +285,12 @@ class ExactnessResult:
     def found(self):
         return self.status == "witness"
 
-    def to_json_dict(self, P: Optional[Presentation] = None):
+    def to_json_dict(self, P: Presentation):
         d = {"status": self.status, "parity": self.parity,
-             "candidates": self.candidates, "bounds": self.bounds.to_json_dict()}
-        if P is not None:
-            d["target"] = P.format_element(self.target)
-            d["witness"] = (None if self.witness is None
-                            else P.format_element(self.witness))
+             "candidates": self.candidates, "bounds": self.bounds.to_json_dict(),
+             "target": P.format_element(self.target),
+             "witness": (None if self.witness is None
+                         else P.format_element(self.witness))}
         if self.note:
             d["note"] = self.note
         return d
@@ -350,28 +349,24 @@ def is_trivial(P: Presentation, bounds: Bounds,
 # degree-0 homology via noncommutative rewriting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RewriteRule:
-    lhs: tuple
-    rhs: Element
-
-
 class RewriteSystem:
-    """Rules lhs -> rhs with lhs strictly larger in length-then-lex order."""
+    """Rules lhs -> rhs with lhs strictly larger in length-then-lex order,
+    in one table `rules` from left side to right side, in rule order."""
 
     def __init__(self, P: Presentation):
         self.P = P
-        self.rules: list[RewriteRule] = []
+        self.rules: dict[tuple, Element] = {}
         self.collapses: dict[str, list] = {}
 
     def _find(self, w):
+        """(lhs, pos) of the first rule in rule order in w, leftmost."""
         if isinstance(w, int):
             return None
-        for ri, rule in enumerate(self.rules):
-            L = len(rule.lhs)
+        for lhs in self.rules:
+            L = len(lhs)
             for pos in range(len(w) - L + 1):
-                if w[pos:pos + L] == rule.lhs:
-                    return ri, pos
+                if w[pos:pos + L] == lhs:
+                    return lhs, pos
         return None
 
     def normal_form(self, el: Element) -> Element:
@@ -386,11 +381,10 @@ class RewriteSystem:
             if hit is None:
                 irreducible.append((w, c))
                 continue
-            ri, pos = hit
-            rule = self.rules[ri]
-            prefix, suffix = w[:pos], w[pos + len(rule.lhs):]
+            lhs, pos = hit
+            prefix, suffix = w[:pos], w[pos + len(lhs):]
             ring.add_into(pending, [(splice(prefix, rw, suffix), rc)
-                                    for rw, rc in rule.rhs.items()], c)
+                                    for rw, rc in self.rules[lhs].items()], c)
         return ring.add_into({}, irreducible)
 
     def orient(self, el: Element):
@@ -405,34 +399,33 @@ class RewriteSystem:
         if not el:
             return "zero"
         lead = max(el, key=P.sort_key)
-        lc = el[lead]
         if isinstance(lead, int):
-            el = P.scale(P.ring.inverse(lc), el)
+            el = P.scale(P.ring.inverse(el[lead]), el)
             self.collapses[P.format_element(el)] = sorted(
                 map(P.sort_key, el), reverse=True)
             return "degenerate"
-        rest = dict(el)
-        del rest[lead]
-        rhs = P.scale(P.ring.neg(P.ring.inverse(lc)), rest)
-        self.rules.append(RewriteRule(lead, rhs))
+        lc = el.pop(lead)
+        self.rules[lead] = P.scale(P.ring.neg(P.ring.inverse(lc)), el)
         return "added"
 
     def interreduce(self):
-        """Put every right side in normal form; sort the rules by left side."""
-        for r in self.rules:
-            r.rhs = self.normal_form(r.rhs)
-        self.rules.sort(key=lambda r: self.P.sort_key(r.lhs))
+        """Put every right side in normal form, in rule order (each reads
+        the ones before it already reduced); sort the rules by left side."""
+        for lhs in self.rules:
+            self.rules[lhs] = self.normal_form(self.rules[lhs])
+        self.rules = dict(sorted(self.rules.items(),
+                                 key=lambda rule: self.P.sort_key(rule[0])))
 
     def _overlap_words(self, new=None):
-        """(r1, r2, k, length) for every overlap of the left sides of two
-        rules, one of them `new` when given (a rule with itself included):
-        the last k letters of r1.lhs are the first k of r2.lhs."""
+        """(l1, l2, k, length) for every overlap of two left sides, one of
+        them `new` when given (a left side with itself included): the last
+        k letters of l1 are the first k of l2."""
         pairs = (itertools.product(self.rules, repeat=2) if new is None else
-                 [(new, r) for r in self.rules]
-                 + [(r, new) for r in self.rules if r is not new])
-        for r1, r2 in pairs:
-            for k in _overlaps(r1.lhs, r2.lhs):
-                yield r1, r2, k, len(r1.lhs) + len(r2.lhs) - k
+                 [(new, l) for l in self.rules]
+                 + [(l, new) for l in self.rules if l != new])
+        for l1, l2 in pairs:
+            for k in _overlaps(l1, l2):
+                yield l1, l2, k, len(l1) + len(l2) - k
 
     def complete(self, relations, degree_bound: int) -> bool:
         """Complete `relations` to a rewrite system, resolving every
@@ -446,7 +439,7 @@ class RewriteSystem:
         whose normal form keeps a word of positive length is queued
         again, until none does.
         """
-        P, one = self.P, self.P.ring.one()
+        P, one, rules = self.P, self.P.ring.one(), self.rules
         queue = collections.deque(relations)
         # Terminates: every added left side is irreducible by the current
         # rules, so the reducible words of length <= max(bound, longest
@@ -458,20 +451,17 @@ class RewriteSystem:
             while queue:
                 if self.orient(queue.popleft()) != "added":
                     continue
-                new = self.rules[-1]
-                kept = []
-                for r in self.rules[:-1]:
-                    if _contains(r.lhs, new.lhs):
-                        queue.append(P.sub({r.lhs: one}, r.rhs))
-                    else:
-                        kept.append(r)
-                self.rules = kept + [new]
-                for r1, r2, k, n in self._overlap_words(new):
+                new = next(reversed(rules))
+                # retire every rule whose left side the new one rewrites
+                for lhs in [l for l in rules
+                            if l != new and _contains(l, new)]:
+                    queue.append(P.sub({lhs: one}, rules.pop(lhs)))
+                for l1, l2, k, n in self._overlap_words(new):
                     if n <= degree_bound:
                         # S-element: the overlap word rewritten both ways
                         queue.append(P.sub(
-                            P.mul(r1.rhs, {r2.lhs[k:]: one}),
-                            P.mul({r1.lhs[:len(r1.lhs) - k]: one}, r2.rhs)))
+                            P.mul(rules[l1], {l2[k:]: one}),
+                            P.mul({l1[:len(l1) - k]: one}, rules[l2])))
             if self.collapses:
                 queue.extend(r for r in relations
                              if not all(isinstance(w, int)
@@ -484,13 +474,16 @@ class RewriteSystem:
 class H0Report:
     relations: list
     rules: list
-    is_ground_ring: bool
     dimension: int
     basis: list
     degenerate: list
     truncated: bool
     degree_bound: int
-    cut: bool  # the basis walk stopped at BASIS_CAP; not serialized
+    verdict: str  # "ground-ring" | "basis" | "inconclusive"; not serialized
+
+    @property
+    def is_ground_ring(self):
+        return self.verdict == "ground-ring"
 
     def to_json_dict(self):
         return {"relations": self.relations, "rules": self.rules,
@@ -521,9 +514,11 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
 
     Completes the relations to a rewrite system up to words of length
     `degree_bound`, then counts normal-form words up to that length, at
-    most BASIS_CAP of them.  The ground ring is claimed only for a
-    complete (not truncated, not cut) run with no collapse whose rules
-    rewrite every degree-0 letter.
+    most BASIS_CAP of them.  The walk appends letters on the acting side,
+    so a word is irreducible when no suffix of it is a left side in the
+    rule table.  The report decides its verdict: inconclusive for a
+    truncated or cut run or one with a collapse, else the ground ring
+    when the rules rewrite every degree-0 letter, else a basis.
     """
     require_valid(P)
     if not P.ring.is_field():
@@ -543,13 +538,10 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     rs = RewriteSystem(P)
     truncated = rs.complete(relations, degree_bound)
 
-    # letters are appended on the acting side, so a new reducible
-    # occurrence can only be a suffix of the extended word
-    lhs_set = {r.lhs for r in rs.rules}
+    lengths = sorted({len(lhs) for lhs in rs.rules})
 
     def irreducible(word, src, deg):
-        return not any(len(l) <= len(word) and word[-len(l):] == l
-                       for l in lhs_set)
+        return not any(word[-n:] in rs.rules for n in lengths)
 
     letters = [g for g in P.generators if g.degree == 0]
     walk = (w for t in sorted({g.target for g in letters})
@@ -557,17 +549,17 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     basis = [e.index for e in P.idempotents]
     basis += itertools.islice(walk, max(BASIS_CAP - len(basis), 0))
     cut = next(walk, None) is not None
-    is_ground = (not rs.collapses and not cut and not truncated
-                 and all((g.index,) in lhs_set for g in letters))
+    verdict = ("inconclusive" if truncated or rs.collapses or cut else
+               "ground-ring" if all((g.index,) in rs.rules for g in letters)
+               else "basis")
     return H0Report(
         relations=[P.format_element(r) for r in relations],
-        rules=[f"{P.format_word(r.lhs)} -> {P.format_element(r.rhs)}"
-               for r in rs.rules],
-        is_ground_ring=is_ground,
+        rules=[f"{P.format_word(lhs)} -> {P.format_element(rhs)}"
+               for lhs, rhs in rs.rules.items()],
         dimension=len(basis),
         basis=[P.format_word(w) for w in basis],
         degenerate=sorted(rs.collapses, key=lambda c: (rs.collapses[c], c)),
         truncated=truncated,
         degree_bound=degree_bound,
-        cut=cut,
+        verdict=verdict,
     )

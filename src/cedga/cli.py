@@ -140,12 +140,8 @@ def cmd_h0(args):
     P = _single(_load(args.file), args)
     bounds = _bounds(args)
     rep = analysis.h0(P, degree_bound=bounds.degree_bound)
-    # a basis only from a complete, uncut run with no collapse
-    complete = not (rep.truncated or rep.degenerate or rep.cut)
-    verdict = ("ground-ring" if rep.is_ground_ring else
-               "basis" if complete else "inconclusive")
-    return verdict, {"h0": rep.to_json_dict()}, bounds, \
-        verdict != "inconclusive"
+    return rep.verdict, {"h0": rep.to_json_dict()}, bounds, \
+        rep.verdict != "inconclusive"
 
 
 def cmd_exact(args):

@@ -21,7 +21,19 @@ RATIONALS = "Q"
 GF2 = "GF2"
 LAURENT = "laurent"
 
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+# The .cedga name rule: an ASCII identifier that is not a keyword.
+NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+KEYWORDS = {"ring", "convention", "idempotents", "gen", "diff",
+            "presentation", "map", "aug", "deg", "from", "to", "long",
+            "short", "level", "on", "scope", "idem"}
+_is_name = re.compile(NAME).fullmatch
+
+
+def bad_name(name: str) -> str:
+    """Why `name` breaks the name rule; '' when it keeps it."""
+    if name in KEYWORDS:
+        return f"{name!r} is a reserved word"
+    return "" if _is_name(name) else f"{name!r} is not a name"
 
 
 class RingMismatchError(ValueError):
@@ -45,7 +57,7 @@ class CoeffRing:
         if self.kind != LAURENT and self.parameters:
             raise ValueError(f"{self.kind} carries no parameters")
         for p in self.parameters:
-            if not _IDENT.match(p):
+            if bad_name(p):
                 raise ValueError(f"bad parameter name {p!r}")
         if len(set(self.parameters)) != len(self.parameters):
             raise ValueError("parameter names must be distinct")

@@ -36,12 +36,9 @@ from fractions import Fraction
 from .algebra import (POTENTIAL_MINUS, POTENTIAL_PLUS, Presentation,
                       PresentationError)
 from .catalog import CatalogBundle
-from .coefficients import RingMismatchError, gf2, laurent, rationals
+from .coefficients import (KEYWORDS, NAME, RingMismatchError, gf2, laurent,
+                           rationals)
 from .morphisms import Augmentation, GenMap, MapError, ScopeError
-
-KEYWORDS = {"ring", "convention", "idempotents", "gen", "diff",
-            "presentation", "map", "aug", "deg", "from", "to", "long",
-            "short", "level", "on", "scope", "idem"}
 
 
 class ParseError(ValueError):
@@ -64,7 +61,7 @@ class _Tok:
 # other character, which is an error
 _TOKEN = re.compile(r"""(?P<sym>->|[{}():;=^*/+,-])
                       | (?P<int>[0-9]+)
-                      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+                      | (?P<ident>""" + NAME + r""")
                       | (?P<newline>\n)
                       | [ \t\r]+ | \#[^\n]*
                       | (?P<bad>.)""", re.VERBOSE)
@@ -242,8 +239,6 @@ class _Parser:
                     self.err(str(exc), tok)
         elif t.value == "gen":
             name = self.expect_ident("generator name")
-            if name.value in KEYWORDS:
-                self.err(f"{name.value!r} is a reserved word", name)
             self.expect_keyword("deg")
             degree = self.expect_int()
             self.expect_keyword("from")

@@ -306,12 +306,12 @@ class ObstructionReport:
     def obstructed(self):
         return self.status == "obstructed"
 
-    def to_json_dict(self, codomain: Optional[Presentation] = None):
+    def to_json_dict(self, codomain: Presentation):
         return {
             "status": self.status,
             "decisive_generator": self.decisive_generator,
             "decisive_parity": self.decisive_parity,
-            "target": (None if self.target is None or codomain is None
+            "target": (None if self.target is None
                        else codomain.format_element(self.target)),
             "transcript": list(self.transcript),
             "certificate": (None if self.certificate is None

@@ -1,0 +1,40 @@
+"""The benchmark's tracer wraps cedga entry points by name; these tests
+fail as soon as one of those names moves, instead of only under a traced
+benchmark run."""
+import types
+from collections import Counter
+from pathlib import Path
+
+import cedga
+import cedga.cli  # noqa: F401  (binds cedga.cli and cedga.dsl)
+from cedga import example
+
+TRACING = Path(__file__).resolve().parents[1] / "cedbench" / "tracing.py"
+
+
+def _tracing():
+    """cedbench/tracing.py as a module, read without writing a cache."""
+    module = types.ModuleType("cedbench_tracing")
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_counting_tracer_counts_h0_and_restores_every_attribute():
+    tracing = _tracing()
+    ring = cedga.coefficients.CoeffRing
+    points = [(owner, attr) for owner, attr, _, _ in
+              tracing.patch_points(cedga)]
+    points += [(ring, op) for op in tracing.RING_OPS]
+    before = {(owner, attr): vars(owner)[attr] for owner, attr in points}
+    counts = Counter()
+    patches = tracing.install_counting(cedga, counts)
+    try:
+        rep = cedga.analysis.h0(example("unknot_two_handles").main)
+    finally:
+        patches.restore()
+    assert counts["analysis.rewrite.normal_form_calls"] > 0
+    assert counts["analysis.h0.rules"] == len(rep.rules) > 0
+    assert counts["coefficients.ops.Q"] > 0
+    assert all(vars(owner)[attr] is fn
+               for (owner, attr), fn in before.items())

@@ -75,7 +75,10 @@ def test_truncation_closure():
         P = make_point_algebra(3, (0, 1, 0), p_max=p_max, ring=F2)
         for g in P.generators:
             for w in P.differential[g.index]:
-                assert P.word_level(w) <= (g.level or 0)
+                letters = () if isinstance(w, int) else w
+                level = max((P.generators[i].level or 0 for i in letters),
+                            default=0)
+                assert level <= (g.level or 0)
 
 
 def test_d_squared_families_over_gf2():

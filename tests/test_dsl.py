@@ -1,4 +1,5 @@
 import functools
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cedga import (POTENTIAL_MINUS, POTENTIAL_PLUS, Augmentation,
                    CatalogBundle, GenMap, Presentation, PresentationError,
                    catalog_names, example, gf2, laurent, rationals)
-from cedga.dsl import (ParseError, _tokenize, bundle_equal, parse,
+from cedga.dsl import (KEYWORDS, ParseError, _tokenize, bundle_equal, parse,
                        parse_element, serialize)
 
 
@@ -410,15 +411,39 @@ def _random_element(P, draw, keep=lambda w: True):
     return el
 
 
+# names that break the .cedga name rule: keywords, and text that is not an
+# ASCII identifier (a trailing newline included)
+_BAD_NAMES = st.one_of(
+    st.sampled_from(sorted(KEYWORDS)),
+    st.sampled_from(("", "a b", "t\n", "1a", "x-y", "\u00e9")),
+    st.text(max_size=3).filter(
+        lambda s: not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", s)))
+
+
+def _refuse_bad_names(draw, add, error=PresentationError):
+    """add(name) raises `error` for each of 0-2 drawn names that break the
+    name rule, so no such name reaches a bundle."""
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(_BAD_NAMES)
+        with pytest.raises(error):
+            add(name)
+
+
 @st.composite
 def _random_bundles(draw):
     """One presentation over Q, GF2 or laurent(t), with a map to itself
-    and an augmentation whose scope is made of whole links."""
+    and an augmentation whose scope is made of whole links.  Names that
+    break the name rule are drawn too and must be refused: as a ring
+    parameter, an idempotent, a generator and a link."""
+    _refuse_bad_names(draw, laurent, ValueError)
     ring = draw(st.sampled_from((rationals(), gf2(), laurent("t"))))
     P = Presentation(ring, draw(st.sampled_from((POTENTIAL_PLUS,
                                                  POTENTIAL_MINUS))))
+    _refuse_bad_names(draw, P.add_idempotent)
     for i in range(draw(st.integers(1, 3))):
         P.add_idempotent(f"e{i + 1}")
+    _refuse_bad_names(draw, lambda name: P.add_generator(name, 0, 0, 0))
+    _refuse_bad_names(draw, lambda link: P.add_generator("g", 0, 0, 0, link))
     ends = st.integers(0, len(P.idempotents) - 1)
     for k in range(draw(st.integers(1, 6))):
         P.add_generator(f"g{k}", draw(st.integers(-2, 2)), draw(ends),
