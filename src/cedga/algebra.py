@@ -275,24 +275,28 @@ class Presentation:
     def d_word(self, w: Word) -> Element:
         if isinstance(w, int):
             return {}
+        diff, gens = self.differential, self.generators
+        add_into, minus = self.ring.add_into, self.ring.from_int(-1)
         out: Element = {}
         sign_exp = 0
-        for t in range(len(w)):
-            dg = self.d_gen(w[t])
+        for t, i in enumerate(w):
+            dg = diff.get(i)
+            if dg is None:
+                self.d_gen(i)  # raises IncompletePresentationError
             if dg:
                 prefix, suffix = w[:t], w[t + 1:]
-                self.ring.add_into(
-                    out, [(splice(prefix, dw, suffix), dc)
-                          for dw, dc in dg.items()],
-                    self.ring.from_int(-1) if sign_exp % 2 else None)
-            sign_exp += self.generators[w[t]].degree
+                add_into(out, [(splice(prefix, dw, suffix), dc)
+                               for dw, dc in dg.items()],
+                         minus if sign_exp % 2 else None)
+            sign_exp += gens[i].degree
         return out
 
     def apply_differential(self, x: Element) -> Element:
         """Linear, graded-Leibniz extension of the generator assignments."""
         out: Element = {}
+        add_into, d_word = self.ring.add_into, self.d_word
         for w, c in x.items():
-            self.ring.add_into(out, self.d_word(w).items(), c)
+            add_into(out, d_word(w).items(), c)
         return out
 
     # -- validation -------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .algebra import (Element, Presentation, PresentationError, require_valid,
                       splice)
-from .coefficients import gf2
+from .coefficients import _q, gf2
 
 
 class NonHomogeneousTargetError(ValueError):
@@ -237,7 +237,7 @@ class LinearSolver:
         s = combo.pop(self._RHS)  # s*rhs + sum(combo[t]*column[t]) = 0
         if self._xor:
             return combo  # -1 = 1
-        return {tag: Fraction(-c, s) for tag, c in combo.items()}
+        return {tag: _q(Fraction(-c, s)) for tag, c in combo.items()}
 
 
 def _xor_step(vec, combo, lead, bvec, bcombo):

@@ -3,16 +3,19 @@
 Coefficient values are plain Python data and a :class:`CoeffRing` instance
 dispatches the arithmetic:
 
-* rationals      -- ``fractions.Fraction``
+* rationals      -- ``int`` when integral, else ``fractions.Fraction``
 * GF(2)          -- ``int`` 0 or 1
 * Laurent        -- ``dict`` mapping exponent vectors (one slot per named
                     parameter, negative exponents allowed) to nonzero
-                    ``Fraction`` values
+                    rationals, each an ``int`` or ``Fraction`` as above
 
-All operations are pure; values are never mutated after construction.
+Every result is in that form; an input may also be an integral
+``Fraction``.  All operations are pure but ``add_into``, the sparse sum,
+which resolves the ring once per call and then runs one loop for it.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +37,11 @@ def bad_name(name: str) -> str:
     if name in KEYWORDS:
         return f"{name!r} is a reserved word"
     return "" if _is_name(name) else f"{name!r} is not a name"
+
+
+def _q(a):
+    """A rational in canonical form: its numerator when it is integral."""
+    return a.numerator if a.denominator == 1 else a
 
 
 class RingMismatchError(ValueError):
@@ -65,29 +73,27 @@ class CoeffRing:
     # -- constructors ------------------------------------------------------
 
     def zero(self):
-        if self.kind == RATIONALS:
-            return Fraction(0)
-        if self.kind == GF2:
-            return 0
-        return {}
+        return {} if self.kind == LAURENT else 0
 
     def one(self):
         return self.from_int(1)
 
     def from_int(self, n: int):
-        return self.from_fraction(Fraction(n))
+        if self.kind == RATIONALS:
+            return n
+        if self.kind == GF2:
+            return n % 2
+        return {(0,) * len(self.parameters): n} if n else {}
 
     def from_fraction(self, q: Fraction):
-        if self.kind == RATIONALS:
-            return Fraction(q)
         if self.kind == GF2:
             if q.denominator % 2 == 0:
                 raise ZeroDivisionError("denominator divisible by 2 in GF(2)")
             return q.numerator % 2
-        q = Fraction(q)
-        if q == 0:
-            return {}
-        return {(0,) * len(self.parameters): q}
+        q = _q(Fraction(q))
+        if self.kind == RATIONALS:
+            return q
+        return {(0,) * len(self.parameters): q} if q else {}
 
     def parameter(self, name: str):
         """The Laurent monomial for one named parameter."""
@@ -95,7 +101,7 @@ class CoeffRing:
             raise RingMismatchError(f"{self.kind} has no parameters")
         i = self.parameters.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(self.parameters)))
-        return {exps: Fraction(1)}
+        return {exps: 1}
 
     def monomial(self, exps, coeff=1):
         if self.kind != LAURENT:
@@ -103,7 +109,7 @@ class CoeffRing:
         exps = tuple(exps)
         if len(exps) != len(self.parameters):
             raise ValueError("exponent vector length mismatch")
-        c = Fraction(coeff)
+        c = _q(Fraction(coeff))
         return {exps: c} if c else {}
 
     # -- predicates --------------------------------------------------------
@@ -119,24 +125,20 @@ class CoeffRing:
 
     def add(self, a, b):
         if self.kind == RATIONALS:
-            return a + b
+            return _q(a + b)
         if self.kind == GF2:
             return (a + b) % 2
         out = dict(a)
         for e, c in b.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return out
+            out[e] = out.get(e, 0) + c
+        return {e: _q(c) for e, c in out.items() if c}
 
     def neg(self, a):
         if self.kind == RATIONALS:
-            return -a
+            return _q(-a)
         if self.kind == GF2:
             return a
-        return {e: -c for e, c in a.items()}
+        return {e: _q(-c) for e, c in a.items()}
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -145,36 +147,49 @@ class CoeffRing:
         """out += f*x in place (f=None: out += x).  `out` is a sparse
         vector, a dict from keys to coefficients; `x` is one given as
         (key, coefficient) pairs, such as a dict's items(), where a key
-        may repeat.  A key whose coefficient becomes zero is dropped, and
-        a new key goes last.  Returns out."""
-        add, mul, is_zero = self.add, self.mul, self.is_zero
-        for k, c in x:
-            if f is not None:
-                c = mul(f, c)
-            old = out.get(k)
-            if old is not None:
-                c = add(old, c)
-            if is_zero(c):
-                out.pop(k, None)
-            else:
-                out[k] = c
+        may repeat.  A key whose coefficient becomes zero is dropped, a
+        new key goes last, and a key that stays nonzero keeps its place.
+        The ring is resolved once per call, then one loop runs for it.
+        Returns out."""
+        get, pop = out.get, out.pop
+        if self.kind == RATIONALS:
+            for k, c in x:
+                if f is not None:
+                    c = f * c
+                s = get(k, 0) + c
+                if s:
+                    out[k] = s if type(s) is int else _q(s)
+                else:
+                    pop(k, None)
+        elif self.kind == GF2:
+            if f is not None and not f % 2:
+                x = ()  # f = 0 adds nothing
+            for k, c in x:
+                if (get(k, 0) + c) % 2:
+                    out[k] = 1
+                else:
+                    pop(k, None)
+        else:
+            add, mul = self.add, self.mul
+            for k, c in x:
+                s = add(get(k, {}), c if f is None else mul(f, c))
+                if s:
+                    out[k] = s
+                else:
+                    pop(k, None)
         return out
 
     def mul(self, a, b):
         if self.kind == RATIONALS:
-            return a * b
+            return _q(a * b)
         if self.kind == GF2:
             return (a * b) % 2
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return out
+                e = tuple(map(operator.add, ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return {e: _q(c) for e, c in out.items() if c}
 
     def inverse(self, a):
         """Multiplicative inverse; raises NotAUnitError unless a is a unit.
@@ -185,13 +200,13 @@ class CoeffRing:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.kind == RATIONALS:
-            return Fraction(1) / a
+            return _q(Fraction(1) / a)
         if self.kind == GF2:
             return 1
         if len(a) != 1:
             raise NotAUnitError(f"{self.format(a)} is not a monomial")
         (e, c), = a.items()
-        return {tuple(-x for x in e): Fraction(1) / c}
+        return {tuple(-x for x in e): _q(Fraction(1) / c)}
 
     def div(self, a, b):
         return self.mul(a, self.inverse(b))

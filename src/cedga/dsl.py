@@ -36,8 +36,8 @@ from fractions import Fraction
 from .algebra import (POTENTIAL_MINUS, POTENTIAL_PLUS, Presentation,
                       PresentationError)
 from .catalog import CatalogBundle
-from .coefficients import (KEYWORDS, NAME, RingMismatchError, gf2, laurent,
-                           rationals)
+from .coefficients import (KEYWORDS, NAME, RingMismatchError, bad_name, gf2,
+                           laurent, rationals)
 from .morphisms import Augmentation, GenMap, MapError, ScopeError
 
 
@@ -469,7 +469,12 @@ def serialize_presentation(P: Presentation, name: str) -> str:
 
 
 def serialize(bundle: CatalogBundle) -> str:
-    """Canonical text form; stable across runs and platforms (LF only)."""
+    """Canonical text form; stable across runs and platforms (LF only).
+    Raises ValueError, before any text is made, on a presentation, map or
+    augmentation name that breaks the name rule."""
+    for name in (*bundle.presentations, *bundle.maps, *bundle.augmentations):
+        if why := bad_name(name):
+            raise ValueError(f"cannot serialize: {why}")
     anchors = list(bundle.presentations.values())
     anchors += [m.source for m in bundle.maps.values()]
     anchors += [a.presentation for a in bundle.augmentations.values()]

@@ -23,6 +23,13 @@ def _simple(ring=None):
     return P
 
 
+def _canonical_witness(res):
+    """No witness coefficient is an integral Fraction (the solver returns
+    ints for those)."""
+    return not any(getattr(c, "denominator", 0) == 1 and type(c) is not int
+                   for c in res.witness.values())
+
+
 def test_d_squared_pass_i3():
     assert check_d_squared(make_point_algebra(3, (0, 0, 0), 2, F2)).ok
 
@@ -81,6 +88,7 @@ def test_exactness_trivial_target():
     P.set_differential(a, P.el_idem("e1"))
     res = exactness_search(P, P.one(), BOUNDS5)
     assert res.found and res.witness == P.el_gen("a")
+    assert _canonical_witness(res)
 
 
 def test_exactness_i3_idempotent_not_bounded_exact():
@@ -99,6 +107,7 @@ def test_exactness_unknot_witness():
     assert res.found
     assert P.apply_differential(res.witness) == target
     assert res.witness == P.el_word(["t1_11"])
+    assert _canonical_witness(res)
 
 
 def test_exactness_rejects_inhomogeneous_target():
@@ -128,6 +137,7 @@ def test_is_trivial_certifies_and_refuses():
     res = is_trivial(P, BOUNDS5)
     assert res.certified_trivial
     assert P.apply_differential(res.search.witness) == P.one()
+    assert _canonical_witness(res.search)
 
     assert not is_trivial(make_point_algebra(3, (0, 0, 0), 2, F2),
                           BOUNDS5).certified_trivial
@@ -142,6 +152,7 @@ def test_witness_soundness_is_rechecked():
     res = exactness_search(P, target, BOUNDS5)
     assert res.found
     assert P.apply_differential(res.witness) == target
+    assert _canonical_witness(res)
 
 
 # -- h0 ----------------------------------------------------------------------

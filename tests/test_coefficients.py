@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cedga.coefficients import NotAUnitError, gf2, laurent, rationals
 
@@ -115,3 +115,119 @@ def test_laurent_format_is_exponent_sorted():
     el = L.add(L.mul(mu, mu), L.sub(L.inverse(lam), L.one()))
     # lexicographic on exponent vectors: (-1,0) < (0,0) < (0,2)
     assert L.format(el) == "lam^-1 - 1 + mu^2"
+
+
+# -- the value form: an int exactly when integral ------------------------------
+
+# n/d with n in -9..9 and d in 1..12, also as Fraction(n, 1) and plain int
+q_inputs = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-9, 9)),
+    st.integers(-9, 9))
+l_inputs = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           q_inputs.filter(bool), max_size=3)
+
+
+def _canonical_q(v):
+    return type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+def _canonical(ring, v):
+    if ring is L:
+        return all(c and _canonical_q(c) for c in v.values())
+    return _canonical_q(v)
+
+
+def _ref(ring, v):
+    """v with every rational a Fraction, zero Laurent terms dropped."""
+    if ring is L:
+        return {e: Fraction(c) for e, c in v.items() if c}
+    return Fraction(v)
+
+
+def _ref_add(ring, a, b):
+    if ring is Q:
+        return Fraction(a) + Fraction(b)
+    out = _ref(L, a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(ring, a, b):
+    if ring is Q:
+        return Fraction(a) * Fraction(b)
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = (ea[0] + eb[0], ea[1] + eb[1])
+            out[e] = out.get(e, 0) + Fraction(ca) * Fraction(cb)
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add_into(ring, out, x, f):
+    for k, c in x:
+        s = _ref_add(ring, out.get(k, ring.zero()),
+                     c if f is None else _ref_mul(ring, f, c))
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+@pytest.mark.parametrize("ring,values", [(Q, q_inputs), (L, l_inputs)],
+                         ids=["Q", "laurent"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_values_are_canonical_and_equal_fraction_arithmetic(ring, values,
+                                                            data):
+    a, b, f = data.draw(values), data.draw(values), data.draw(values)
+    n = data.draw(st.integers(-9, 9))
+    minus, const_n = (-1, n) if ring is Q else ({(0, 0): -1}, {(0, 0): n})
+    results = [(ring.add(a, b), _ref_add(ring, a, b)),
+               (ring.mul(a, b), _ref_mul(ring, a, b)),
+               (ring.neg(a), _ref_mul(ring, minus, a)),
+               (ring.from_int(n), _ref(ring, const_n))]
+    if ring is Q:
+        results.append((ring.from_fraction(a), Fraction(a)))
+        if a:
+            results.append((ring.inverse(a), 1 / Fraction(a)))
+    else:
+        c = data.draw(q_inputs)
+        results.append((ring.monomial((1, -1), c), _ref(L, {(1, -1): c})))
+        results.append((ring.from_fraction(Fraction(c)),
+                        _ref(L, {(0, 0): c})))
+        if len(a) == 1:
+            ((e, c),) = a.items()
+            results.append((ring.inverse(a),
+                            {(-e[0], -e[1]): 1 / Fraction(c)}))
+    # sparse sums over a few keys, so terms meet, cancel and come back
+    x = data.draw(st.lists(st.tuples(st.integers(0, 3), values), max_size=8))
+    start = {k: ring.add(ring.zero(), v) for k, v in
+             data.draw(st.dictionaries(st.integers(0, 3), values)).items()
+             if v}
+    for scale in (None, f):
+        got = ring.add_into(dict(start), x, scale)
+        want = _ref_add_into(ring, {k: _ref(ring, v) for k, v in
+                                    start.items()}, x, scale)
+        assert list(got.items()) == list(want.items())
+        results += [(v, want[k]) for k, v in got.items()]
+    for got, want in results:
+        assert _canonical(ring, got)
+        assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1)), max_size=8),
+       st.dictionaries(st.integers(0, 3), st.just(1)),
+       st.sampled_from((None, 0, 1)))
+def test_gf2_add_into_is_the_mod_two_sum(x, start, f):
+    want = dict(start)
+    for k, c in x:
+        if (want.get(k, 0) + (c if f is None else f * c)) % 2:
+            want[k] = 1
+        else:
+            want.pop(k, None)
+    got = F2.add_into(dict(start), x, f)
+    assert list(got.items()) == list(want.items())

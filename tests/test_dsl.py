@@ -501,3 +501,17 @@ def test_serialize_refuses_a_scope_that_is_not_whole_links():
         whole = CatalogBundle("whole", {"main": P}, {},
                               {"eps": Augmentation(P, scope=scope)})
         assert bundle_equal(whole, parse(serialize(whole)))
+
+
+def test_serialize_refuses_names_the_text_form_cannot_carry():
+    P = example("unknot_one_handle").main
+    link0 = {g.name for g in P.generators if g.link == "link0"}
+    bundles = [CatalogBundle("x", {"a b": P}, {}, {}, []),
+               CatalogBundle("x", {"main": P}, {"map": GenMap(P, P)}, {}),
+               CatalogBundle("x", {"main": P}, {},
+                             {"map": Augmentation(P, scope=link0)})]
+    for bundle, why in zip(bundles, ("'a b' is not a name",
+                                     "'map' is a reserved word",
+                                     "'map' is a reserved word")):
+        with pytest.raises(ValueError, match=why):
+            serialize(bundle)

@@ -11,6 +11,7 @@ up to a rational factor and return the same solutions.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cedga import Presentation, gf2, laurent, rationals
@@ -145,6 +146,11 @@ def _assert_same_echelon(ring, new, ref):
         assert math.gcd(*values) == 1
 
 
+def _canonical(x):
+    """Every value of x is an int when integral: no Fraction(n, 1)."""
+    return all(type(c) is int or c.denominator != 1 for c in x.values())
+
+
 def _coeff(draw, ring):
     """A coefficient, zero with fair probability."""
     if ring == gf2():
@@ -194,6 +200,28 @@ def presentations(draw):
     return P, pool, element
 
 
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("ring", [rationals(), gf2()], ids=["Q", "GF2"])
+def test_add_into_key_order_is_that_of_the_inline_loop(ring, scaled):
+    """A zero addend leaves its key in place (a), a repeated key whose sum
+    stays nonzero keeps its place (d), and a key that cancels and comes
+    back goes last (b).  Scaled, the addends are negated and f = -1."""
+    if ring == rationals():
+        x = [("a", 0), ("d", 1), ("d", Fraction(-1, 2)), ("b", -1),
+             ("b", Fraction(1, 2)), ("e", Fraction(3, 1))]
+        want = [("a", 1), ("c", 1), ("d", Fraction(1, 2)),
+                ("b", Fraction(1, 2)), ("e", 3)]
+    else:
+        x = [("a", 0), ("d", 1), ("d", 0), ("b", 1), ("b", 1), ("e", 1)]
+        want = [("a", 1), ("c", 1), ("d", 1), ("b", 1), ("e", 1)]
+    f = ring.from_int(-1) if scaled else None
+    if scaled:
+        x = [(k, ring.mul(f, c)) for k, c in x]
+    out = ring.add_into({"a": 1, "b": 1, "c": 1}, x, f)
+    assert list(out.items()) == want
+    assert [type(c) for c in out.values()] == [type(c) for _, c in want]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_products_and_differentials_match_the_inline_loops(data):
@@ -219,7 +247,9 @@ def test_solver_matches_the_inline_elimination(data):
         ref.add_column((k, w), col)
     _assert_same_echelon(P.ring, new, ref)
     for rhs in (element(), P.apply_differential(element())):
-        assert new.solve(rhs) == ref.solve(rhs)
+        x = new.solve(rhs)
+        assert x == ref.solve(rhs)
+        assert x is None or _canonical(x)
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,6 +288,7 @@ def test_solver_solves_wide_rational_and_gf2_systems_exactly(data):
         x = new.solve(rhs)
         assert x == ref.solve(rhs)
         assert x is not None or not in_span
+        assert x is None or _canonical(x)
         if x is not None:
             ax = {}
             for k, c in x.items():
