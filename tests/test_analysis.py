@@ -24,10 +24,9 @@ def _simple(ring=None):
 
 
 def _canonical_witness(res):
-    """No witness coefficient is an integral Fraction (the solver returns
-    ints for those)."""
-    return not any(getattr(c, "denominator", 0) == 1 and type(c) is not int
-                   for c in res.witness.values())
+    """Every witness coefficient is an int when integral: no Fraction(n, 1)."""
+    return all(type(c) is int or c.denominator != 1
+               for c in res.witness.values())
 
 
 def test_d_squared_pass_i3():

@@ -214,8 +214,9 @@ def test_add_into_key_order_is_that_of_the_inline_loop(ring, scaled):
     else:
         x = [("a", 0), ("d", 1), ("d", 0), ("b", 1), ("b", 1), ("e", 1)]
         want = [("a", 1), ("c", 1), ("d", 1), ("b", 1), ("e", 1)]
-    f = ring.from_int(-1) if scaled else None
+    f = None
     if scaled:
+        f = ring.from_int(-1)
         x = [(k, ring.mul(f, c)) for k, c in x]
     out = ring.add_into({"a": 1, "b": 1, "c": 1}, x, f)
     assert list(out.items()) == want
