@@ -30,9 +30,9 @@ def _read(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lines = data[:exc.start].split(b"\n")
-        raise dsl.ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8",
-                             len(lines), len(lines[-1].decode()) + 1) from None
+        good = data[:exc.start].decode()
+        raise dsl.ParseError.at(f"byte 0x{data[exc.start]:02x} is not UTF-8",
+                                good, len(good)) from None
 
 
 def _load(path: str, env=None, target_env=None):
@@ -171,16 +171,22 @@ def cmd_linearize(args):
     lin = morphisms.partial_linearize(eps.presentation, eps)
     text = dsl.serialize(
         catalog.CatalogBundle("linearized", {"main": lin}, {}, {}, []))
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
+    certs = {"augmentation": name,
+             "generators": [g.name for g in lin.generators]}
+    if args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return "ok", {"augmentation": name,
-                  "generators": [g.name for g in lin.generators]}, None, True
+    elif args.json:
+        # stdout holds the envelope alone, so the text goes inside it
+        certs["text"] = text
+    else:
+        sys.stdout.write(text)
+    return "ok", certs, None, True
 
 
 def cmd_obstruct(args):
+    if (args.codomain is None) != (args.link_map is None):
+        raise ValueError("--codomain and --link-map must be given together")
     bundle = _load(args.file)
     if args.codomain:
         bundle = _load(args.link_map, env=bundle.presentations,

@@ -18,7 +18,10 @@ generator or idempotent names and coefficient atoms (`-3`, `2/3`,
 unit (the sum of all idempotents), so `1` and `0` mean what they say.
 In a word the rightmost factor acts first.
 
-Names (`[A-Za-z_][A-Za-z_0-9]*`) and integers (`[0-9]+`) are ASCII.
+Tokens are ASCII names (`[A-Za-z_][A-Za-z_0-9]*`) and integers (`[0-9]+`)
+and the symbols `-> { } ( ) : ; = ^ * / + , -`, between whitespace and
+comments.  Parentheses nest at most MAX_NESTING deep.  Bad input raises
+ParseError at line:col, from 1, in characters (a tab is one column).
 `ring` and `convention` come at most once each, before any presentation,
 map or augmentation.  Names must be declared before use, may not equal a
 ring parameter, and keywords (ring, gen, diff, ...) are reserved.  An
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import re
 from collections import ChainMap
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (POTENTIAL_MINUS, POTENTIAL_PLUS, Presentation,
@@ -48,48 +50,45 @@ class ParseError(ValueError):
         self.col = col
         self.message = message
 
+    @classmethod
+    def at(cls, message, text, offset):
+        """The error at character `offset` of `text`, at line:col from 1."""
+        return cls(message, text.count("\n", 0, offset) + 1,
+                   offset - text.rfind("\n", 0, offset))
 
-@dataclass
-class _Tok:
-    kind: str  # ident | int | sym | eof
-    value: str
-    line: int
-    col: int
 
+MAX_NESTING = 100
 
 # one alternative per token kind, then the text between tokens, then any
 # other character, which is an error
 _TOKEN = re.compile(r"""(?P<sym>->|[{}():;=^*/+,-])
                       | (?P<int>[0-9]+)
                       | (?P<ident>""" + NAME + r""")
-                      | (?P<newline>\n)
-                      | [ \t\r]+ | \#[^\n]*
+                      | [ \t\r\n]+ | \#[^\n]*
                       | (?P<bad>.)""", re.VERBOSE)
 
 
 def _tokenize(text):
-    toks, line, line_start = [], 1, 0
+    """(kind, text, offset) tuples, kind ident, int or sym, then eof."""
+    toks = []
     for m in _TOKEN.finditer(text):
-        kind, col = m.lastgroup, m.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        elif kind is not None:
-            toks.append(_Tok(kind, m.group(), line, col))
-    toks.append(_Tok("eof", "", line, len(text) - line_start + 1))
-    return toks
+        if m.lastgroup == "bad":
+            raise ParseError.at(f"unexpected character {m.group()!r}",
+                                text, m.start())
+        if m.lastgroup:
+            toks.append((m.lastgroup, m.group(), m.start()))
+    return toks + [("eof", "", len(text))]
 
 
 class _Parser:
     def __init__(self, text, env=None, target_env=None):
+        self.text = text
         self.toks = _tokenize(text)
-        self.pos = 0
+        self.pos = self.depth = 0
         self.env = dict(env or {})
         self.target_env = dict(target_env if target_env is not None
                                else self.env)
-        self.ring = None
-        self.convention = None
+        self.ring = self.convention = None
         self.bundle = CatalogBundle("parsed")
 
     # -- token plumbing ------------------------------------------------------
@@ -103,55 +102,40 @@ class _Parser:
         return t
 
     def err(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(msg, tok.line, tok.col)
+        raise ParseError.at(msg, self.text, (tok or self.peek())[2])
 
-    def at_sym(self, *values):
-        t = self.peek()
-        return t.kind == "sym" and t.value in values
+    def accept(self, *texts):
+        """Consume and return the next token if its text is one of `texts`
+        (a symbol's or keyword's text fixes its kind); else None."""
+        return self.next() if self.toks[self.pos][1] in texts else None
 
-    def accept(self, *values):
-        """Consume and return the next token if it is one of the symbols
-        `values`; else None."""
-        return self.next() if self.at_sym(*values) else None
-
-    def at_ident(self, value=None):
-        t = self.peek()
-        return t.kind == "ident" and (value is None or t.value == value)
-
-    def expect_sym(self, s):
-        if not self.at_sym(s):
-            self.err(f"expected {s!r}, found {self.peek().value!r}")
-        return self.next()
+    def expect(self, text):
+        if not self.accept(text):
+            self.err(f"expected {text!r}, found {self.peek()[1]!r}")
 
     def expect_ident(self, what="name"):
-        if not self.at_ident():
-            self.err(f"expected {what}, found {self.peek().value!r}")
-        return self.next()
-
-    def expect_keyword(self, kw):
-        if not self.at_ident(kw):
-            self.err(f"expected {kw!r}, found {self.peek().value!r}")
+        if self.peek()[0] != "ident":
+            self.err(f"expected {what}, found {self.peek()[1]!r}")
         return self.next()
 
     def expect_int(self):
         sign = -1 if self.accept("-") else 1
         t = self.next()
-        if t.kind != "int":
-            self.err(f"expected integer, found {t.value!r}", t)
-        return sign * int(t.value)
+        if t[0] != "int":
+            self.err(f"expected integer, found {t[1]!r}", t)
+        return sign * int(t[1])
 
     def names(self):
         """The identifier tokens up to the next keyword or symbol."""
         toks = []
-        while self.at_ident() and self.peek().value not in KEYWORDS:
+        while self.peek()[0] == "ident" and self.peek()[1] not in KEYWORDS:
             toks.append(self.next())
         return toks
 
     def find(self, lookup, tok, msg):
-        """lookup(tok.value), with a KeyError reported as `msg` at tok."""
+        """lookup(tok's text), with a KeyError reported as `msg` at tok."""
         try:
-            return lookup(tok.value)
+            return lookup(tok[1])
         except KeyError:
             self.err(msg, tok)
 
@@ -162,16 +146,16 @@ class _Parser:
                       "convention": self.parse_convention,
                       "presentation": self.parse_presentation_block,
                       "map": self.parse_map, "aug": self.parse_aug}
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if t.kind != "ident":
-                self.err(f"expected a statement, found {t.value!r}")
-            if t.value in ("idempotents", "gen", "diff"):
+        while self.peek()[0] != "eof":
+            kind, text, _ = self.peek()
+            if kind != "ident":
+                self.err(f"expected a statement, found {text!r}")
+            if text in ("idempotents", "gen", "diff"):
                 self.parse_pstmt(self.presentation("main"))
-            elif t.value in statements:
-                statements[t.value]()
+            elif text in statements:
+                statements[text]()
             else:
-                self.err(f"unknown statement {t.value!r}")
+                self.err(f"unknown statement {text!r}")
         return self.bundle
 
     def presentation(self, name):
@@ -184,32 +168,32 @@ class _Parser:
 
     def lookup_presentation(self, tok, env):
         return self.find(ChainMap(self.bundle.presentations, env).__getitem__,
-                         tok, f"unknown presentation {tok.value!r}")
+                         tok, f"unknown presentation {tok[1]!r}")
 
     def header(self, current):
         """Consume a `ring` or `convention` keyword: each comes once, and
         before anything that would be built over it."""
         t = self.next()
         if current is not None:
-            self.err(f"duplicate {t.value} statement", t)
+            self.err(f"duplicate {t[1]} statement", t)
         if self.bundle.presentations or self.bundle.maps \
                 or self.bundle.augmentations:
-            self.err(f"{t.value} must come before any presentation, map "
+            self.err(f"{t[1]} must come before any presentation, map "
                      f"or augmentation", t)
 
     def parse_ring(self):
         self.header(self.ring)
         kind = self.expect_ident("ring kind")
-        make = {"Q": rationals, "GF2": gf2, "laurent": laurent}.get(kind.value)
+        make = {"Q": rationals, "GF2": gf2, "laurent": laurent}.get(kind[1])
         if make is None:
-            self.err(f"unknown ring {kind.value!r}", kind)
+            self.err(f"unknown ring {kind[1]!r}", kind)
         params = []
         if make is laurent:
-            self.expect_sym("(")
-            params.append(self.expect_ident("parameter").value)
+            self.expect("(")
+            params.append(self.expect_ident("parameter")[1])
             while self.accept(","):
-                params.append(self.expect_ident("parameter").value)
-            self.expect_sym(")")
+                params.append(self.expect_ident("parameter")[1])
+            self.expect(")")
         try:
             self.ring = make(*params)
         except ValueError as exc:
@@ -218,58 +202,53 @@ class _Parser:
     def parse_convention(self):
         self.header(self.convention)
         t = self.expect_ident("convention")
-        if t.value not in (POTENTIAL_PLUS, POTENTIAL_MINUS):
-            self.err(f"unknown convention {t.value!r}", t)
-        self.convention = t.value
+        if t[1] not in (POTENTIAL_PLUS, POTENTIAL_MINUS):
+            self.err(f"unknown convention {t[1]!r}", t)
+        self.convention = t[1]
 
     def parse_presentation_block(self):
         self.next()
-        P = self.presentation(self.expect_ident("presentation name").value)
-        self.expect_sym("{")
+        P = self.presentation(self.expect_ident("presentation name")[1])
+        self.expect("{")
         while not self.accept("}"):
             self.parse_pstmt(P)
 
     def parse_pstmt(self, P):
         t = self.next()
-        if t.value == "idempotents":
+        if t[1] == "idempotents":
             for tok in self.names():
                 try:
-                    P.add_idempotent(tok.value)
+                    P.add_idempotent(tok[1])
                 except PresentationError as exc:
                     self.err(str(exc), tok)
-        elif t.value == "gen":
+        elif t[1] == "gen":
             name = self.expect_ident("generator name")
-            self.expect_keyword("deg")
+            self.expect("deg")
             degree = self.expect_int()
-            self.expect_keyword("from")
+            self.expect("from")
             src = self.expect_ident("idempotent")
-            self.expect_keyword("to")
+            self.expect("to")
             tgt = self.expect_ident("idempotent")
-            link, level = None, None
-            if self.at_ident("long"):
-                self.next()
-            elif self.at_ident("short"):
-                self.next()
-                link = self.expect_ident("link id").value
-            if self.at_ident("level"):
-                self.next()
+            link = level = None
+            if not self.accept("long") and self.accept("short"):
+                link = self.expect_ident("link id")[1]
+            if self.accept("level"):
                 level = self.expect_int()
-            ends = [self.find(P.idem, e, f"undeclared idempotent {e.value!r}")
+            ends = [self.find(P.idem, e, f"undeclared idempotent {e[1]!r}")
                     for e in (src, tgt)]
             try:
-                P.add_generator(name.value, degree, *ends, link, level)
+                P.add_generator(name[1], degree, *ends, link, level)
             except PresentationError as exc:
                 self.err(str(exc), name)
-        elif t.value == "diff":
+        elif t[1] == "diff":
             name = self.expect_ident("generator name")
-            g = self.find(P.gen, name,
-                          f"undeclared generator {name.value!r}")
+            g = self.find(P.gen, name, f"undeclared generator {name[1]!r}")
             if g.index in P.differential:
-                self.err(f"duplicate diff for {name.value!r}", name)
-            self.expect_sym("=")
+                self.err(f"duplicate diff for {name[1]!r}", name)
+            self.expect("=")
             P.set_differential(g, self.parse_expr(P))
         else:
-            self.err(f"unexpected statement {t.value!r} in presentation", t)
+            self.err(f"unexpected statement {t[1]!r} in presentation", t)
 
     # -- expressions -----------------------------------------------------------
 
@@ -278,7 +257,7 @@ class _Parser:
         term(sign), folded into `total` with add(total, summand)."""
         sign = self.accept("+", "-")
         while True:
-            total = add(total, term(-1 if sign and sign.value == "-" else 1))
+            total = add(total, term(-1 if sign and sign[1] == "-" else 1))
             sign = self.accept("+", "-")
             if sign is None:
                 return total
@@ -294,14 +273,17 @@ class _Parser:
     def parse_factors(self, P, sign, letters=None):
         """`*`-joined factors; their coefficient product times sign is
         returned.  Given a `letters` list, the presentation's names are
-        factors too, and their tokens are appended to it."""
+        factors too, and each is appended to it as (token, its word)."""
         ring = P.ring
         coeff = ring.from_int(sign)
         while True:
             tok = self.peek()
-            if letters is not None and tok.kind == "ident" \
-                    and tok.value not in KEYWORDS and P.has_name(tok.value):
-                letters.append(self.next())
+            if letters is not None and P.has_name(tok[1]):
+                try:
+                    word = (P.gen(tok[1]).index,)
+                except KeyError:
+                    word = P.idem(tok[1]).index
+                letters.append((self.next(), word))
             else:
                 c = self.try_coeff_atom(P)
                 if c is None:
@@ -316,23 +298,21 @@ class _Parser:
         coeff = self.parse_factors(P, sign, letters)
         if not letters:
             return P.scale(coeff, P.one())
-        words = [P.idem(t.value).index if t.value in P._idem_by_label
-                 else (P.gen(t.value).index,) for t in letters]
-        word = words[0]
-        for tok, w in zip(letters[1:], words[1:]):
+        word = letters[0][1]
+        for tok, w in letters[1:]:
             word = P.concat(word, w)
             if word is None:
                 self.err("non-composable word "
-                         + "*".join(t.value for t in letters), tok)
+                         + "*".join(t[1] for t, _ in letters), tok)
         return {word: coeff} if not P.ring.is_zero(coeff) else {}
 
     def try_coeff_atom(self, P):
         """Parse one coefficient factor, or return None."""
         ring = P.ring
         t = self.peek()
-        if t.kind == "int":
+        if t[0] == "int":
             self.next()
-            num = int(t.value)
+            num = int(t[1])
             if not self.accept("/"):
                 return ring.from_int(num)
             den = self.expect_int()
@@ -340,17 +320,21 @@ class _Parser:
                 return ring.from_fraction(Fraction(num, den))
             except ZeroDivisionError:
                 self.err(f"coefficient {num}/{den} is undefined in {ring}", t)
-        if t.kind == "ident" and t.value in ring.parameters:
+        if t[1] in ring.parameters:
             self.next()
             exp = self.expect_int() if self.accept("^") else 1
-            return ring.monomial(tuple(exp if p == t.value else 0
+            return ring.monomial(tuple(exp if p == t[1] else 0
                                        for p in ring.parameters))
         if self.accept("("):
+            if self.depth == MAX_NESTING:
+                self.err(f"parentheses nested deeper than {MAX_NESTING}", t)
+            self.depth += 1
             val = self.parse_coeff_expr(P)
-            self.expect_sym(")")
+            self.expect(")")
+            self.depth -= 1
             return val
-        if t.kind == "ident" and t.value not in KEYWORDS:
-            self.err(f"undeclared name {t.value!r}", t)
+        if t[0] == "ident" and t[1] not in KEYWORDS:
+            self.err(f"undeclared name {t[1]!r}", t)
         return None
 
     # -- maps and augmentations --------------------------------------------------
@@ -358,66 +342,63 @@ class _Parser:
     def parse_map(self):
         self.next()
         name = self.expect_ident("map name")
-        self.expect_sym(":")
+        self.expect(":")
         src = self.lookup_presentation(self.expect_ident("source"), self.env)
-        self.expect_sym("->")
+        self.expect("->")
         tgt = self.lookup_presentation(self.expect_ident("target"),
                                        self.target_env)
         try:
-            phi = GenMap(src, tgt, name=name.value)
+            phi = GenMap(src, tgt, name=name[1])
         except RingMismatchError as exc:
             self.err(str(exc), name)
-        self.expect_sym("{")
+        self.expect("{")
         while not self.accept("}"):
-            if self.at_ident("idem"):
-                self.next()
+            if self.accept("idem"):
                 a = self.expect_ident("idempotent")
-                self.expect_sym("->")
+                self.expect("->")
                 b = self.expect_ident("idempotent")
-                i = self.find(src.idem, a,
-                              f"unknown idempotent {a.value!r}").index
-                j = self.find(tgt.idem, b,
-                              f"unknown idempotent {b.value!r}").index
+                i = self.find(src.idem, a, f"unknown idempotent {a[1]!r}").index
+                j = self.find(tgt.idem, b, f"unknown idempotent {b[1]!r}").index
                 if i in phi.idem_values:
-                    self.err(f"duplicate map entry for {a.value!r}", a)
+                    self.err(f"duplicate map entry for {a[1]!r}", a)
                 phi.idem_values[i] = j
             else:
                 a = self.expect_ident("generator")
                 g = self.find(src.gen, a,
-                              f"unknown source generator {a.value!r}")
+                              f"unknown source generator {a[1]!r}")
                 if g.index in phi.gen_values:
-                    self.err(f"duplicate map entry for {a.value!r}", a)
-                self.expect_sym("->")
+                    self.err(f"duplicate map entry for {a[1]!r}", a)
+                self.expect("->")
                 phi.gen_values[g.index] = self.parse_expr(tgt)
                 try:
                     phi.check_value(g.index)
                 except MapError as exc:
                     self.err(str(exc), a)
             self.accept(";")
-        self.bundle.maps[name.value] = phi
+        self.bundle.maps[name[1]] = phi
 
     def parse_aug(self):
         self.next()
-        name = self.expect_ident("augmentation name").value
-        self.expect_keyword("on")
+        name = self.expect_ident("augmentation name")[1]
+        self.expect("on")
         src_tok = self.expect_ident("source")
         src = self.lookup_presentation(src_tok, self.env)
-        self.expect_keyword("scope")
+        self.expect("scope")
         carried, links = {g.link for g in src.generators}, set()
         for t in self.names():
-            if t.value not in carried:
-                self.err(f"no generator of {src_tok.value!r} is on link "
-                         f"{t.value!r}", t)
-            links.add(t.value)
+            if t[1] not in carried:
+                self.err(f"no generator of {src_tok[1]!r} is on link "
+                         f"{t[1]!r}", t)
+            links.add(t[1])
         eps = Augmentation(src, name=name, scope=frozenset(
             g.index for g in src.generators if g.link in links))
-        self.expect_sym("{")
+        self.expect("{")
         while not self.accept("}"):
             a = self.expect_ident("generator")
-            g = self.find(src.gen, a, f"unknown generator {a.value!r}")
+            g = self.find(src.gen, a, f"unknown generator {a[1]!r}")
             if g.index in eps.values:
-                self.err(f"duplicate augmentation entry for {a.value!r}", a)
-            self.expect_sym("->")
+                self.err(f"duplicate augmentation entry for {a[1]!r}", a)
+            self.expect("->")
             eps.values[g.index] = self.parse_coeff_expr(src)
             try:
                 eps.check_value(g.index)
@@ -436,11 +417,10 @@ def parse_element(text: str, P: Presentation):
     """Parse one element expression against an existing presentation."""
     parser = _Parser(text)
     el = parser.parse_expr(P)
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.err(f"trailing input {tok.value!r}")
+    kind, text, _ = parser.peek()
+    if kind != "eof":
+        parser.err(f"trailing input {text!r}")
     return el
-
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from cedga.cli import main
 PINNED = {
     "exact": "75a83c19770ce09a8c761bac926843051bdc62042094b73d24255f407bbe5c8e",
     "h0": "cc5dd784a0a12386f6c8668417783bae8086fb0f394d2c28694e23b699a84040",
-    "linearize": "5b8d64d77b1b846a4e8981148ac20fd96bfae2c8f3376b5e157a6b77e8cd6449",
+    # `-o - --json` puts the text in certificates.text, not before the JSON
+    "linearize": "57bf65a33f24b4a277955bc79edeb58b02668899471459f9162cfb32bdce6f88",
     "obstruct": "be82a6baba945d5811c12a3c18efc0c74e0c6fa3ce14c3c7fd4e9385ed629d31",
     "serialize": "802338f8ba62d82eb67eb28850887d7fe2a1f141ce517ad73cd986f6e4c54b10",
     "trivial": "3a22e6484f5c5293f11cfb18dc96372093581441145f1f9abfb9f44b4caf80de",

@@ -202,6 +202,22 @@ def test_linearize_writes_a_parseable_file(tmp_path, capsys):
     assert L.d_gen("a") == {}
 
 
+def test_linearize_to_stdout_under_json_is_one_object(tmp_path, capsys):
+    _, text, _ = run(capsys, "catalog", "unknot_one_handle", "--emit")
+    f = tmp_path / "u.cedga"
+    f.write_text(text + "aug eps on main scope link0 {\n"
+                 "  t0_12 -> 1;\n  t1_21 -> 1;\n}\n")
+    out_file = tmp_path / "lin.cedga"
+    code, _, _ = run(capsys, "linearize", str(f), str(f), "-o", str(out_file))
+    assert code == 0
+    code, out, err = run(capsys, "linearize", str(f), str(f), "-o", "-",
+                         "--json")
+    assert (code, err) == (0, "")
+    obj, end = json.JSONDecoder().raw_decode(out)
+    assert out[end:] == "\n"
+    assert obj["certificates"]["text"].encode() == out_file.read_bytes()
+
+
 def test_obstruct_three_file_workflow(tmp_path, capsys):
     _, dom, _ = run(capsys, "catalog", "unknot_edge", "--pres", "main")
     _, cod, _ = run(capsys, "catalog", "unknot_edge", "--pres", "codomain")
@@ -342,11 +358,16 @@ def test_h0_basis_cut_at_the_cap_is_inconclusive(tmp_path, capsys,
     (["check-d2", "{r}"], "the file has no presentation"),
     (["grade", "{r}"], "the file has no presentation"),
     (["parity", "{r}"], "the file has no presentation"),
+    (["obstruct", "{f}", "--codomain", "{f}"],
+     "--codomain and --link-map must be given together"),
+    (["obstruct", "{f}", "--link-map", "{f}"],
+     "--codomain and --link-map must be given together"),
 ], ids=["obstruct_map", "obstruct_none", "linearize_aug", "linearize_none",
         "verify_map_map", "verify_map_empty", "verify_aug_aug",
         "verify_aug_empty", "h0_pres", "h0_default", "check_pres",
         "catalog_name", "check_d2_ring_only", "grade_ring_only",
-        "parity_ring_only"])
+        "parity_ring_only", "obstruct_codomain_alone",
+        "obstruct_link_map_alone"])
 def test_unknown_or_missing_names_are_one_line_usage_errors(
         tmp_path, capsys, argv, message):
     # two maps and two augmentations, so nothing is chosen by default

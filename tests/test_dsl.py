@@ -219,9 +219,28 @@ def test_bad_coefficients_and_duplicates_are_positioned(text, line, col):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+def _line_col(text, offset):
+    """1-based line and column of character `offset` of `text`."""
+    lines = text[:offset].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
+# a token, the text between two tokens, or any other single character
+_LEXEME = re.compile(r"->|[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[ \t\r\n]+|#[^\n]*|.",
+                     re.S)
+
+
+def _assert_positioned(exc, text):
+    """The error is at a token, at a character outside the grammar, or at
+    the end of the input."""
+    sites = {_line_col(text, m.start()) for m in _LEXEME.finditer(text)
+             if m.group()[0] not in " \t\r\n#"}
+    assert (exc.line, exc.col) in sites | {_line_col(text, len(text))}
+
+
 @functools.lru_cache(maxsize=None)
 def _catalog_tokens(name):
-    return tuple(t.value for t in _tokenize(serialize(example(name)))[:-1])
+    return tuple(t[1] for t in _tokenize(serialize(example(name)))[:-1])
 
 
 # tokens outside the grammar's ASCII alphabet, and the pieces of a
@@ -249,10 +268,34 @@ def test_mutated_catalog_bundles_parse_or_raise_parse_error(name, data):
             tokens[i], tokens[j] = tokens[j], tokens[i]
         else:
             tokens[i] = data.draw(st.sampled_from(vocabulary))
+    text = " ".join(tokens)
     try:
-        parse(" ".join(tokens))
-    except ParseError:
-        pass
+        parse(text)
+    except ParseError as exc:
+        _assert_positioned(exc, text)
+
+
+@pytest.mark.parametrize("depth", [100, 101, 10_000])
+def test_parentheses_nest_at_most_100_deep(depth):
+    text = ("ring Q\nidempotents e1\ngen a deg 0 from e1 to e1\n"
+            "diff a = " + "(" * depth + "1" + ")" * depth + "*a\n")
+    if depth <= 100:
+        P = parse(text).presentations["main"]
+        assert P.d_gen("a") == P.el_gen("a")
+        return
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    # at the 101st `(`; "diff a = " takes columns 1 to 9
+    assert (exc.value.line, exc.value.col) == (4, 110)
+    assert exc.value.message == "parentheses nested deeper than 100"
+
+
+def test_deep_element_target_is_a_parse_error():
+    P = parse("ring Q\nidempotents e1\ngen a deg 0 from e1 to e1\n"
+              ).presentations["main"]
+    with pytest.raises(ParseError) as exc:
+        parse_element("(" * 10_000 + "1" + ")" * 10_000 + "*a", P)
+    assert (exc.value.line, exc.value.col) == (1, 101)
 
 
 def test_map_between_presentations_over_different_rings_is_positioned():
@@ -304,8 +347,8 @@ def _token_streams(draw):
 def test_random_token_streams_parse_or_raise_parse_error(text):
     try:
         parse(text)
-    except ParseError:
-        pass
+    except ParseError as exc:
+        _assert_positioned(exc, text)
 
 
 def _reference_tokenize(text):
@@ -361,9 +404,11 @@ def _reference_tokenize(text):
 
 
 def _outcome(tokenize, text):
+    """(kind, text, line, col) tokens, from (kind, text, offset) tokens
+    or as they come; or the error."""
     try:
-        return [(t.kind, t.value, t.line, t.col) if not isinstance(t, tuple)
-                else t for t in tokenize(text)]
+        return [t if len(t) == 4 else (t[0], t[1], *_line_col(text, t[2]))
+                for t in tokenize(text)]
     except ParseError as exc:
         return ("error", exc.message, exc.line, exc.col)
 
