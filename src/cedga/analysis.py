@@ -1,9 +1,10 @@
 """Verification and computation on presentations.
 
 d^2 and grading checks, the word-length parity-flip check, bounded
-exactness and triviality searches (exact linear algebra over Q or GF(2)),
-and degree-0 homology by noncommutative rewriting with a
-length-then-declaration-order monomial order.
+exactness and triviality searches (exact linear algebra over Q or GF(2),
+split by the letter weights d preserves), and degree-0 homology by
+noncommutative rewriting with a length-then-declaration-order monomial
+order.
 
 Bounded searches certify finite shadows only: NoneWithinBounds always
 carries the bounds it was run at and is never an unbounded claim.
@@ -19,7 +20,7 @@ from typing import Optional
 
 from .algebra import (Element, Presentation, PresentationError, require_valid,
                       splice)
-from .coefficients import _q, gf2
+from .coefficients import _q, gf2, rationals
 
 
 class NonHomogeneousTargetError(ValueError):
@@ -149,44 +150,109 @@ def walk_words(letters, target, max_len, viable):
             stack.pop()
 
 
-def _closings(letters, source, max_len):
-    """done[k][i] for k < max_len: the (degree, length parity) pairs of the
-    words of length <= k that lead from idempotent i back to `source`
-    (letters appended on the acting side; the empty word when i == source).
-    """
-    done = [{source: {(0, 0)}}]
-    for _ in range(max_len - 1):
-        prev, nxt = done[-1], {source: {(0, 0)}}
-        for g in letters:
-            nxt.setdefault(g.target, set()).update(
-                (d + g.degree, 1 - p) for d, p in prev.get(g.source, ()))
-        done.append(nxt)
-    return done
+def _packing(letter_vecs, goal_vecs, max_len):
+    """A linear map from integer vectors to ints, one-to-one on every
+    vector the walk compares: a sum of at most max_len letter vectors, or
+    a goal minus such a sum (balanced digits in base 2 * bound + 1)."""
+    big = max((abs(c) for v in letter_vecs for c in v), default=0)
+    base = 2 * (max((abs(c) for v in goal_vecs for c in v), default=0)
+                + max_len * big) + 1
+    return lambda v: sum(c * base ** j for j, c in enumerate(v))
 
 
 def composable_words(P: Presentation, *, degree, ends, max_len, max_level,
-                     parity=None):
+                     parity=None, weights=None):
     """All composable generator words with the given ends, total degree,
-    length <= max_len, letter levels <= max_level, optional length parity.
+    length <= max_len, letter levels <= max_level, optional length parity,
+    in pre-order (letters appended on the acting side, in declaration
+    order).  With weights = (wt, goals), only the words whose weight under
+    the letter weights wt (as from letter_weights) is one of goals.
 
-    The walk visits only words that can still close: some extension within
-    the remaining length reaches the required source, degree and parity.
+    A word's grade packs its degree and weight into one int.  `reach`
+    holds, per length k and idempotent i, the grades of the words of
+    length <= k and each length parity that lead from i back to the
+    source; from it, one memoized list per (length, source, grade) holds
+    the letters after which the word can still close.
     """
+    if max_len < 1:
+        return []
     letters = [g for g in P.generators if (g.level or 0) <= max_level]
+    wt, goals = weights or ([()] * len(P.generators), [()])
+    vecs = {g.index: (g.degree, *wt[g.index]) for g in letters}
+    pack = _packing(vecs.values(), [(degree, *G) for G in goals], max_len)
+    want = {pack((degree, *G)) for G in goals}
+    grade = {i: pack(v) for i, v in vecs.items()}
+    by_target: dict[int, list] = {}
+    for g in letters:
+        by_target.setdefault(g.target, []).append(
+            (g.index, g.source, grade[g.index]))
     out = []
-    for (s, t) in sorted(set(ends)):
-        done = _closings(letters, s, max_len)
+    for s, t in sorted(set(ends)):
+        reach = [{s: ({0}, set())}]
+        for _ in range(max_len - 1):
+            prev, nxt = reach[-1], {s: ({0}, set())}
+            for g in letters:
+                if g.source in prev:
+                    even, odd = nxt.setdefault(g.target, (set(), set()))
+                    gr, (pe, po) = grade[g.index], prev[g.source]
+                    even.update(x + gr for x in po)
+                    odd.update(x + gr for x in pe)
+            reach.append(nxt)
+        memo: dict[tuple, list] = {}
 
-        def viable(word, src, deg):
-            rest = done[max_len - len(word)].get(src, ())
-            if parity is None:
-                return (degree - deg, 0) in rest or (degree - deg, 1) in rest
-            return (degree - deg, (parity - len(word)) % 2) in rest
+        def extensions(n, src, acc):
+            """The letters after which a word of length n, source src and
+            grade acc can still close, as (index, source, grade)."""
+            key = (n, src, acc)
+            if key not in memo:
+                rest = reach[max_len - n - 1]
+                bits = (0, 1) if parity is None else ((parity - n - 1) % 2,)
+                memo[key] = [
+                    (i, gs, gr) for i, gs, gr in by_target.get(src, ())
+                    if gs in rest and any(G - acc - gr in rest[gs][b]
+                                          for G in want for b in bits)]
+            return memo[key]
 
-        out += [w for w, src, deg in walk_words(letters, t, max_len, viable)
-                if src == s and deg == degree
-                and (parity is None or len(w) % 2 == parity)]
+        # one frame per word being extended: (word, grade, next letters)
+        stack = [((), 0, iter(extensions(0, t, 0)))]
+        while stack:
+            word, acc, after = stack[-1]
+            for i, src, gr in after:
+                nw, na = word + (i,), acc + gr
+                if src == s and na in want and (parity is None
+                                                or len(nw) % 2 == parity):
+                    out.append(nw)
+                more = len(nw) < max_len and extensions(len(nw), src, na)
+                if more:
+                    stack.append((nw, na, iter(more)))
+                    break
+            else:
+                stack.pop()
     return out
+
+
+def count_words(P: Presentation, *, degree, ends, max_len, max_level,
+                parity=None) -> int:
+    """len(composable_words(...)) for the same arguments without weights,
+    counted layer by layer: layer n maps (source, degree) to the number of
+    composable words of length n from the target."""
+    by_target: dict[int, list] = {}
+    for g in P.generators:
+        if (g.level or 0) <= max_level:
+            by_target.setdefault(g.target, []).append(g)
+    total = 0
+    for s, t in sorted(set(ends)):
+        layer = {(t, 0): 1}
+        for n in range(1, max_len + 1):
+            nxt: dict[tuple, int] = {}
+            for (i, d), c in layer.items():
+                for g in by_target.get(i, ()):
+                    key = (g.source, d + g.degree)
+                    nxt[key] = nxt.get(key, 0) + c
+            layer = nxt
+            if parity is None or n % 2 == parity:
+                total += layer.get((s, degree), 0)
+    return total
 
 
 class LinearSolver:
@@ -271,6 +337,40 @@ def _integer_step(vec, combo, lead, bvec, bcombo):
                 out[k] //= g
 
 
+def letter_weights(P: Presentation) -> list:
+    """Integer weights that d preserves: one vector per generator, in
+    generator order, whose entries span every additive weight wt with
+    wt(word) = wt(g) for each monomial of each d(g) (an idempotent
+    monomial forces wt(g) = 0).
+
+    The basis comes from the elimination: a generator's column of that
+    system that reduces to zero gives its combination as one null vector.
+    It includes the potential weights f(target) - f(source).
+    """
+    cols: dict[int, dict] = {g.index: {} for g in P.generators}
+    for g in P.generators:
+        for w in P.differential.get(g.index, {}):
+            cols[g.index][g.index, w] = -1
+            for i in () if isinstance(w, int) else w:
+                cols[i][g.index, w] = cols[i].get((g.index, w), 0) + 1
+    solver, null = LinearSolver(rationals()), []
+    for g in P.generators:
+        vec, combo, lead = solver._reduce(g.index, cols[g.index])
+        if lead is None:
+            null.append(combo)
+        else:
+            solver._basis[lead] = (vec, combo)
+    return [tuple(v.get(g.index, 0) for v in null) for g in P.generators]
+
+
+def word_weight(wt, w) -> tuple:
+    """The weight of word w under the letter weights wt: the sum over its
+    letters, the zero vector for an idempotent or the empty word."""
+    zero = (0,) * (len(wt[0]) if wt else 0)
+    letters = () if isinstance(w, int) else w
+    return tuple(map(sum, zip(zero, *(wt[i] for i in letters))))
+
+
 @dataclass
 class ExactnessResult:
     status: str  # "witness" | "none_within_bounds"
@@ -315,21 +415,28 @@ def exactness_search(P: Presentation, target: Element, bounds: Bounds,
         raise NonHomogeneousTargetError(
             f"target {P.format_element(target)} is not homogeneous")
     pbit = _PARITIES.index(parity) if parity is not None else None
-    ends = {(P.word_source(w), P.word_target(w)) for w in target}
-    cands = composable_words(P, degree=deg - 1, ends=ends,
-                             max_len=bounds.max_word_length,
-                             max_level=bounds.max_level, parity=pbit)
+    kw = dict(degree=deg - 1, ends={(P.word_source(w), P.word_target(w))
+                                    for w in target},
+              max_len=bounds.max_word_length, max_level=bounds.max_level,
+              parity=pbit)
+    # d preserves the letter weights, so only the words of the target's
+    # weights can enter a solution
+    wt = letter_weights(P)
+    cands = composable_words(
+        P, **kw, weights=(wt, {word_weight(wt, w) for w in target}))
     solver = LinearSolver(P.ring)
     for w in cands:
         solver.add_column(w, P.d_word(w))
     combo = solver.solve(target)
+    # every bounded word of the degree counts, whatever its weight
+    count = count_words(P, **kw)
     if combo is None:
         return ExactnessResult("none_within_bounds", target, bounds, parity,
-                               candidates=len(cands))
+                               candidates=count)
     if not P.equal(P.apply_differential(combo), target):
         raise AssertionError("solver returned an unsound witness")
     return ExactnessResult("witness", target, bounds, parity,
-                           witness=combo, candidates=len(cands))
+                           witness=combo, candidates=count)
 
 
 @dataclass

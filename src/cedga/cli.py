@@ -21,12 +21,17 @@ from .analysis import Bounds
 
 
 def _read(path: str) -> str:
-    """The text of `path` with universal newlines; a byte that is not
-    UTF-8 is a ParseError at its line and column."""
+    """The text of `path` ("-": standard input) with universal newlines;
+    a byte that is not UTF-8 is a ParseError at its line and column.  A
+    text stream without bytes underneath is read as it is."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "rb") as fh:
-        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not hasattr(sys.stdin, "buffer"):
+            return sys.stdin.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -22,7 +22,8 @@ from typing import Optional
 
 from .algebra import Element, Presentation, check_ring, require_valid
 from .analysis import (_PARITIES, Bounds, ExactnessResult, LinearSolver,
-                       check_d_squared, check_parity_flip, composable_words)
+                       check_d_squared, check_parity_flip, composable_words,
+                       count_words, letter_weights, word_weight)
 
 
 class MapError(ValueError):
@@ -407,18 +408,20 @@ def _map_differential(S, T, assigned, idem_images, gidx):
     return known, symbolic, None
 
 
-def _add_corrections(solver, rhs, S, T, symbolic, bit, idem_images,
-                     constraints, bounds, transcript):
-    """Add a column per bounded correction z of each symbolic generator h
-    (the zbit part of phi(h) that lands in the target's parity): z's mapped
-    words, and when phi(d h) is known, d z, which must equal the opposite
-    part of phi(d h).
+def _correction_blocks(S, T, wt, symbolic, bit, constraints, transcript):
+    """One block per symbolic generator h and parity zbit of its bounded
+    correction z (the zbit part of phi(h) that lands in the target's
+    parity), in order: (h, zbit, slots, cpart, offset).  Slots are
+    (coeff, lw, rw), one per term coeff*lw*z*rw that joins d u; cpart is
+    what d z must equal, None when h is unconstrained; offset is the
+    weight wt(lw) + wt(rw) that every slot shares, None when they differ.
     """
     blocks = {}
     for coeff, lw, h, rw in symbolic:
         zbit = (bit - len(lw) - len(rw)) % 2
         # d u = target + sum coeff*lw*z*rw: z's terms join d u negated
         blocks.setdefault((h, zbit), []).append((T.ring.neg(coeff), lw, rw))
+    out = []
     for (h, zbit), slots in sorted(blocks.items()):
         hg = S.generators[h]
         constraint = constraints.get(h)
@@ -432,10 +435,40 @@ def _add_corrections(solver, rhs, S, T, symbolic, bit, idem_images,
         else:
             cpart = None
             transcript.append(f"  symbolic phi({hg.name}) is unconstrained")
+        offsets = {word_weight(wt, lw + rw) for _, lw, rw in slots}
+        out.append((h, zbit, slots, cpart,
+                    offsets.pop() if len(offsets) == 1 else None))
+    return out
+
+
+def _goals(wt, target, blocks):
+    """The weights of the right-hand side's rows: the target's words, and
+    each constrained block's ("c", h, zbit, rw) rows at wt(rw) + offset,
+    the weight of the z columns that reach them.  None when a block's
+    slots mix offsets: its z columns are not weight-homogeneous, so the
+    solve is not split."""
+    if any(offset is None for *_, offset in blocks):
+        return None
+    goals = {word_weight(wt, w) for w in target}
+    for *_, cpart, offset in blocks:
+        goals.update(tuple(a + b for a, b in zip(word_weight(wt, rw), offset))
+                     for rw in cpart or ())
+    return goals
+
+
+def _add_corrections(solver, rhs, S, T, wt, goals, blocks, idem_images,
+                     bounds):
+    """Add a column per bounded correction z of each block: z's mapped
+    words, and when phi(d h) is known, d z, which must equal the opposite
+    part of phi(d h).  With goals, only the z whose weight plus the
+    block's offset is a goal."""
+    for h, zbit, slots, cpart, offset in blocks:
+        hg = S.generators[h]
         z_cands = composable_words(
             T, degree=hg.degree, ends=_image_ends(idem_images, hg),
-            max_len=bounds.max_word_length,
-            max_level=bounds.max_level, parity=zbit)
+            max_len=bounds.max_word_length, max_level=bounds.max_level,
+            parity=zbit, weights=None if goals is None else (wt, {
+                tuple(a - b for a, b in zip(G, offset)) for G in goals}))
         for zw in z_cands:
             col = T.ring.add_into(
                 {}, [(("m", word), coeff) for coeff, lw, rw in slots
@@ -477,6 +510,8 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
     # own differential when that image is fully known
     constraints = {gi: known for gi, (known, symbolic, reason)
                    in images.items() if reason is None and not symbolic}
+    # d preserves these weights, so each solve splits by them
+    wt = letter_weights(T)
     transcript = []
     for g in long_gens:
         known, symbolic, reason = images[g.index]
@@ -497,22 +532,27 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
                 f"{g.name}: {parity_name} part of the mapped differential is "
                 f"{T.format_element(target)}; a solution needs the "
                 f"{_PARITIES[opp]} part of phi({g.name}) to bound it")
+            blocks = _correction_blocks(S, T, wt, symbolic, bit, constraints,
+                                        transcript)
+            goals = _goals(wt, target, blocks)
+            u_kw = dict(degree=g.degree, ends=u_ends,
+                        max_len=bounds.max_word_length,
+                        max_level=bounds.max_level, parity=opp)
             solver = LinearSolver(T.ring)
-            u_cands = composable_words(T, degree=g.degree, ends=u_ends,
-                                       max_len=bounds.max_word_length,
-                                       max_level=bounds.max_level, parity=opp)
-            for w in u_cands:
+            for w in composable_words(
+                    T, **u_kw,
+                    weights=None if goals is None else (wt, goals)):
                 solver.add_column(("u", w), {("m", rw): rc
                                              for rw, rc in T.d_word(w).items()})
             rhs = {("m", w): c for w, c in target.items()}
-            _add_corrections(solver, rhs, S, T, symbolic, bit, idem_images,
-                             constraints, bounds, transcript)
+            _add_corrections(solver, rhs, S, T, wt, goals, blocks,
+                             idem_images, bounds)
             if solver.solve(rhs) is None:
-                # `candidates` counts the u columns: the search at
+                # `candidates` counts every bounded u word: the search at
                 # correction zero that this certificate states
                 cert = ExactnessResult(
                     "none_within_bounds", target, bounds,
-                    parity=_PARITIES[opp], candidates=len(u_cands),
+                    parity=_PARITIES[opp], candidates=count_words(T, **u_kw),
                     note=("implied by the corrected decisive solve at "
                           "correction zero"))
                 transcript.append(

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from cedga import (Bounds, NonHomogeneousTargetError, Presentation,
                    UnsupportedPresentationError, check_d_squared,
                    check_degree, check_parity_flip, composable_words,
-                   example, exactness_search, gf2, h0, is_trivial,
+                   example, exactness_search, gf2, h0, is_trivial, laurent,
                    make_point_algebra, rationals)
 from cedga import analysis
-from cedga.analysis import RewriteSystem, walk_words
+from cedga.analysis import (ExactnessResult, LinearSolver, RewriteSystem,
+                            count_words, letter_weights, walk_words,
+                            word_weight)
 from cedga.dsl import parse_element
 
 F2 = gf2()
@@ -528,6 +531,189 @@ def test_composable_words_matches_the_reference_dfs(quiver, degree, max_len,
     kw = dict(degree=degree, ends=ends, max_len=max_len, max_level=max_level,
               parity=parity)
     assert composable_words(P, **kw) == _reference_composable_words(P, **kw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quivers(), st.integers(-5, 2), st.integers(0, 5), st.integers(0, 2),
+       st.sampled_from([None, 0, 1]))
+def test_count_words_counts_the_composable_words(quiver, degree, max_len,
+                                                 max_level, parity):
+    P, ends = quiver
+    kw = dict(degree=degree, ends=ends, max_len=max_len, max_level=max_level,
+              parity=parity)
+    assert count_words(P, **kw) == len(composable_words(P, **kw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quivers(), st.data())
+def test_weighted_words_are_the_words_of_the_goal_weights(quiver, data):
+    """Any integer letter weights, whether or not d preserves them: the
+    weighted walk keeps exactly the words whose weight is a goal, in the
+    same order."""
+    P, ends = quiver
+    draw = data.draw
+    k = draw(st.integers(0, 2))
+    wt = [tuple(draw(st.integers(-3, 3)) for _ in range(k))
+          for _ in P.generators]
+    kw = dict(degree=draw(st.integers(-5, 2)), ends=ends,
+              max_len=draw(st.integers(0, 5)),
+              max_level=draw(st.integers(0, 2)),
+              parity=draw(st.sampled_from([None, 0, 1])))
+    every = composable_words(P, **kw)
+    goals = {word_weight(wt, w) for w in every if draw(st.booleans())}
+    goals |= set(draw(st.lists(st.tuples(*[st.integers(-9, 9)] * k),
+                               max_size=2)))
+    assert (composable_words(P, **kw, weights=(wt, goals))
+            == [w for w in every if word_weight(wt, w) in goals])
+
+
+# -- the weights d preserves --------------------------------------------------
+
+def _words(P, max_len):
+    """The idempotents and every composable word of length <= max_len."""
+    out = [e.index for e in P.idempotents]
+    layer = [()]
+    for _ in range(max_len):
+        layer = [w + (g.index,) for w in layer for g in P.generators
+                 if not w or P.generators[w[-1]].source == g.target]
+        out += layer
+    return out
+
+
+def _coefficient(draw, ring):
+    if ring == F2:
+        return 1
+    if ring == rationals():
+        return draw(st.sampled_from((1, -1, 2, Fraction(1, 2))))
+    return ring.monomial((draw(st.integers(-1, 1)),),
+                         draw(st.sampled_from((1, -1))))
+
+
+@st.composite
+def graded_presentations(draw, rings=(rationals(), F2, laurent("t"))):
+    """A valid presentation: 1-3 idempotents, 1-6 letters of degree -1..1,
+    each d(g) at most two monomials of length <= 3 with g's ends and
+    degree deg(g) + 1."""
+    P = Presentation(draw(st.sampled_from(rings)))
+    n = draw(st.integers(1, 3))
+    for i in range(n):
+        P.add_idempotent(f"e{i}")
+    for k in range(draw(st.integers(1, 6))):
+        P.add_generator(f"g{k}", draw(st.integers(-1, 1)),
+                        draw(st.integers(0, n - 1)),
+                        draw(st.integers(0, n - 1)))
+    words = _words(P, 3)
+    for g in P.generators:
+        fits = [w for w in words if P.word_source(w) == g.source
+                and P.word_target(w) == g.target
+                and P.word_degree(w) == g.degree + 1]
+        chosen = draw(st.lists(st.sampled_from(fits), max_size=2,
+                               unique=True)) if fits else []
+        P.set_differential(g, {w: _coefficient(draw, P.ring) for w in chosen})
+    assert P.validate().ok
+    return P
+
+
+def _rank(rows):
+    """Rank of integer row vectors, by Gauss-Jordan over Fractions."""
+    rows = [[Fraction(c) for c in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = row[col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_presentations())
+def test_letter_weights_are_a_basis_of_the_weights_d_preserves(P):
+    wt = letter_weights(P)
+    assert len(wt) == len(P.generators)
+    k = len(wt[0])
+    assert all(len(v) == k and all(type(c) is int for c in v) for v in wt)
+    for g in P.generators:
+        for w in P.differential[g.index]:
+            assert word_weight(wt, w) == wt[g.index]
+    # one equation wt(word) - wt(g) = 0 per monomial of each d(g)
+    system = []
+    for g in P.generators:
+        for w in P.differential[g.index]:
+            row = [0] * len(P.generators)
+            row[g.index] -= 1
+            for i in () if isinstance(w, int) else w:
+                row[i] += 1
+            system.append(row)
+    assert k == len(P.generators) - _rank(system)
+    assert _rank([[v[j] for v in wt] for j in range(k)]) == k
+
+
+@pytest.mark.parametrize("name,pres,count", [
+    ("unknot_edge", "codomain", 2), ("a3_link", "codomain_xw_yv", 4),
+    ("a3_link", "codomain_yv_xw", 4), ("a3_arboreal", "codomain", 4),
+    ("a3_link", "main", 5)])
+def test_catalog_weight_counts(name, pres, count):
+    wt = letter_weights(example(name).presentations[pres])
+    assert {len(v) for v in wt} == {count}
+
+
+def _unsplit_exactness_search(P, target, bounds, parity=None):
+    """exactness_search before the weight split, kept as the reference:
+    every bounded word of the target's degree and ends is a column."""
+    deg = P.is_homogeneous(target)
+    pbit = analysis._PARITIES.index(parity) if parity is not None else None
+    ends = {(P.word_source(w), P.word_target(w)) for w in target}
+    cands = composable_words(P, degree=deg - 1, ends=ends,
+                             max_len=bounds.max_word_length,
+                             max_level=bounds.max_level, parity=pbit)
+    solver = LinearSolver(P.ring)
+    for w in cands:
+        solver.add_column(w, P.d_word(w))
+    combo = solver.solve(target)
+    if combo is None:
+        return ExactnessResult("none_within_bounds", target, bounds, parity,
+                               candidates=len(cands))
+    if not P.equal(P.apply_differential(combo), target):
+        raise AssertionError("solver returned an unsound witness")
+    return ExactnessResult("witness", target, bounds, parity,
+                           witness=combo, candidates=len(cands))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_presentations(rings=(rationals(), F2)), st.data())
+def test_split_search_matches_the_unsplit_search(P, data):
+    """Targets are d of a random element (often exact) or a random
+    homogeneous sum, whose words may have several weights and ends."""
+    draw = data.draw
+    words = _words(P, 3)
+    if draw(st.booleans()):
+        x = {w: _coefficient(draw, P.ring)
+             for w in draw(st.lists(st.sampled_from(words), max_size=3))}
+        target = P.apply_differential(x)
+    else:
+        deg = draw(st.sampled_from(sorted({P.word_degree(w) for w in words})))
+        same = [w for w in words if P.word_degree(w) == deg]
+        target = P.add({}, {w: _coefficient(draw, P.ring) for w in
+                            draw(st.lists(st.sampled_from(same), max_size=3))})
+    assume(target and P.is_homogeneous(target) is not None)
+    bounds = Bounds(max_word_length=draw(st.integers(0, 4)), max_level=2)
+    parity = draw(st.sampled_from([None, "even", "odd"]))
+    got = exactness_search(P, target, bounds, parity=parity)
+    want = _unsplit_exactness_search(P, target, bounds, parity=parity)
+    assert (got.status, got.candidates, got.witness) == (
+        want.status, want.candidates, want.witness)
+    pbit = None if parity is None else analysis._PARITIES.index(parity)
+    assert got.candidates == len(composable_words(
+        P, degree=P.is_homogeneous(target) - 1,
+        ends={(P.word_source(w), P.word_target(w)) for w in target},
+        max_len=bounds.max_word_length, max_level=2, parity=pbit))
 
 
 def _braid_triangle():

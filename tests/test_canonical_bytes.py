@@ -88,3 +88,18 @@ def _families():
 def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _families() == PINNED
+
+
+# `obstruct --json` on the heaviest catalog map at --max-len 7 (46 482
+# candidate words), recorded before the searches were split by the
+# weights d preserves
+OBSTRUCT_L7 = "ac1443737e1688f0b1bc553fc5bae13e511af5549036af5f9dfdea9f884fbeac"
+
+
+def test_obstruct_at_length_7_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a3_link.cedga").write_text(
+        dsl.serialize(catalog.example("a3_link")), encoding="utf-8")
+    text = _run(["obstruct", "a3_link.cedga", "--map", "pairing_xw_yv",
+                 "--max-len", "7", "--json"])
+    assert hashlib.sha256(text.encode()).hexdigest() == OBSTRUCT_L7

@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import os
 
@@ -404,6 +405,28 @@ def test_bad_text_is_one_positioned_line_and_exit_2(tmp_path, capsys, text,
     assert (code, out) == (2, "")
     assert err.startswith(f"cedga: error: {where} ")
     assert err.count("\n") == 1
+
+
+def test_standard_input_is_read_like_a_file(tmp_path, capsys, monkeypatch):
+    data = b"ring Q\nidempotents e1\n\xff\n"
+    f = tmp_path / "bad.cedga"
+    f.write_bytes(data)
+    from_file = run(capsys, "check-d2", str(f))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    from_stdin = run(capsys, "check-d2", "-")
+    assert from_stdin == from_file == (
+        2, "", "cedga: error: 3:1: byte 0xff is not UTF-8\n")
+    # line ends are read the same way too
+    crlf = (b"ring Q\r\nidempotents e1\rgen a deg 0 from e1 to e1\r\n"
+            b"diff a = 0\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(crlf)))
+    assert run(capsys, "check-d2", "-")[0] == 0
+
+
+def test_a_text_stream_without_bytes_is_read_as_text(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(_TWO_LETTERS))
+    code, out, _ = run(capsys, "check-d2", "-")
+    assert code == 0 and out.startswith("check-d2: pass")
 
 
 @pytest.mark.parametrize("argv", [["h0"], ["exact", "--target", "e1"],

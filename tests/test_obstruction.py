@@ -2,7 +2,8 @@ import pytest
 
 from cedga import (Bounds, GenMap, MapError, Presentation,
                    PresentationError, UnsupportedCodomainError, example,
-                   exactness_search, gf2, obstruct_y_filling)
+                   exactness_search, gf2, morphisms, obstruct_y_filling)
+from cedga.analysis import letter_weights, word_weight
 from cedga.cli import main
 from cedga.dsl import parse
 
@@ -461,3 +462,143 @@ def test_two_term_link_values_expand_term_by_term():
         "  g (even part): bounded solution exists; not decisive",
         "no decisive equation found within bounds"]
     assert rep.certificate is None
+
+
+# ---------------------------------------------------------------------------
+# the split by the weights d preserves
+# ---------------------------------------------------------------------------
+
+def _weights_seen(monkeypatch):
+    """The `weights` argument of every composable_words call the
+    obstruction makes, in order."""
+    seen = []
+    walk = morphisms.composable_words
+
+    def spy(P, **kw):
+        seen.append(kw.get("weights"))
+        return walk(P, **kw)
+
+    monkeypatch.setattr(morphisms, "composable_words", spy)
+    return seen
+
+
+def _unsplit(monkeypatch, text):
+    """The report with no weights at all, so that no solve is split."""
+    with monkeypatch.context() as m:
+        m.setattr(morphisms, "letter_weights",
+                  lambda P: [()] * len(P.generators))
+        return _obstruct(text)
+
+
+MIXED_OFFSETS = """
+ring GF2
+presentation dom {
+  idempotents e1
+  gen x deg 0 from e1 to e1 short l
+  gen y deg 0 from e1 to e1 short l
+  gen h deg 0 from e1 to e1 long
+  gen g deg -1 from e1 to e1 long
+  diff x = 0
+  diff y = 0
+  diff h = 0
+  diff g = e1 + h*x + h*y
+}
+presentation cod {
+  idempotents f1
+  gen s deg 0 from f1 to f1 short l
+  gen s2 deg 0 from f1 to f1 short l
+  gen v1 deg -1 from f1 to f1 long
+  gen v2 deg -1 from f1 to f1 long
+  diff s = 0
+  diff s2 = 0
+  diff v1 = f1 + s2*s2
+  diff v2 = s2*s
+}
+map link : dom -> cod { x -> s; y -> s2; }
+"""
+
+
+def test_a_block_with_mixed_slot_offsets_is_solved_unsplit(monkeypatch):
+    # d preserves one weight, wt(s) = wt(v2) = 1 and 0 on s2 and v1, so
+    # the slots z*s and z*s2 of phi(h) sit at offsets 1 and 0; the
+    # solution u = v1 + v2, z = s2 needs a u of weight 1 and a z of
+    # weight 0, which no single offset keeps together
+    cod = parse(MIXED_OFFSETS).presentations["cod"]
+    assert letter_weights(cod) == [(1,), (0,), (0,), (1,)]
+    seen = _weights_seen(monkeypatch)
+    rep, _ = _obstruct(MIXED_OFFSETS)
+    assert seen == [None, None]  # the u words, then the z words
+    assert rep.status == "inconclusive"
+    assert rep == _unsplit(monkeypatch, MIXED_OFFSETS)[0]
+
+
+CONSTRAINED = """
+ring GF2
+presentation dom {
+  idempotents e1
+  gen x deg 0 from e1 to e1 short l
+  gen y deg 1 from e1 to e1 short l
+  gen h deg 0 from e1 to e1 long
+  gen g deg -1 from e1 to e1 long
+  diff x = 0
+  diff y = 0
+  diff h = x*y
+  diff g = e1 + h*x
+}
+presentation cod {
+  idempotents f1
+  gen s deg 0 from f1 to f1 short l
+  gen t deg 1 from f1 to f1 short l
+  gen z0 deg 0 from f1 to f1 long
+  gen u deg -1 from f1 to f1 long
+  gen v deg -1 from f1 to f1 long
+  diff s = 0
+  diff t = 0
+  diff z0 = s*t
+  diff u = f1
+  diff v = z0*s
+}
+map link : dom -> cod { x -> s; y -> t; }
+"""
+
+
+def test_the_constraint_rows_keep_their_own_weight(monkeypatch):
+    # d z must be s*t, so z = z0, whose slot z0*s has the weight of
+    # s*t*s, not of the target f1; u + v and z0 solve the equation only
+    # when the columns of that weight are kept
+    seen = _weights_seen(monkeypatch)
+    rep, cod = _obstruct(CONSTRAINED)
+    wt = letter_weights(cod)
+    offset = word_weight(wt, (cod.gen("s").index,))
+    weight = word_weight(wt, tuple(cod.gen(x).index for x in "sts"))
+    assert weight != (0, 0)
+    # h's own solve d u = s*t comes first; then g's u words and z words
+    assert seen[1:] == [(wt, {(0, 0), weight}),
+                    (wt, {tuple(a - b for a, b in zip(goal, offset))
+                          for goal in ((0, 0), weight)})]
+    assert rep.status == "inconclusive"
+    assert rep.transcript == [
+        "h: even part of the mapped differential is s*t; a solution needs "
+        "the odd part of phi(h) to bound it",
+        "  h (even part): bounded solution exists; not decisive",
+        "g: even part of the mapped differential is f1; a solution needs "
+        "the odd part of phi(g) to bound it",
+        "  symbolic phi(h) odd part is constrained by s*t (image of d h is "
+        "s*t)",
+        "  g (even part): bounded solution exists; not decisive",
+        "no decisive equation found within bounds"]
+    assert rep == _unsplit(monkeypatch, CONSTRAINED)[0]
+
+
+@pytest.mark.parametrize("name,link_map,codomain", [
+    ("unknot_edge", "y_filling_links", "codomain"),
+    ("a3_link", "pairing_xw_yv", "codomain_xw_yv"),
+    ("a3_link", "pairing_yv_xw", "codomain_yv_xw"),
+    ("a3_arboreal", "pairing_b", "codomain")])
+def test_every_catalog_solve_is_split(monkeypatch, name, link_map, codomain):
+    B = example(name)
+    seen = _weights_seen(monkeypatch)
+    rep = obstruct_y_filling(B.main, B.presentations[codomain],
+                             B.maps[link_map], SMALL)
+    assert rep.obstructed
+    assert seen and None not in seen
