@@ -260,8 +260,11 @@ class LinearSolver:
 
     Columns are sparse vectors keyed by arbitrary hashable row labels;
     `solve` returns a combination of the added columns equal to the right
-    hand side, or None when the system is infeasible.  Rows and their
-    combinations are ints: primitive and fraction-free over Q, XOR over GF2.
+    hand side, or None when the system is infeasible.  A reduced column is
+    one dict of ints: its entries on row ids >= 0 and its combination of
+    the added columns on keys ~n < 0, for the n-th added column, whose tag
+    is `_tags[n]`.  Over Q the dicts are primitive and fraction-free, over
+    GF2 every value is 1 and a step is an XOR.
     """
     _RHS = object()  # the tag under which `solve` reduces its right side
 
@@ -269,72 +272,65 @@ class LinearSolver:
         if not ring.is_field():
             raise ValueError("linear search needs a field (Q or GF2)")
         self._xor = ring == gf2()
-        self._step = _xor_step if self._xor else _integer_step
         self._row_ids: dict = {}
-        self._basis: dict = {}  # lead row id -> (vec, combo)
+        self._tags: list = []
+        self._basis: dict = {}  # lead row id -> reduced column
 
     def _reduce(self, tag, raw):
-        """Column `tag` = raw on row ids, cleared of denominators over Q and
-        reduced: (vec, combo, lead or None), vec = sum(combo[t]*column[t])."""
-        ids, basis, step = self._row_ids, self._basis, self._step
-        vec = {ids.setdefault(k, len(ids)): c for k, c in raw.items() if c}
-        combo = {tag: 1}
-        if not self._xor:
-            m = combo[tag] = lcm(*(c.denominator for c in vec.values()))
-            vec = {r: c.numerator * (m // c.denominator)
-                   for r, c in vec.items()}
-        while vec:
-            lead = max(vec)
-            hit = basis.get(lead)
-            if hit is None:
-                return vec, combo, lead
-            step(vec, combo, lead, *hit)
-        return vec, combo, None
+        """Column `tag` = raw, numbered and reduced: (row, lead).  lead is
+        None when no row id is left: the keys of row, all < 0, are then a
+        relation among the columns."""
+        ids, basis, xor = self._row_ids, self._basis, self._xor
+        row = {ids.setdefault(k, len(ids)): c for k, c in raw.items() if c}
+        m = 1  # over Q, clear the denominators unless every entry is an int
+        if not all(type(c) is int for c in row.values()):
+            m = lcm(*(c.denominator for c in row.values()))
+            row = {r: c.numerator * (m // c.denominator)
+                   for r, c in row.items()}
+        row[~len(self._tags)] = m
+        self._tags.append(tag)
+        stepped = False
+        while (lead := max(row)) >= 0 and (hit := basis.get(lead)):
+            stepped = True
+            if xor:
+                for k in hit:  # a new key goes last
+                    if not row.pop(k, 0):
+                        row[k] = 1
+                continue
+            # row := p*row - q*hit, p/q = hit[lead]/row[lead] in lowest
+            # terms with p > 0, so the content divides out once at the end
+            p, q = hit[lead], row[lead]
+            g = gcd(p, q) if p > 0 else -gcd(p, q)
+            p, q = p // g, q // g
+            if p != 1:
+                for k in row:
+                    row[k] *= p
+            for k, c in hit.items():
+                c = row.get(k, 0) - q * c
+                if c:
+                    row[k] = c
+                else:
+                    del row[k]
+        if stepped and not xor and (g := gcd(*row.values())) > 1:
+            for k in row:
+                row[k] //= g
+        return row, lead if lead >= 0 else None
 
     def add_column(self, tag, raw_vec):
-        vec, combo, lead = self._reduce(tag, raw_vec)
+        row, lead = self._reduce(tag, raw_vec)
         if lead is not None:
-            self._basis[lead] = (vec, combo)
+            self._basis[lead] = row
 
     def solve(self, raw_rhs):
-        vec, combo, lead = self._reduce(self._RHS, raw_rhs)
+        row, lead = self._reduce(self._RHS, raw_rhs)
+        tags = self._tags
+        tags.pop()
         if lead is not None:
             return None
-        s = combo.pop(self._RHS)  # s*rhs + sum(combo[t]*column[t]) = 0
+        s = row.pop(~len(tags))  # s*rhs + sum(row[~n]*column[n]) = 0
         if self._xor:
-            return combo  # -1 = 1
-        return {tag: _q(Fraction(-c, s)) for tag, c in combo.items()}
-
-
-def _xor_step(vec, combo, lead, bvec, bcombo):
-    """vec += bvec, combo += bcombo in place; a new key goes last."""
-    for out, x in ((vec, bvec), (combo, bcombo)):
-        for k in x:
-            if not out.pop(k, 0):
-                out[k] = 1
-
-
-def _integer_step(vec, combo, lead, bvec, bcombo):
-    """(vec, combo) := (p*(vec, combo) - q*(bvec, bcombo)) / content in
-    place, with p/q = bvec[lead]/vec[lead] in lowest terms."""
-    p, q = bvec[lead], vec[lead]
-    g = gcd(p, q) if p > 0 else -gcd(p, q)  # p > 0, often 1
-    p, q = p // g, q // g
-    for out, x in ((vec, bvec), (combo, bcombo)):
-        if p != 1:
-            for k in out:
-                out[k] *= p
-        for k, c in x.items():
-            c = out.get(k, 0) - q * c
-            if c:
-                out[k] = c
-            else:
-                del out[k]
-    g = gcd(*vec.values(), *combo.values())
-    if g > 1:
-        for out in (vec, combo):
-            for k in out:
-                out[k] //= g
+            return {tags[~k]: 1 for k in row}  # -1 = 1
+        return {tags[~k]: _q(Fraction(-c, s)) for k, c in row.items()}
 
 
 def letter_weights(P: Presentation) -> list:
@@ -354,13 +350,14 @@ def letter_weights(P: Presentation) -> list:
             for i in () if isinstance(w, int) else w:
                 cols[i][g.index, w] = cols[i].get((g.index, w), 0) + 1
     solver, null = LinearSolver(rationals()), []
-    for g in P.generators:
-        vec, combo, lead = solver._reduce(g.index, cols[g.index])
+    for g in P.generators:  # the n-th generator is column ~n
+        row, lead = solver._reduce(g.index, cols[g.index])
         if lead is None:
-            null.append(combo)
+            null.append(row)
         else:
-            solver._basis[lead] = (vec, combo)
-    return [tuple(v.get(g.index, 0) for v in null) for g in P.generators]
+            solver._basis[lead] = row
+    return [tuple(v.get(~n, 0) for v in null)
+            for n in range(len(P.generators))]
 
 
 def word_weight(wt, w) -> tuple:
@@ -408,6 +405,7 @@ def exactness_search(P: Presentation, target: Element, bounds: Bounds,
     bounded certificate, not a proof of unbounded non-exactness.
     """
     require_valid(P)
+    target = P.add({}, target)  # without its zero coefficients
     if not target:
         raise NonHomogeneousTargetError("target is zero")
     deg = P.is_homogeneous(target)

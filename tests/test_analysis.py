@@ -119,6 +119,19 @@ def test_exactness_rejects_inhomogeneous_target():
         exactness_search(P, bad, BOUNDS5)
 
 
+def test_zero_coefficients_are_dropped_from_the_target():
+    """A target whose coefficients are all zero is the zero target, and a
+    zero term of another degree does not make a target inhomogeneous."""
+    P = example("unknot_one_handle").main
+    (t0_12,), (t1_11,) = P.el_word(["t0_12"]), P.el_word(["t1_11"])
+    with pytest.raises(NonHomogeneousTargetError, match="target is zero"):
+        exactness_search(P, {t0_12: 0}, BOUNDS5)
+    target = P.sub(P.el_idem("e1"), P.el_word(["t1_21", "t0_12"]))
+    res = exactness_search(P, {**target, t1_11: 0}, BOUNDS5)
+    assert res.found and res.target == target
+    assert res.witness == P.el_word(["t1_11"])
+
+
 def test_parity_filter_restricts_search_space():
     P = make_point_algebra(3, (0, 0, 0), p_max=2, ring=F2)
     ends = {(0, 0)}

@@ -4,9 +4,12 @@ Presentation.mul, d_word and apply_differential go through
 CoeffRing.add_into; the references below are the inline accumulate loops
 it replaced, and the new code must agree with them term for term and in
 the same key order, so that nothing that iterates over a sum can tell the
-two apart.  LinearSolver eliminates on integer rows; its reference is the
-Fraction elimination it replaced, and the two must store the same pairs
-up to a rational factor and return the same solutions.
+two apart.  LinearSolver eliminates on one integer dict per column, its
+row on keys >= 0 and its combination of the columns on keys < 0; its
+reference is the Fraction elimination it replaced, which keeps (row,
+combination) pairs.  Split into pairs, the two must store the same pairs
+up to a rational factor and return the same solutions, whatever order
+the items of a column come in.
 """
 import math
 from fractions import Fraction
@@ -121,10 +124,17 @@ class _RefSolver:
 
 def _pairs(solver):
     """lead row label -> (row by label, combination): the one place that
-    reads a solver's stored pairs."""
+    reads a solver's stored columns.  LinearSolver keeps each as one dict,
+    its row on keys >= 0 and its combination on keys ~n < 0 for tag
+    `_tags[n]`; _RefSolver keeps (vec, combo) pairs."""
     label = {rid: key for key, rid in solver._row_ids.items()}
-    return {label[lead]: ({label[r]: c for r, c in vec.items()}, combo)
-            for lead, (vec, combo) in solver._basis.items()}
+    if isinstance(solver, _RefSolver):
+        return {label[lead]: ({label[r]: c for r, c in vec.items()}, combo)
+                for lead, (vec, combo) in solver._basis.items()}
+    return {label[lead]: ({label[k]: c for k, c in row.items() if k >= 0},
+                          {solver._tags[~k]: c for k, c in row.items()
+                           if k < 0})
+            for lead, row in solver._basis.items()}
 
 
 def _assert_same_echelon(ring, new, ref):
@@ -295,3 +305,43 @@ def test_solver_solves_wide_rational_and_gf2_systems_exactly(data):
             for k, c in x.items():
                 ring.add_into(ax, cols[k].items(), c)
             assert ax == {r: c for r, c in rhs.items() if not ring.is_zero(c)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_row_numbering_does_not_change_the_solution(data):
+    """Rows are numbered in the order their labels are first seen, so
+    shuffling the items of every column and of the right hand side numbers
+    them differently.  The pivot columns are still the greedy basis (each
+    column independent of those before it), so every solve gives the same
+    answer."""
+    draw = data.draw
+    ring = draw(st.sampled_from((rationals(), gf2())))
+    rows = draw(st.integers(1, 10))
+
+    def coeff():
+        if ring == gf2():
+            return draw(st.integers(0, 1))
+        return Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+
+    def vector():
+        return {("r", draw(st.integers(0, rows - 1))): coeff()
+                for _ in range(draw(st.integers(0, 5)))}
+
+    def shuffled(x):
+        return dict(draw(st.permutations(list(x.items()))))
+
+    cols = [vector() for _ in range(draw(st.integers(0, 20)))]
+    rhss = []
+    for _ in range(3):
+        rhs = vector()
+        if cols and draw(st.booleans()):
+            for col in cols:
+                ring.add_into(rhs, col.items(), coeff())
+        rhss.append(rhs)
+    plain, mixed = LinearSolver(ring), LinearSolver(ring)
+    for k, col in enumerate(cols):
+        plain.add_column(k, col)
+        mixed.add_column(k, shuffled(col))
+    for rhs in rhss:
+        assert mixed.solve(shuffled(rhs)) == plain.solve(rhs)
