@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import collections
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
@@ -38,6 +38,10 @@ class Bounds:
     degree_bound: int = 8
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"bound {f.name} must be an int, not {v!r}")
         if self.max_word_length < 0 or self.max_level < 0 or self.degree_bound < 0:
             raise ValueError("bounds must be nonnegative")
 
@@ -396,6 +400,28 @@ class ExactnessResult:
 _PARITIES = ("even", "odd")  # word-length parity bit -> name
 
 
+def bounded_solve(P: Presentation, rhs, bounds: Bounds, *, degree, ends,
+                  parity, weights, extra=()):
+    """Solve d(x) = rhs over the bounded composable words of `degree`
+    with `ends`, `parity` (a bit or None) and `weights` (wt, goals) or
+    None, as composable_words takes them; the (tag, column) pairs of
+    `extra` are added after the words' columns.
+
+    A word's column is d(word), tagged by the word itself, so the rows
+    are words, plus whatever row labels `extra` and rhs bring.  Returns
+    (combination of the column tags or None when infeasible, the number
+    of bounded words of the degree whatever their weight).
+    """
+    kw = dict(degree=degree, ends=ends, max_len=bounds.max_word_length,
+              max_level=bounds.max_level, parity=parity)
+    solver = LinearSolver(P.ring)
+    for w in composable_words(P, **kw, weights=weights):
+        solver.add_column(w, P.d_word(w))
+    for tag, col in extra:
+        solver.add_column(tag, col)
+    return solver.solve(rhs), count_words(P, **kw)
+
+
 def exactness_search(P: Presentation, target: Element, bounds: Bounds,
                      parity: Optional[str] = None) -> ExactnessResult:
     """Solve d(x) = target over the span of bounded composable words.
@@ -404,6 +430,9 @@ def exactness_search(P: Presentation, target: Element, bounds: Bounds,
     re-checked exactly before being reported.  NoneWithinBounds is a
     bounded certificate, not a proof of unbounded non-exactness.
     """
+    if parity not in (None, *_PARITIES):
+        raise ValueError(f"parity must be None, 'even' or 'odd', "
+                         f"not {parity!r}")
     require_valid(P)
     target = P.add({}, target)  # without its zero coefficients
     if not target:
@@ -412,22 +441,15 @@ def exactness_search(P: Presentation, target: Element, bounds: Bounds,
     if deg is None:
         raise NonHomogeneousTargetError(
             f"target {P.format_element(target)} is not homogeneous")
-    pbit = _PARITIES.index(parity) if parity is not None else None
-    kw = dict(degree=deg - 1, ends={(P.word_source(w), P.word_target(w))
-                                    for w in target},
-              max_len=bounds.max_word_length, max_level=bounds.max_level,
-              parity=pbit)
     # d preserves the letter weights, so only the words of the target's
-    # weights can enter a solution
+    # weights can enter a solution; every bounded word of the degree
+    # counts, whatever its weight
     wt = letter_weights(P)
-    cands = composable_words(
-        P, **kw, weights=(wt, {word_weight(wt, w) for w in target}))
-    solver = LinearSolver(P.ring)
-    for w in cands:
-        solver.add_column(w, P.d_word(w))
-    combo = solver.solve(target)
-    # every bounded word of the degree counts, whatever its weight
-    count = count_words(P, **kw)
+    combo, count = bounded_solve(
+        P, target, bounds, degree=deg - 1,
+        ends={(P.word_source(w), P.word_target(w)) for w in target},
+        parity=_PARITIES.index(parity) if parity is not None else None,
+        weights=(wt, {word_weight(wt, w) for w in target}))
     if combo is None:
         return ExactnessResult("none_within_bounds", target, bounds, parity,
                                candidates=count)

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import Element, Presentation, check_ring, require_valid
-from .analysis import (_PARITIES, Bounds, ExactnessResult, LinearSolver,
+from .analysis import (_PARITIES, Bounds, ExactnessResult, bounded_solve,
                        check_d_squared, check_parity_flip, composable_words,
-                       count_words, letter_weights, word_weight)
+                       letter_weights, word_weight)
 
 
 class MapError(ValueError):
@@ -333,7 +333,7 @@ def _validate_link_map(link_map: GenMap):
             if link_map.target.word_length(w) != 1:
                 raise MapError(
                     f"link map value of {g.name} is not a sum of single "
-                    f"short generators")
+                    f"generators")
 
 
 def _idem_images(link_map: GenMap):
@@ -441,27 +441,30 @@ def _correction_blocks(S, T, wt, symbolic, bit, constraints, transcript):
     return out
 
 
-def _goals(wt, target, blocks):
-    """The weights of the right-hand side's rows: the target's words, and
-    each constrained block's ("c", h, zbit, rw) rows at wt(rw) + offset,
-    the weight of the z columns that reach them.  None when a block's
+def _rows(wt, target, blocks):
+    """The right-hand side and the weights of its rows: the target on its
+    own words, and each constrained block's ("c", h, zbit, rw) rows, where
+    d z must equal the block's cpart, at wt(rw) + offset, the weight of
+    the z columns that reach them.  The weights are None when a block's
     slots mix offsets: its z columns are not weight-homogeneous, so the
     solve is not split."""
+    rhs, goals = dict(target), {word_weight(wt, w) for w in target}
+    for h, zbit, _, cpart, offset in blocks:
+        for rw, rc in (cpart or {}).items():
+            rhs["c", h, zbit, rw] = rc
+            if offset is not None:
+                goals.add(tuple(a + b for a, b in
+                                zip(word_weight(wt, rw), offset)))
     if any(offset is None for *_, offset in blocks):
-        return None
-    goals = {word_weight(wt, w) for w in target}
-    for *_, cpart, offset in blocks:
-        goals.update(tuple(a + b for a, b in zip(word_weight(wt, rw), offset))
-                     for rw in cpart or ())
-    return goals
+        goals = None
+    return rhs, goals
 
 
-def _add_corrections(solver, rhs, S, T, wt, goals, blocks, idem_images,
-                     bounds):
-    """Add a column per bounded correction z of each block: z's mapped
-    words, and when phi(d h) is known, d z, which must equal the opposite
-    part of phi(d h).  With goals, only the z whose weight plus the
-    block's offset is a goal."""
+def _correction_columns(S, T, wt, goals, blocks, idem_images, bounds):
+    """(tag, column) per bounded correction z of each block: z's mapped
+    words, and when phi(d h) is known, d z on the block's ("c", h, zbit,
+    rw) rows.  With goals, only the z whose weight plus the block's
+    offset is a goal."""
     for h, zbit, slots, cpart, offset in blocks:
         hg = S.generators[h]
         z_cands = composable_words(
@@ -471,15 +474,12 @@ def _add_corrections(solver, rhs, S, T, wt, goals, blocks, idem_images,
                 tuple(a - b for a, b in zip(G, offset)) for G in goals}))
         for zw in z_cands:
             col = T.ring.add_into(
-                {}, [(("m", word), coeff) for coeff, lw, rw in slots
+                {}, [(word, coeff) for coeff, lw, rw in slots
                      if T.composable(word := lw + zw + rw)])
             if cpart is not None:
                 for rw, rc in T.d_word(zw).items():
-                    col[("c", h, zbit, rw)] = rc
-            solver.add_column(("z", h, zbit, zw), col)
-        if cpart is not None:
-            for rw, rc in cpart.items():
-                rhs[("c", h, zbit, rw)] = rc
+                    col["c", h, zbit, rw] = rc
+            yield ("z", h, zbit, zw), col
 
 
 def obstruct_y_filling(domain: Presentation, codomain: Presentation,
@@ -534,25 +534,18 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
                 f"{_PARITIES[opp]} part of phi({g.name}) to bound it")
             blocks = _correction_blocks(S, T, wt, symbolic, bit, constraints,
                                         transcript)
-            goals = _goals(wt, target, blocks)
-            u_kw = dict(degree=g.degree, ends=u_ends,
-                        max_len=bounds.max_word_length,
-                        max_level=bounds.max_level, parity=opp)
-            solver = LinearSolver(T.ring)
-            for w in composable_words(
-                    T, **u_kw,
-                    weights=None if goals is None else (wt, goals)):
-                solver.add_column(("u", w), {("m", rw): rc
-                                             for rw, rc in T.d_word(w).items()})
-            rhs = {("m", w): c for w, c in target.items()}
-            _add_corrections(solver, rhs, S, T, wt, goals, blocks,
-                             idem_images, bounds)
-            if solver.solve(rhs) is None:
+            rhs, goals = _rows(wt, target, blocks)
+            combo, count = bounded_solve(
+                T, rhs, bounds, degree=g.degree, ends=u_ends, parity=opp,
+                weights=None if goals is None else (wt, goals),
+                extra=_correction_columns(S, T, wt, goals, blocks,
+                                          idem_images, bounds))
+            if combo is None:
                 # `candidates` counts every bounded u word: the search at
                 # correction zero that this certificate states
                 cert = ExactnessResult(
                     "none_within_bounds", target, bounds,
-                    parity=_PARITIES[opp], candidates=count_words(T, **u_kw),
+                    parity=_PARITIES[opp], candidates=count,
                     note=("implied by the corrected decisive solve at "
                           "correction zero"))
                 transcript.append(

@@ -132,6 +132,24 @@ def test_zero_coefficients_are_dropped_from_the_target():
     assert res.witness == P.el_word(["t1_11"])
 
 
+@pytest.mark.parametrize("enter,match", [
+    (lambda P: Bounds(max_level=1.5), "bound max_level must be an int"),
+    (lambda P: Bounds(max_word_length=True),
+     "bound max_word_length must be an int"),
+    (lambda P: Bounds(max_word_length=2.5),
+     "bound max_word_length must be an int"),
+    (lambda P: Bounds(degree_bound="8"), "bound degree_bound must be an int"),
+    (lambda P: exactness_search(P, P.one(), BOUNDS5, parity="bogus"),
+     "parity must be None, 'even' or 'odd', not 'bogus'"),
+    (lambda P: is_trivial(P, BOUNDS5, parity=1),
+     "parity must be None, 'even' or 'odd', not 1"),
+], ids=["float-level", "bool-length", "float-length", "str-degree-bound",
+        "exact-parity", "trivial-parity"])
+def test_bounds_and_parity_are_checked_where_they_enter(enter, match):
+    with pytest.raises(ValueError, match=match):
+        enter(example("unknot_one_handle").main)
+
+
 def test_parity_filter_restricts_search_space():
     P = make_point_algebra(3, (0, 0, 0), p_max=2, ring=F2)
     ends = {(0, 0)}

@@ -38,3 +38,24 @@ def test_counting_tracer_counts_h0_and_restores_every_attribute():
     assert counts["coefficients.ops.Q"] > 0
     assert all(vars(owner)[attr] is fn
                for (owner, attr), fn in before.items())
+
+
+def test_counting_tracer_sees_the_u_and_z_words_of_an_obstruction():
+    """The u words enumerate through `analysis.composable_words` (the
+    bounded solve), the z words through `morphisms.composable_words`;
+    the tracer patches both names, so both reach its counters."""
+    tracing = _tracing()
+    B = example("a3_link")
+    counts = Counter()
+    patches = tracing.install_counting(cedga, counts)
+    try:
+        rep = cedga.morphisms.obstruct_y_filling(
+            B.main, B.presentations["codomain_xw_yv"], B.maps["pairing_xw_yv"],
+            cedga.Bounds(max_word_length=4, max_level=2))
+    finally:
+        patches.restore()
+    assert rep.obstructed
+    assert counts["analysis.enumerate.calls"] == 2
+    assert counts["analysis.enumerate.words"] == 54
+    assert counts["analysis.eliminate.columns"] == 54
+    assert counts["analysis.eliminate.infeasible"] == 1

@@ -1,8 +1,9 @@
 import pytest
 
 from cedga import (Bounds, GenMap, MapError, Presentation,
-                   PresentationError, UnsupportedCodomainError, example,
-                   exactness_search, gf2, morphisms, obstruct_y_filling)
+                   PresentationError, UnsupportedCodomainError, analysis,
+                   example, exactness_search, gf2, morphisms,
+                   obstruct_y_filling)
 from cedga.analysis import letter_weights, word_weight
 from cedga.cli import main
 from cedga.dsl import parse
@@ -169,8 +170,39 @@ def test_link_map_must_send_shorts_to_single_generators():
     cod.set_differential(s, cod.zero())
     cod.set_differential(t, cod.zero())
     link = GenMap(dom, cod, gen_values={x.index: cod.el_word([s, t])})
-    with pytest.raises(MapError):
+    with pytest.raises(MapError, match="value of x is not a sum of single "
+                                       "generators"):
         obstruct_y_filling(dom, cod, link, BOUNDS)
+
+
+LINK_MAP = """
+ring GF2
+presentation dom {
+  idempotents e1
+  gen x deg 0 from e1 to e1 short l
+  gen h deg 0 from e1 to e1 long
+  gen g deg -1 from e1 to e1 long
+  diff x = 0
+  diff h = 0
+  diff g = e1 + x
+}
+presentation cod {
+  idempotents f1
+  gen s deg 0 from f1 to f1 short l
+  diff s = 0
+}
+map link : dom -> cod { %s }
+"""
+
+
+@pytest.mark.parametrize("values,match", [
+    ("x -> s; h -> s;", "link map assigns the long generator h"),
+    ("x -> 0;", "link map sends x to zero"),
+], ids=["long", "zero"])
+def test_link_map_validation_names_what_is_wrong(values, match):
+    link = parse(LINK_MAP % values).maps["link"]
+    with pytest.raises(MapError, match=match):
+        obstruct_y_filling(link.source, link.target, link, BOUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +502,18 @@ def test_two_term_link_values_expand_term_by_term():
 
 def _weights_seen(monkeypatch):
     """The `weights` argument of every composable_words call the
-    obstruction makes, in order."""
+    obstruction makes, in order: the u words go through `analysis` (its
+    bounded solve), the z words through `morphisms`."""
     seen = []
     walk = morphisms.composable_words
+    assert analysis.composable_words is walk
 
     def spy(P, **kw):
         seen.append(kw.get("weights"))
         return walk(P, **kw)
 
-    monkeypatch.setattr(morphisms, "composable_words", spy)
+    for module in (analysis, morphisms):
+        monkeypatch.setattr(module, "composable_words", spy)
     return seen
 
 
