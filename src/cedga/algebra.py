@@ -12,7 +12,7 @@ sum of all idempotents.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Union
 
 from .coefficients import CoeffRing, RingMismatchError, bad_name
@@ -77,13 +77,7 @@ class ValidationReport:
     violations: list = field(default_factory=list)
 
     def to_json_dict(self):
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"kind": v.kind, "generator": v.generator, "detail": v.detail}
-                for v in self.violations
-            ],
-        }
+        return asdict(self)
 
 
 class Presentation:

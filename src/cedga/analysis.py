@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import collections
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
@@ -46,9 +46,7 @@ class Bounds:
             raise ValueError("bounds must be nonnegative")
 
     def to_json_dict(self):
-        return {"max_word_length": self.max_word_length,
-                "max_level": self.max_level,
-                "degree_bound": self.degree_bound}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +81,7 @@ class DegreeReport:
     violations: list = field(default_factory=list)
 
     def to_json_dict(self):
-        return {"ok": self.ok, "violations": self.violations}
+        return asdict(self)
 
     @classmethod
     def from_validation(cls, report) -> DegreeReport:
@@ -126,30 +124,27 @@ def check_parity_flip(P: Presentation) -> ParityReport:
 # bounded exactness search
 # ---------------------------------------------------------------------------
 
-def walk_words(letters, target, max_len, viable):
-    """Composable words over `letters` of length 1..max_len with the given
-    target, in pre-order, as (word, source, degree).
+def walk_words(children, root, max_len):
+    """Words of length 1..max_len in pre-order, grown from the state `root`.
 
-    Letters are appended on the acting side: each new letter's target is
-    the current source.  A word for which viable(word, source, degree) is
-    false is skipped together with all of its extensions.
+    children(word, state) lists the letters that may follow `word`, whose
+    state is `state`, as (letter index, child state, emit) triples, in
+    walk order; the extended word is yielded when emit is true.  An
+    explicit stack, so the depth is not limited by the recursion limit.
     """
     if max_len < 1:
         return
-    by_target: dict[int, list] = {}
-    for g in letters:
-        by_target.setdefault(g.target, []).append(g)
-    # one frame per word being extended: (word, degree, its next letters)
-    stack = [((), 0, iter(by_target.get(target, ())))]
+    # one frame per word being extended: (word, its next letters)
+    stack = [((), iter(children((), root)))]
     while stack:
-        word, deg, after = stack[-1]
-        for g in after:
-            nw, nd = word + (g.index,), deg + g.degree
-            if viable(nw, g.source, nd):
-                yield nw, g.source, nd
-                if len(nw) < max_len:
-                    stack.append((nw, nd, iter(by_target.get(g.source, ()))))
-                    break
+        word, after = stack[-1]
+        for i, state, emit in after:
+            nw = word + (i,)
+            if emit:
+                yield nw
+            if len(nw) < max_len and (more := children(nw, state)):
+                stack.append((nw, iter(more)))
+                break
         else:
             stack.pop()
 
@@ -176,10 +171,9 @@ def composable_words(P: Presentation, *, degree, ends, max_len, max_level,
     holds, per length k and idempotent i, the grades of the words of
     length <= k and each length parity that lead from i back to the
     source; from it, one memoized list per (length, source, grade) holds
-    the letters after which the word can still close.
+    the letters after which the word can still close, and walk_words
+    walks them.
     """
-    if max_len < 1:
-        return []
     letters = [g for g in P.generators if (g.level or 0) <= max_level]
     wt, goals = weights or ([()] * len(P.generators), [()])
     vecs = {g.index: (g.degree, *wt[g.index]) for g in letters}
@@ -204,34 +198,24 @@ def composable_words(P: Presentation, *, degree, ends, max_len, max_level,
             reach.append(nxt)
         memo: dict[tuple, list] = {}
 
-        def extensions(n, src, acc):
+        def extensions(word, state):
             """The letters after which a word of length n, source src and
-            grade acc can still close, as (index, source, grade)."""
-            key = (n, src, acc)
-            if key not in memo:
+            grade acc, its state (n, src, acc), can still close, each with
+            the extended word's state and whether that word closes."""
+            if state not in memo:
+                n, src, acc = state
                 rest = reach[max_len - n - 1]
                 bits = (0, 1) if parity is None else ((parity - n - 1) % 2,)
-                memo[key] = [
-                    (i, gs, gr) for i, gs, gr in by_target.get(src, ())
+                closes = parity is None or (n + 1) % 2 == parity
+                memo[state] = [
+                    (i, (n + 1, gs, acc + gr),
+                     closes and gs == s and acc + gr in want)
+                    for i, gs, gr in by_target.get(src, ())
                     if gs in rest and any(G - acc - gr in rest[gs][b]
                                           for G in want for b in bits)]
-            return memo[key]
+            return memo[state]
 
-        # one frame per word being extended: (word, grade, next letters)
-        stack = [((), 0, iter(extensions(0, t, 0)))]
-        while stack:
-            word, acc, after = stack[-1]
-            for i, src, gr in after:
-                nw, na = word + (i,), acc + gr
-                if src == s and na in want and (parity is None
-                                                or len(nw) % 2 == parity):
-                    out.append(nw)
-                more = len(nw) < max_len and extensions(len(nw), src, na)
-                if more:
-                    stack.append((nw, na, iter(more)))
-                    break
-            else:
-                stack.pop()
+        out.extend(walk_words(extensions, (0, t, 0), max_len))
     return out
 
 
@@ -665,14 +649,23 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     rs = RewriteSystem(P)
     truncated = rs.complete(relations, degree_bound)
 
-    lengths = sorted({len(lhs) for lhs in rs.rules})
-
-    def irreducible(word, src, deg):
-        return not any(word[-n:] in rs.rules for n in lengths)
-
+    rules, lengths = rs.rules, sorted({len(lhs) for lhs in rs.rules})
     letters = [g for g in P.generators if g.degree == 0]
-    walk = (w for t in sorted({g.target for g in letters})
-            for w, _, _ in walk_words(letters, t, degree_bound, irreducible))
+    by_target: dict[int, list] = {}
+    for g in letters:
+        by_target.setdefault(g.target, []).append((g.index, g.source))
+
+    def irreducible(word, src):
+        """The letters that keep `word`, of source src, in normal form."""
+        kept = []
+        for i, gs in by_target.get(src, ()):
+            w = word + (i,)
+            if not any(w[-n:] in rules for n in lengths):
+                kept.append((i, gs, True))
+        return kept
+
+    walk = (w for t in sorted(by_target)
+            for w in walk_words(irreducible, t, degree_bound))
     basis = [e.index for e in P.idempotents]
     basis += itertools.islice(walk, max(BASIS_CAP - len(basis), 0))
     cut = next(walk, None) is not None

@@ -322,7 +322,7 @@ class ObstructionReport:
 
 
 def _validate_link_map(link_map: GenMap):
-    S = link_map.source
+    S, T = link_map.source, link_map.target
     for gi, val in link_map.gen_values.items():
         g = S.generators[gi]
         if g.role != "short":
@@ -330,10 +330,13 @@ def _validate_link_map(link_map: GenMap):
         if not val:
             raise MapError(f"link map sends {g.name} to zero")
         for w in val:
-            if link_map.target.word_length(w) != 1:
+            if T.word_length(w) != 1:
                 raise MapError(
                     f"link map value of {g.name} is not a sum of single "
                     f"generators")
+            if T.generators[w[0]].role != "short":
+                raise MapError(
+                    f"link map value of {g.name} leaves the codomain's links")
 
 
 def _idem_images(link_map: GenMap):

@@ -127,6 +127,27 @@ def test_validate_flags_degree_violation():
                for v in rep.violations)
 
 
+def _one_arrow():
+    """Idempotents e1, e2 and one degree-0 letter x from e1 to e2."""
+    P = Presentation(rationals())
+    for label in ("e1", "e2"):
+        P.add_idempotent(label)
+    P.add_generator("x", 0, "e1", "e2")
+    return P
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: Presentation(rationals(), "sideways"),
+     "unknown convention 'sideways'"),
+    (lambda: _one_arrow().add_generator("y", 0, 0, 2),
+     "generator 'y' has undeclared ends"),
+    (lambda: _one_arrow().el_word(["x", "x"]), r"non-composable word x\*x"),
+], ids=["convention", "undeclared-ends", "non-composable-word"])
+def test_presentation_refusals_name_what_is_wrong(call, match):
+    with pytest.raises(PresentationError, match=match):
+        call()
+
+
 def test_duplicate_names_rejected():
     P = Presentation(rationals())
     P.add_idempotent("e1")

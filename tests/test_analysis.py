@@ -12,8 +12,7 @@ from cedga import (Bounds, NonHomogeneousTargetError, Presentation,
                    make_point_algebra, rationals)
 from cedga import analysis
 from cedga.analysis import (ExactnessResult, LinearSolver, RewriteSystem,
-                            count_words, letter_weights, walk_words,
-                            word_weight)
+                            count_words, letter_weights, word_weight)
 from cedga.dsl import parse_element
 
 F2 = gf2()
@@ -139,12 +138,13 @@ def test_zero_coefficients_are_dropped_from_the_target():
     (lambda P: Bounds(max_word_length=2.5),
      "bound max_word_length must be an int"),
     (lambda P: Bounds(degree_bound="8"), "bound degree_bound must be an int"),
+    (lambda P: Bounds(max_level=-1), "bounds must be nonnegative"),
     (lambda P: exactness_search(P, P.one(), BOUNDS5, parity="bogus"),
      "parity must be None, 'even' or 'odd', not 'bogus'"),
     (lambda P: is_trivial(P, BOUNDS5, parity=1),
      "parity must be None, 'even' or 'odd', not 1"),
 ], ids=["float-level", "bool-length", "float-length", "str-degree-bound",
-        "exact-parity", "trivial-parity"])
+        "negative-level", "exact-parity", "trivial-parity"])
 def test_bounds_and_parity_are_checked_where_they_enter(enter, match):
     with pytest.raises(ValueError, match=match):
         enter(example("unknot_one_handle").main)
@@ -403,14 +403,24 @@ def _reference_h0(P, degree_bound):
         if pending:
             _reference_interreduce(rs)
 
-    def irreducible(word, src, deg):
+    def irreducible(word):
         return not any(len(l) <= len(word) and word[-len(l):] == l
                        for l in rs.rules)
 
     letters = [g for g in P.generators if g.degree == 0]
+
+    def walk(word, cur):
+        """The irreducible words that extend `word`, of source cur, by
+        letters whose target is cur, each before its own extensions."""
+        if len(word) == degree_bound:
+            return
+        for g in letters:
+            if g.target == cur and irreducible(w := word + (g.index,)):
+                yield w
+                yield from walk(w, g.source)
+
     basis = [e.index for e in P.idempotents] + [
-        w for t in sorted({g.target for g in letters})
-        for w, _, _ in walk_words(letters, t, degree_bound, irreducible)]
+        w for t in sorted({g.target for g in letters}) for w in walk((), t)]
     return SimpleNamespace(rules=_rule_lines(P, rs), truncated=truncated,
                            collapsed=bool(rs.collapses),
                            basis=[P.format_word(w) for w in basis])

@@ -1,6 +1,8 @@
-"""The benchmark's tracer wraps cedga entry points by name; these tests
-fail as soon as one of those names moves, instead of only under a traced
-benchmark run."""
+"""The benchmark's tracer wraps cedga entry points by name, and its
+oracles read result fields by name; these tests fail as soon as one of
+those names moves, instead of only under a benchmark run."""
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -9,7 +11,8 @@ import cedga
 import cedga.cli  # noqa: F401  (binds cedga.cli and cedga.dsl)
 from cedga import example
 
-TRACING = Path(__file__).resolve().parents[1] / "cedbench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "cedbench"
+TRACING = BENCH / "tracing.py"
 
 
 def _tracing():
@@ -59,3 +62,13 @@ def test_counting_tracer_sees_the_u_and_z_words_of_an_obstruction():
     assert counts["analysis.enumerate.words"] == 54
     assert counts["analysis.eliminate.columns"] == 54
     assert counts["analysis.eliminate.infeasible"] == 1
+
+
+def test_benchmark_selftest_passes():
+    """The oracles' self-test reads and replaces the result fields the
+    benchmark checks (witness, status, certified_trivial, rules, basis,
+    dimension); -B keeps it from writing bytecode into the checkout."""
+    done = subprocess.run([sys.executable, "-B", str(BENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "selftest: ok"

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cedga import (POTENTIAL_MINUS, UNIFORM_MINUS, InvalidFamilyError,
-                   Presentation, catalog_names, check_d_squared, check_degree,
+                   Presentation, PresentationError, catalog_names, check_d_squared, check_degree,
                    check_parity_flip, example, free_product, gf2,
                    make_hat_point_algebra, make_point_algebra, rationals,
                    verify_chain_map)
@@ -34,6 +34,28 @@ def test_small_family_rejected():
     with pytest.raises(InvalidFamilyError,
                        match="point family needs n >= 2, got 1"):
         make_hat_point_algebra(1, (0,))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: make_point_algebra(3, signs="sideways"), ValueError,
+     "unknown sign reading 'sideways'"),
+    (lambda: make_point_algebra(3, p_max=-1), InvalidFamilyError,
+     "p_max must be >= 0"),
+    (lambda: make_point_algebra(3, (0, 0)), InvalidFamilyError,
+     "potential vector length must equal n"),
+    (lambda: free_product(make_point_algebra(2), make_point_algebra(
+        2, convention=POTENTIAL_MINUS)), PresentationError,
+     "free product needs a common convention"),
+    (lambda: free_product(make_point_algebra(2), make_point_algebra(2),
+                          {"e1": "e1", "e2": "e1"}), PresentationError,
+     "idempotent identification is not bijective"),
+    (lambda: example("unknot_edge", p_max=1), InvalidFamilyError,
+     "catalog transcriptions need p_max >= 2"),
+], ids=["signs", "negative-p-max", "potentials", "conventions",
+        "identification", "catalog-p-max"])
+def test_catalog_refusals_name_what_is_wrong(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_family_names_past_nine_points_separate_the_indices():

@@ -443,6 +443,18 @@ def test_invalid_presentation_is_refused_by_every_search(tmp_path, capsys,
     assert "fails validation" in err
 
 
+@pytest.mark.parametrize("argv", [["exact", "--target", "a"], ["trivial"]])
+def test_a_search_over_a_laurent_ring_is_one_line_and_exit_2(tmp_path, capsys,
+                                                             argv):
+    f = tmp_path / "laurent.cedga"
+    f.write_text("ring laurent(t)\nidempotents e1\n"
+                 "gen a deg 0 from e1 to e1\ngen r deg -1 from e1 to e1\n"
+                 "diff a = 0\ndiff r = t*a\n")
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "cedga: error: linear search needs a field (Q or GF2)\n"
+
+
 def test_a_directory_as_file_is_one_line_and_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "check-d2", str(tmp_path))
     assert (code, out) == (2, "")
@@ -487,6 +499,7 @@ _MAP = _R + ("diff r = a\nmap m : main -> main {\n"
      "gen a deg 0 from e1 to e1\ndiff b = b*b\ndiff a = b\n", 1),
     (["grade"], _TWO_LETTERS, 0),
     (["grade"], _R + "diff r = a*r\n", 1),
+    (["grade"], _TWO_LETTERS.replace("diff b = 0\n", ""), 1),
     (["parity"], _R + "diff r = a*b - b*a\n", 0),
     (["parity"], _R + "diff r = a\n", 1),
     (["h0"], _TWO_LETTERS, 0),
@@ -505,7 +518,7 @@ _MAP = _R + ("diff r = a\nmap m : main -> main {\n"
      dsl.serialize(catalog.example("unknot_edge")), 0),
     (["obstruct", "--map", "lm"], _INCONCLUSIVE, 1),
 ], ids=["check_d2_pass", "check_d2_fail", "grade_pass", "grade_fail",
-        "parity_pass", "parity_fail", "h0_pass", "h0_fail", "exact_pass",
+        "grade_fail_missing_diff", "parity_pass", "parity_fail", "h0_pass", "h0_fail", "exact_pass",
         "exact_fail", "trivial_pass", "trivial_fail", "verify_map_pass",
         "verify_map_fail", "verify_aug_pass", "verify_aug_fail",
         "linearize_pass", "obstruct_pass", "obstruct_fail"])

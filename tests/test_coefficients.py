@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cedga.coefficients import NotAUnitError, gf2, laurent, rationals
+from cedga.coefficients import (NotAUnitError, RingMismatchError, gf2,
+                                laurent, rationals)
 
 Q = rationals()
 F2 = gf2()
@@ -54,6 +55,17 @@ def test_parameters_must_be_distinct_identifiers():
         laurent("2bad")
     with pytest.raises(ValueError):
         rationals().__class__("Q", ("lam",))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: Q.parameter("lam"), RingMismatchError, "Q has no parameters"),
+    (lambda: F2.monomial((1,)), RingMismatchError, "GF2 has no monomials"),
+    (lambda: L.monomial((1,)), ValueError, "exponent vector length mismatch"),
+], ids=["parameter-of-a-field", "monomial-of-a-field", "exponent-length"])
+def test_laurent_constructors_refuse_what_they_cannot_build(call, error,
+                                                            match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_ring_arith_methods():

@@ -535,6 +535,25 @@ def test_names_may_not_equal_a_ring_parameter():
         P.add_idempotent("t")
 
 
+def _point(ring):
+    P = Presentation(ring)
+    P.add_idempotent("e1")
+    return P
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: parse_element("e1 e1", _point(rationals())), ParseError,
+     "1:4: trailing input 'e1'"),
+    (lambda: serialize(CatalogBundle("x")), ValueError, "empty bundle"),
+    (lambda: serialize(CatalogBundle("x", {"p": _point(rationals()),
+                                           "q": _point(gf2())})),
+     ValueError, "bundle mixes rings or conventions"),
+], ids=["trailing-input", "empty-bundle", "mixed-rings"])
+def test_reader_and_writer_refusals_name_what_is_wrong(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_serialize_refuses_a_scope_that_is_not_whole_links():
     P = example("unknot_one_handle").main
     part = CatalogBundle("part", {"main": P}, {},

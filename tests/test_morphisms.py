@@ -67,6 +67,32 @@ def test_degree_mismatch_rejected_at_construction(saddle):
                {0: 0})
 
 
+def _arrow_and_loop():
+    """Idempotents e1, e2, a letter x from e1 to e2 and a loop y at e1."""
+    P = Presentation(gf2())
+    for label in ("e1", "e2"):
+        P.add_idempotent(label)
+    for name, target in (("x", "e2"), ("y", "e1")):
+        P.set_differential(P.add_generator(name, 0, "e1", target), P.zero())
+    return P
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda P: GenMap(P, P, {P.gen("x").index: P.add(P.el_gen("x"),
+                                                      P.el_gen("y"))}),
+     "phi: value of x mixes ends"),
+    (lambda P: GenMap(P, P).apply(P.el_idem("e1")),
+     "phi: idempotent e1 unassigned"),
+    (lambda P: GenMap(P, P).apply(P.el_gen("x")), "phi: generator x unassigned"),
+    (lambda P: compose(identity_map(P), identity_map(make_point_algebra(2))),
+     "maps are not composable"),
+], ids=["mixed-ends", "unassigned-idempotent", "unassigned-generator",
+        "not-composable"])
+def test_map_refusals_name_what_is_wrong(call, match):
+    with pytest.raises(MapError, match=match):
+        call(_arrow_and_loop())
+
+
 def test_identity_verifies_on_every_catalog_presentation():
     for name in catalog_names():
         for P in example(name).presentations.values():

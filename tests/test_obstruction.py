@@ -189,7 +189,9 @@ presentation dom {
 presentation cod {
   idempotents f1
   gen s deg 0 from f1 to f1 short l
+  gen v deg 0 from f1 to f1 long
   diff s = 0
+  diff v = 0
 }
 map link : dom -> cod { %s }
 """
@@ -198,7 +200,8 @@ map link : dom -> cod { %s }
 @pytest.mark.parametrize("values,match", [
     ("x -> s; h -> s;", "link map assigns the long generator h"),
     ("x -> 0;", "link map sends x to zero"),
-], ids=["long", "zero"])
+    ("x -> v;", "link map value of x leaves the codomain's links"),
+], ids=["long", "zero", "long-value"])
 def test_link_map_validation_names_what_is_wrong(values, match):
     link = parse(LINK_MAP % values).maps["link"]
     with pytest.raises(MapError, match=match):
