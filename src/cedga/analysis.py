@@ -649,18 +649,23 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     rs = RewriteSystem(P)
     truncated = rs.complete(relations, degree_bound)
 
-    rules, lengths = rs.rules, sorted({len(lhs) for lhs in rs.rules})
+    heads: dict[int, set] = {}  # letter -> what precedes it in a left side
+    for lhs in rs.rules:
+        heads.setdefault(lhs[-1], set()).add(lhs[:-1])
+    cuts = {i: {len(h) for h in hs} for i, hs in heads.items()}
     letters = [g for g in P.generators if g.degree == 0]
     by_target: dict[int, list] = {}
     for g in letters:
         by_target.setdefault(g.target, []).append((g.index, g.source))
 
     def irreducible(word, src):
-        """The letters that keep `word`, of source src, in normal form."""
-        kept = []
+        """The letters that keep `word`, of source src, in normal form,
+        tested on its tails: only the walk builds the longer word."""
+        kept, n = [], len(word)
         for i, gs in by_target.get(src, ()):
-            w = word + (i,)
-            if not any(w[-n:] in rules for n in lengths):
+            hs = heads.get(i)
+            if not hs or not any(word[n - m:] in hs
+                                 for m in cuts[i] if m <= n):
                 kept.append((i, gs, True))
         return kept
 
