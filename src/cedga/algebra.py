@@ -116,12 +116,16 @@ class Presentation:
         self._claim(name)
         if link is not None and (why := bad_name(link)):
             raise PresentationError(f"link {why}")
+        for what, v in (("degree", degree), ("level", level)):
+            if type(v) is not int and (what == "degree" or v is not None):
+                raise PresentationError(
+                    f"generator {name!r} {what} must be an int, not {v!r}")
         src = source if isinstance(source, int) else self.idem(source).index
         tgt = target if isinstance(target, int) else self.idem(target).index
         n = len(self.idempotents)
         if not (0 <= src < n and 0 <= tgt < n):
             raise PresentationError(f"generator {name!r} has undeclared ends")
-        g = Generator(name, int(degree), src, tgt, link, level,
+        g = Generator(name, degree, src, tgt, link, level,
                       index=len(self.generators))
         self.generators.append(g)
         self._gen_by_name[name] = g

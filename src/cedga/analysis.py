@@ -527,22 +527,22 @@ class RewriteSystem:
         self.rules = dict(sorted(self.rules.items(),
                                  key=lambda rule: self.P.sort_key(rule[0])))
 
-    def _overlap_words(self, new=None):
-        """(l1, l2, k, length) for every overlap of two left sides, one of
-        them `new` when given (a left side with itself included): the last
-        k letters of l1 are the first k of l2."""
-        pairs = (itertools.product(self.rules, repeat=2) if new is None else
-                 [(new, l) for l in self.rules]
-                 + [(l, new) for l in self.rules if l != new])
-        for l1, l2 in pairs:
-            for k in _overlaps(l1, l2):
-                yield l1, l2, k, len(l1) + len(l2) - k
+    def _overlap_words(self, new):
+        """(l1, l2, k, length) for every proper overlap of the left side
+        `new` with a left side in the table (itself included): the last k
+        letters of l1, 0 < k < both lengths, are the first k of l2."""
+        for l1, l2 in ([(new, l) for l in self.rules]
+                       + [(l, new) for l in self.rules if l != new]):
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[len(l1) - k:] == l2[:k]:
+                    yield l1, l2, k, len(l1) + len(l2) - k
 
     def complete(self, relations, degree_bound: int) -> bool:
-        """Complete `relations` to a rewrite system, resolving every
-        overlap word of length <= degree_bound, with one FIFO queue of
-        elements to orient (Buchberger/Mora pair handling).  Returns
-        whether two final rules overlap beyond the bound (truncated).
+        """Complete `relations` to a rewrite system from an empty one,
+        resolving every overlap word of length <= degree_bound, with one
+        FIFO queue of elements to orient (Buchberger/Mora pair handling).
+        Returns truncated: whether two final rules overlap beyond the
+        bound, read off the pairs met beyond it as each rule was added.
 
         A collapse is not made a rule, so a relation that reduced to zero
         under a rule retired later may no longer reduce to idempotents.
@@ -552,6 +552,7 @@ class RewriteSystem:
         """
         P, one, rules = self.P, self.P.ring.one(), self.rules
         queue = collections.deque(relations)
+        beyond = set()  # (l1, l2) of each overlap longer than the bound
         # Terminates: every added left side is irreducible by the current
         # rules, so the reducible words of length <= max(bound, longest
         # relation word), the only lengths that occur, grow strictly with
@@ -568,7 +569,9 @@ class RewriteSystem:
                             if l != new and _contains(l, new)]:
                     queue.append(P.sub({lhs: one}, rules.pop(lhs)))
                 for l1, l2, k, n in self._overlap_words(new):
-                    if n <= degree_bound:
+                    if n > degree_bound:
+                        beyond.add((l1, l2))
+                    else:
                         # S-element: the overlap word rewritten both ways
                         queue.append(P.sub(
                             P.mul(rules[l1], {l2[k:]: one}),
@@ -578,7 +581,7 @@ class RewriteSystem:
                              if not all(isinstance(w, int)
                                         for w in self.normal_form(r)))
         self.interreduce()
-        return any(n > degree_bound for *_, n in self._overlap_words())
+        return any({l1, l2} <= self.rules.keys() for l1, l2 in beyond)
 
 
 @dataclass
@@ -604,14 +607,6 @@ class H0Report:
                 "degree_bound": self.degree_bound}
 
 
-def _overlaps(l1, l2):
-    """Proper overlap positions: a nonempty proper suffix of l1 equals a
-    prefix of l2; yields the overlap length."""
-    for k in range(1, min(len(l1), len(l2))):
-        if l1[len(l1) - k:] == l2[:k]:
-            yield k
-
-
 def _contains(word, factor):
     return any(word[i:i + len(factor)] == factor
                for i in range(len(word) - len(factor) + 1))
@@ -631,6 +626,7 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     truncated or cut run or one with a collapse, else the ground ring
     when the rules rewrite every degree-0 letter, else a basis.
     """
+    Bounds(degree_bound=degree_bound)  # the int and sign checks of Bounds
     require_valid(P)
     if not P.ring.is_field():
         raise UnsupportedPresentationError("h0 needs a field (Q or GF2)")

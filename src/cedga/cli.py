@@ -78,7 +78,7 @@ def cmd_catalog(args):
         print("\n".join(names))
         return
     _select(dict.fromkeys(names), args.name, "catalog example")
-    bundle = catalog.example(args.name, p_max=args.p_max)
+    bundle = catalog.example(args.name)
     if args.map:
         bundle = catalog.CatalogBundle(
             bundle.name, {}, _select(bundle.maps, args.map, "map"), {}, [])
@@ -238,10 +238,10 @@ def build_parser():
     p = sub.add_parser("catalog", help="list or emit worked examples")
     p.set_defaults(func=cmd_catalog)
     p.add_argument("name", nargs="?")
-    p.add_argument("--emit", action="store_true")
-    p.add_argument("--p-max", type=int, default=2)
-    p.add_argument("--pres")
-    p.add_argument("--map")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--emit", action="store_true")
+    out.add_argument("--pres")
+    out.add_argument("--map")
 
     checks("check-d2", "grade", "parity")
     p = command("h0", cmd_h0, "degree-0 homology by rewriting", "file")

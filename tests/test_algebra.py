@@ -142,7 +142,19 @@ def _one_arrow():
     (lambda: _one_arrow().add_generator("y", 0, 0, 2),
      "generator 'y' has undeclared ends"),
     (lambda: _one_arrow().el_word(["x", "x"]), r"non-composable word x\*x"),
-], ids=["convention", "undeclared-ends", "non-composable-word"])
+    (lambda: _one_arrow().add_generator("y", 1.7, 0, 1),
+     "generator 'y' degree must be an int, not 1.7"),
+    (lambda: _one_arrow().add_generator("y", True, 0, 1),
+     "generator 'y' degree must be an int, not True"),
+    (lambda: _one_arrow().add_generator("y", "3", 0, 1),
+     "generator 'y' degree must be an int, not '3'"),
+    (lambda: _one_arrow().add_generator("y", 0, 0, 1, level="x"),
+     "generator 'y' level must be an int, not 'x'"),
+    (lambda: _one_arrow().add_generator("y", 0, 0, 1, level=False),
+     "generator 'y' level must be an int, not False"),
+], ids=["convention", "undeclared-ends", "non-composable-word",
+        "float-degree", "bool-degree", "str-degree", "str-level",
+        "bool-level"])
 def test_presentation_refusals_name_what_is_wrong(call, match):
     with pytest.raises(PresentationError, match=match):
         call()

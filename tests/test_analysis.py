@@ -139,12 +139,16 @@ def test_zero_coefficients_are_dropped_from_the_target():
      "bound max_word_length must be an int"),
     (lambda P: Bounds(degree_bound="8"), "bound degree_bound must be an int"),
     (lambda P: Bounds(max_level=-1), "bounds must be nonnegative"),
+    (lambda P: h0(P, -1), "bounds must be nonnegative"),
+    (lambda P: h0(P, True), "bound degree_bound must be an int, not True"),
+    (lambda P: h0(P, 2.5), "bound degree_bound must be an int, not 2.5"),
     (lambda P: exactness_search(P, P.one(), BOUNDS5, parity="bogus"),
      "parity must be None, 'even' or 'odd', not 'bogus'"),
     (lambda P: is_trivial(P, BOUNDS5, parity=1),
      "parity must be None, 'even' or 'odd', not 1"),
 ], ids=["float-level", "bool-length", "float-length", "str-degree-bound",
-        "negative-level", "exact-parity", "trivial-parity"])
+        "negative-level", "h0-negative-bound", "h0-bool-bound",
+        "h0-float-bound", "exact-parity", "trivial-parity"])
 def test_bounds_and_parity_are_checked_where_they_enter(enter, match):
     with pytest.raises(ValueError, match=match):
         enter(example("unknot_one_handle").main)
@@ -333,6 +337,17 @@ def test_truncation_is_read_off_the_final_rules():
                          "a2*a1 -> - a0*a1", "a0*a0*a1 -> 0",
                          "a1*a0*a1 -> 0"]
     assert max(_overlap_lengths(rep.rules)) == 5
+
+
+def test_truncation_ignores_overlaps_of_a_retired_rule():
+    # a1*a0*a1 overlaps itself beyond the bound (a1*a0*a1*a0*a1, length 5)
+    # before the rule a1 -> a0 retires it; no two final rules overlap
+    P = _binomials(1, [(0, 0)] * 2, [((1, 0, 1), (0, 0, 1), -1),
+                                     ((1,), (0,), -1)])
+    rep = h0(P, degree_bound=2)
+    assert rep.rules == ["a1 -> a0"] and not rep.truncated
+    assert rep.verdict == "basis"
+    assert rep.basis == ["e1", "a0", "a0*a0"]
 
 
 def _rule_lines(P, rs):

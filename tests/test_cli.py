@@ -56,6 +56,13 @@ def test_catalog_takes_no_json_flag(capsys):
     assert err.endswith("error: unrecognized arguments: --json\n")
 
 
+def test_catalog_output_flags_exclude_each_other(capsys):
+    code, out, err = run(capsys, "catalog", "unknot_edge", "--pres", "main",
+                         "--map", "y_filling_links")
+    assert (code, out) == (2, "")
+    assert "argument --map: not allowed with argument --pres" in err
+
+
 @pytest.mark.parametrize("name", catalog.catalog_names())
 def test_grade_validates_each_presentation_once(tmp_path, capsys,
                                                 monkeypatch, name):
