@@ -101,7 +101,7 @@ class Presentation:
         or tell apart from an idempotent, generator or ring parameter."""
         if why := bad_name(name):
             raise PresentationError(why)
-        if self.has_name(name) or name in self.ring.parameters:
+        if self.word_of(name) is not None or name in self.ring.parameters:
             raise PresentationError(f"duplicate name {name!r}")
 
     def add_idempotent(self, label: str) -> Idempotent:
@@ -120,6 +120,11 @@ class Presentation:
             if type(v) is not int and (what == "degree" or v is not None):
                 raise PresentationError(
                     f"generator {name!r} {what} must be an int, not {v!r}")
+        if type(source) is bool or type(target) is bool:
+            what, end = (("source", source) if type(source) is bool
+                         else ("target", target))
+            raise PresentationError(f"generator {name!r} {what} must be an "
+                                    f"idempotent, not {end!r}")
         src = source if isinstance(source, int) else self.idem(source).index
         tgt = target if isinstance(target, int) else self.idem(target).index
         n = len(self.idempotents)
@@ -149,8 +154,14 @@ class Presentation:
             return self.generators[key]
         return self._gen_by_name[key]
 
-    def has_name(self, name: str) -> bool:
-        return name in self._gen_by_name or name in self._idem_by_label
+    def word_of(self, name: str) -> Optional[Word]:
+        """The word a generator or idempotent name stands for, as in an
+        Element's keys; None when no generator or idempotent has it."""
+        g = self._gen_by_name.get(name)
+        if g is not None:
+            return (g.index,)
+        e = self._idem_by_label.get(name)
+        return None if e is None else e.index
 
     # -- words --------------------------------------------------------------
 

@@ -191,7 +191,7 @@ def free_product(p1: Presentation, p2: Presentation, shared="all"):
         raise PresentationError("free product needs a common convention")
     if shared == "all":
         shared = {e.label: e.label for e in p2.idempotents
-                  if p1.has_name(e.label)}
+                  if p1.word_of(e.label) is not None}
     shared = dict(shared)
     for l2, l1 in shared.items():
         p1.idem(l1), p2.idem(l2)  # raises KeyError if unmatched
@@ -205,7 +205,7 @@ def free_product(p1: Presentation, p2: Presentation, shared="all"):
         if e.label in shared:
             idem2[e.index] = idem1[p1.idem(shared[e.label]).index]
         else:
-            label = e.label if not P.has_name(e.label) else "r_" + e.label
+            label = e.label if P.word_of(e.label) is None else "r_" + e.label
             idem2[e.index] = P.add_idempotent(label).index
 
     collide = {g.name for g in p1.generators} & {g.name for g in p2.generators}

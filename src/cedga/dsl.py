@@ -22,6 +22,8 @@ Tokens are ASCII names (`[A-Za-z_][A-Za-z_0-9]*`) and integers (`[0-9]+`)
 and the symbols `-> { } ( ) : ; = ^ * / + , -`, between whitespace and
 comments.  Parentheses nest at most MAX_NESTING deep.  Bad input raises
 ParseError at line:col, from 1, in characters (a tab is one column).
+The reader works on the token strings alone; a token's position is
+computed, by scanning the text again, only when an error is raised.
 `ring` and `convention` come at most once each, before any presentation,
 map or augmentation.  Names must be declared before use, may not equal a
 ring parameter, and keywords (ring, gen, diff, ...) are reserved.  An
@@ -31,7 +33,9 @@ byte-stable form that parses back to an equal bundle.
 """
 from __future__ import annotations
 
+import itertools
 import re
+import string
 from collections import ChainMap
 from fractions import Fraction
 
@@ -59,25 +63,34 @@ class ParseError(ValueError):
 
 MAX_NESTING = 100
 
-# one alternative per token kind, then the text between tokens, then any
-# other character, which is an error
-_TOKEN = re.compile(r"""(?P<sym>->|[{}():;=^*/+,-])
-                      | (?P<int>[0-9]+)
-                      | (?P<ident>""" + NAME + r""")
-                      | [ \t\r\n]+ | \#[^\n]*
-                      | (?P<bad>.)""", re.VERBOSE)
+# one token per match, in the group: `->`, an integer, a name, or any other
+# character but whitespace (a symbol, or one that `_tokenize` refuses); a
+# comment matches with the group empty, and whitespace never matches
+_TOKEN = re.compile(r"\#[^\n]*|(->|[0-9]+|" + NAME + r"|[^ \t\r\n])")
+# the characters that are tokens on their own
+_CHARS = frozenset("{}():;=^*/+,-_" + string.ascii_letters + string.digits)
 
 
 def _tokenize(text):
-    """(kind, text, offset) tuples, kind ident, int or sym, then eof."""
-    toks = []
-    for m in _TOKEN.finditer(text):
-        if m.lastgroup == "bad":
-            raise ParseError.at(f"unexpected character {m.group()!r}",
-                                text, m.start())
-        if m.lastgroup:
-            toks.append((m.lastgroup, m.group(), m.start()))
-    return toks + [("eof", "", len(text))]
+    """The token strings of `text`, then "" for the end of input."""
+    toks = _TOKEN.findall(text)
+    distinct = set(toks)
+    if "" in distinct:
+        toks = list(filter(None, toks))
+    bad = {t for t in distinct if len(t) == 1} - _CHARS
+    if bad:
+        k = next(k for k, t in enumerate(toks) if t in bad)
+        raise ParseError.at(f"unexpected character {toks[k]!r}", text,
+                            _offset(text, k))
+    toks.append("")
+    return toks
+
+
+def _offset(text, k):
+    """The character offset of token k of `text`, or its length for the end
+    of input.  It rescans the text, so only an error should ask for it."""
+    starts = (m.start() for m in _TOKEN.finditer(text) if m.lastindex)
+    return next(itertools.islice(starts, k, None), len(text))
 
 
 class _Parser:
@@ -101,43 +114,47 @@ class _Parser:
         self.pos += 1
         return t
 
-    def err(self, msg, tok=None):
-        raise ParseError.at(msg, self.text, (tok or self.peek())[2])
+    def err(self, msg, at=None):
+        """Raise `msg` at token index `at`, by default the next token."""
+        raise ParseError.at(msg, self.text, _offset(
+            self.text, self.pos if at is None else at))
 
     def accept(self, *texts):
-        """Consume and return the next token if its text is one of `texts`
-        (a symbol's or keyword's text fixes its kind); else None."""
-        return self.next() if self.toks[self.pos][1] in texts else None
+        """Consume and return the next token if it is one of `texts`;
+        else None."""
+        return self.next() if self.toks[self.pos] in texts else None
 
     def expect(self, text):
         if not self.accept(text):
-            self.err(f"expected {text!r}, found {self.peek()[1]!r}")
+            self.err(f"expected {text!r}, found {self.peek()!r}")
 
     def expect_ident(self, what="name"):
-        if self.peek()[0] != "ident":
-            self.err(f"expected {what}, found {self.peek()[1]!r}")
+        if not self.peek().isidentifier():
+            self.err(f"expected {what}, found {self.peek()!r}")
         return self.next()
 
     def expect_int(self):
         sign = -1 if self.accept("-") else 1
         t = self.next()
-        if t[0] != "int":
-            self.err(f"expected integer, found {t[1]!r}", t)
-        return sign * int(t[1])
+        if not t.isdigit():
+            self.err(f"expected integer, found {t!r}", self.pos - 1)
+        return sign * int(t)
 
     def names(self):
-        """The identifier tokens up to the next keyword or symbol."""
-        toks = []
-        while self.peek()[0] == "ident" and self.peek()[1] not in KEYWORDS:
-            toks.append(self.next())
-        return toks
+        """The indices of the name tokens up to the next keyword or
+        symbol."""
+        start = self.pos
+        while self.peek().isidentifier() and self.peek() not in KEYWORDS:
+            self.pos += 1
+        return range(start, self.pos)
 
-    def find(self, lookup, tok, msg):
-        """lookup(tok's text), with a KeyError reported as `msg` at tok."""
+    def find(self, lookup, at, what):
+        """lookup(the name at token index `at`); a KeyError is reported
+        there as `what` and the name."""
         try:
-            return lookup(tok[1])
+            return lookup(self.toks[at])
         except KeyError:
-            self.err(msg, tok)
+            self.err(f"{what} {self.toks[at]!r}", at)
 
     # -- file structure ------------------------------------------------------
 
@@ -146,16 +163,15 @@ class _Parser:
                       "convention": self.parse_convention,
                       "presentation": self.parse_presentation_block,
                       "map": self.parse_map, "aug": self.parse_aug}
-        while self.peek()[0] != "eof":
-            kind, text, _ = self.peek()
-            if kind != "ident":
-                self.err(f"expected a statement, found {text!r}")
-            if text in ("idempotents", "gen", "diff"):
+        while t := self.peek():
+            if not t.isidentifier():
+                self.err(f"expected a statement, found {t!r}")
+            if t in ("idempotents", "gen", "diff"):
                 self.parse_pstmt(self.presentation("main"))
-            elif text in statements:
-                statements[text]()
+            elif t in statements:
+                statements[t]()
             else:
-                self.err(f"unknown statement {text!r}")
+                self.err(f"unknown statement {t!r}")
         return self.bundle
 
     def presentation(self, name):
@@ -166,89 +182,99 @@ class _Parser:
                 self.ring, self.convention or POTENTIAL_PLUS)
         return self.bundle.presentations[name]
 
-    def lookup_presentation(self, tok, env):
+    def lookup_presentation(self, what, env):
+        at = self.pos
+        self.expect_ident(what)
         return self.find(ChainMap(self.bundle.presentations, env).__getitem__,
-                         tok, f"unknown presentation {tok[1]!r}")
+                         at, "unknown presentation")
 
     def header(self, current):
         """Consume a `ring` or `convention` keyword: each comes once, and
         before anything that would be built over it."""
+        at = self.pos
         t = self.next()
         if current is not None:
-            self.err(f"duplicate {t[1]} statement", t)
+            self.err(f"duplicate {t} statement", at)
         if self.bundle.presentations or self.bundle.maps \
                 or self.bundle.augmentations:
-            self.err(f"{t[1]} must come before any presentation, map "
-                     f"or augmentation", t)
+            self.err(f"{t} must come before any presentation, map "
+                     f"or augmentation", at)
 
     def parse_ring(self):
         self.header(self.ring)
+        at = self.pos
         kind = self.expect_ident("ring kind")
-        make = {"Q": rationals, "GF2": gf2, "laurent": laurent}.get(kind[1])
+        make = {"Q": rationals, "GF2": gf2, "laurent": laurent}.get(kind)
         if make is None:
-            self.err(f"unknown ring {kind[1]!r}", kind)
+            self.err(f"unknown ring {kind!r}", at)
         params = []
         if make is laurent:
             self.expect("(")
-            params.append(self.expect_ident("parameter")[1])
+            params.append(self.expect_ident("parameter"))
             while self.accept(","):
-                params.append(self.expect_ident("parameter")[1])
+                params.append(self.expect_ident("parameter"))
             self.expect(")")
         try:
             self.ring = make(*params)
         except ValueError as exc:
-            self.err(str(exc), kind)
+            self.err(str(exc), at)
 
     def parse_convention(self):
         self.header(self.convention)
+        at = self.pos
         t = self.expect_ident("convention")
-        if t[1] not in (POTENTIAL_PLUS, POTENTIAL_MINUS):
-            self.err(f"unknown convention {t[1]!r}", t)
-        self.convention = t[1]
+        if t not in (POTENTIAL_PLUS, POTENTIAL_MINUS):
+            self.err(f"unknown convention {t!r}", at)
+        self.convention = t
 
     def parse_presentation_block(self):
         self.next()
-        P = self.presentation(self.expect_ident("presentation name")[1])
+        P = self.presentation(self.expect_ident("presentation name"))
         self.expect("{")
         while not self.accept("}"):
             self.parse_pstmt(P)
 
     def parse_pstmt(self, P):
         t = self.next()
-        if t[1] == "idempotents":
-            for tok in self.names():
+        if t == "idempotents":
+            for k in self.names():
                 try:
-                    P.add_idempotent(tok[1])
+                    P.add_idempotent(self.toks[k])
                 except PresentationError as exc:
-                    self.err(str(exc), tok)
-        elif t[1] == "gen":
+                    self.err(str(exc), k)
+        elif t == "gen":
+            at = self.pos
             name = self.expect_ident("generator name")
             self.expect("deg")
             degree = self.expect_int()
             self.expect("from")
-            src = self.expect_ident("idempotent")
+            src = self.pos
+            self.expect_ident("idempotent")
             self.expect("to")
-            tgt = self.expect_ident("idempotent")
+            tgt = self.pos
+            self.expect_ident("idempotent")
             link = level = None
             if not self.accept("long") and self.accept("short"):
-                link = self.expect_ident("link id")[1]
+                link = self.expect_ident("link id")
             if self.accept("level"):
                 level = self.expect_int()
-            ends = [self.find(P.idem, e, f"undeclared idempotent {e[1]!r}")
+            ends = [self.find(P.idem, e, "undeclared idempotent")
                     for e in (src, tgt)]
             try:
-                P.add_generator(name[1], degree, *ends, link, level)
+                P.add_generator(name, degree, *ends, link, level)
             except PresentationError as exc:
-                self.err(str(exc), name)
-        elif t[1] == "diff":
+                self.err(str(exc), at)
+        elif t == "diff":
+            at = self.pos
             name = self.expect_ident("generator name")
-            g = self.find(P.gen, name, f"undeclared generator {name[1]!r}")
+            g = self.find(P.gen, at, "undeclared generator")
             if g.index in P.differential:
-                self.err(f"duplicate diff for {name[1]!r}", name)
+                self.err(f"duplicate diff for {name!r}", at)
             self.expect("=")
             P.set_differential(g, self.parse_expr(P))
         else:
-            self.err(f"unexpected statement {t[1]!r} in presentation", t)
+            self.err(f"unexpected statement {t!r} in presentation",
+                     self.pos - 1)
 
     # -- expressions -----------------------------------------------------------
 
@@ -257,13 +283,13 @@ class _Parser:
         term(sign), folded into `total` with add(total, summand)."""
         sign = self.accept("+", "-")
         while True:
-            total = add(total, term(-1 if sign and sign[1] == "-" else 1))
+            total = add(total, term(-1 if sign == "-" else 1))
             sign = self.accept("+", "-")
             if sign is None:
                 return total
 
     def parse_expr(self, P):
-        return self.parse_sum(lambda sign: self.parse_term(P, sign).items(),
+        return self.parse_sum(lambda sign: self.parse_term(P, sign),
                               P.zero(), P.ring.add_into)
 
     def parse_coeff_expr(self, P):
@@ -273,17 +299,15 @@ class _Parser:
     def parse_factors(self, P, sign, letters=None):
         """`*`-joined factors; their coefficient product times sign is
         returned.  Given a `letters` list, the presentation's names are
-        factors too, and each is appended to it as (token, its word)."""
+        factors too, and each is appended to it as (token index, its
+        word)."""
         ring = P.ring
         coeff = ring.from_int(sign)
         while True:
-            tok = self.peek()
-            if letters is not None and P.has_name(tok[1]):
-                try:
-                    word = (P.gen(tok[1]).index,)
-                except KeyError:
-                    word = P.idem(tok[1]).index
-                letters.append((self.next(), word))
+            word = None if letters is None else P.word_of(self.peek())
+            if word is not None:
+                letters.append((self.pos, word))
+                self.pos += 1
             else:
                 c = self.try_coeff_atom(P)
                 if c is None:
@@ -294,80 +318,86 @@ class _Parser:
                 return coeff
 
     def parse_term(self, P, sign):
+        """One term as (word, coefficient) pairs; with no name letter it
+        is its coefficient times the unit."""
         letters = []
         coeff = self.parse_factors(P, sign, letters)
         if not letters:
-            return P.scale(coeff, P.one())
+            return P.scale(coeff, P.one()).items()
         word = letters[0][1]
-        for tok, w in letters[1:]:
+        for at, w in letters[1:]:
             word = P.concat(word, w)
             if word is None:
                 self.err("non-composable word "
-                         + "*".join(t[1] for t, _ in letters), tok)
-        return {word: coeff} if not P.ring.is_zero(coeff) else {}
+                         + "*".join(self.toks[k] for k, _ in letters), at)
+        return [(word, coeff)]
 
     def try_coeff_atom(self, P):
         """Parse one coefficient factor, or return None."""
         ring = P.ring
+        at = self.pos
         t = self.peek()
-        if t[0] == "int":
+        if t.isdigit():
             self.next()
-            num = int(t[1])
+            num = int(t)
             if not self.accept("/"):
                 return ring.from_int(num)
             den = self.expect_int()
             try:
                 return ring.from_fraction(Fraction(num, den))
             except ZeroDivisionError:
-                self.err(f"coefficient {num}/{den} is undefined in {ring}", t)
-        if t[1] in ring.parameters:
+                self.err(f"coefficient {num}/{den} is undefined in {ring}",
+                         at)
+        if t in ring.parameters:
             self.next()
             exp = self.expect_int() if self.accept("^") else 1
-            return ring.monomial(tuple(exp if p == t[1] else 0
+            return ring.monomial(tuple(exp if p == t else 0
                                        for p in ring.parameters))
         if self.accept("("):
             if self.depth == MAX_NESTING:
-                self.err(f"parentheses nested deeper than {MAX_NESTING}", t)
+                self.err(f"parentheses nested deeper than {MAX_NESTING}", at)
             self.depth += 1
             val = self.parse_coeff_expr(P)
             self.expect(")")
             self.depth -= 1
             return val
-        if t[0] == "ident" and t[1] not in KEYWORDS:
-            self.err(f"undeclared name {t[1]!r}", t)
+        if t.isidentifier() and t not in KEYWORDS:
+            self.err(f"undeclared name {t!r}", at)
         return None
 
     # -- maps and augmentations --------------------------------------------------
 
     def parse_map(self):
         self.next()
+        at = self.pos
         name = self.expect_ident("map name")
         self.expect(":")
-        src = self.lookup_presentation(self.expect_ident("source"), self.env)
+        src = self.lookup_presentation("source", self.env)
         self.expect("->")
-        tgt = self.lookup_presentation(self.expect_ident("target"),
-                                       self.target_env)
+        tgt = self.lookup_presentation("target", self.target_env)
         try:
-            phi = GenMap(src, tgt, name=name[1])
+            phi = GenMap(src, tgt, name=name)
         except RingMismatchError as exc:
-            self.err(str(exc), name)
+            self.err(str(exc), at)
         self.expect("{")
         while not self.accept("}"):
             if self.accept("idem"):
-                a = self.expect_ident("idempotent")
+                a = self.pos
+                self.expect_ident("idempotent")
                 self.expect("->")
-                b = self.expect_ident("idempotent")
-                i = self.find(src.idem, a, f"unknown idempotent {a[1]!r}").index
-                j = self.find(tgt.idem, b, f"unknown idempotent {b[1]!r}").index
+                b = self.pos
+                self.expect_ident("idempotent")
+                i = self.find(src.idem, a, "unknown idempotent").index
+                j = self.find(tgt.idem, b, "unknown idempotent").index
                 if i in phi.idem_values:
-                    self.err(f"duplicate map entry for {a[1]!r}", a)
+                    self.err(f"duplicate map entry for {self.toks[a]!r}", a)
                 phi.idem_values[i] = j
             else:
-                a = self.expect_ident("generator")
-                g = self.find(src.gen, a,
-                              f"unknown source generator {a[1]!r}")
+                a = self.pos
+                self.expect_ident("generator")
+                g = self.find(src.gen, a, "unknown source generator")
                 if g.index in phi.gen_values:
-                    self.err(f"duplicate map entry for {a[1]!r}", a)
+                    self.err(f"duplicate map entry for {self.toks[a]!r}", a)
                 self.expect("->")
                 phi.gen_values[g.index] = self.parse_expr(tgt)
                 try:
@@ -375,29 +405,31 @@ class _Parser:
                 except MapError as exc:
                     self.err(str(exc), a)
             self.accept(";")
-        self.bundle.maps[name[1]] = phi
+        self.bundle.maps[name] = phi
 
     def parse_aug(self):
         self.next()
-        name = self.expect_ident("augmentation name")[1]
+        name = self.expect_ident("augmentation name")
         self.expect("on")
-        src_tok = self.expect_ident("source")
-        src = self.lookup_presentation(src_tok, self.env)
+        src_name = self.peek()
+        src = self.lookup_presentation("source", self.env)
         self.expect("scope")
         carried, links = {g.link for g in src.generators}, set()
-        for t in self.names():
-            if t[1] not in carried:
-                self.err(f"no generator of {src_tok[1]!r} is on link "
-                         f"{t[1]!r}", t)
-            links.add(t[1])
+        for k in self.names():
+            if self.toks[k] not in carried:
+                self.err(f"no generator of {src_name!r} is on link "
+                         f"{self.toks[k]!r}", k)
+            links.add(self.toks[k])
         eps = Augmentation(src, name=name, scope=frozenset(
             g.index for g in src.generators if g.link in links))
         self.expect("{")
         while not self.accept("}"):
-            a = self.expect_ident("generator")
-            g = self.find(src.gen, a, f"unknown generator {a[1]!r}")
+            a = self.pos
+            self.expect_ident("generator")
+            g = self.find(src.gen, a, "unknown generator")
             if g.index in eps.values:
-                self.err(f"duplicate augmentation entry for {a[1]!r}", a)
+                self.err(f"duplicate augmentation entry for "
+                         f"{self.toks[a]!r}", a)
             self.expect("->")
             eps.values[g.index] = self.parse_coeff_expr(src)
             try:
@@ -417,9 +449,8 @@ def parse_element(text: str, P: Presentation):
     """Parse one element expression against an existing presentation."""
     parser = _Parser(text)
     el = parser.parse_expr(P)
-    kind, text, _ = parser.peek()
-    if kind != "eof":
-        parser.err(f"trailing input {text!r}")
+    if parser.peek():
+        parser.err(f"trailing input {parser.peek()!r}")
     return el
 
 

@@ -152,9 +152,13 @@ def _one_arrow():
      "generator 'y' level must be an int, not 'x'"),
     (lambda: _one_arrow().add_generator("y", 0, 0, 1, level=False),
      "generator 'y' level must be an int, not False"),
+    (lambda: _one_arrow().add_generator("y", 0, True, 0),
+     "generator 'y' source must be an idempotent, not True"),
+    (lambda: _one_arrow().add_generator("y", 0, 0, False),
+     "generator 'y' target must be an idempotent, not False"),
 ], ids=["convention", "undeclared-ends", "non-composable-word",
         "float-degree", "bool-degree", "str-degree", "str-level",
-        "bool-level"])
+        "bool-level", "bool-source", "bool-target"])
 def test_presentation_refusals_name_what_is_wrong(call, match):
     with pytest.raises(PresentationError, match=match):
         call()

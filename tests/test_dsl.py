@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from cedga import (POTENTIAL_MINUS, POTENTIAL_PLUS, Augmentation,
                    CatalogBundle, GenMap, Presentation, PresentationError,
                    catalog_names, example, gf2, laurent, rationals)
-from cedga.dsl import (KEYWORDS, ParseError, _tokenize, bundle_equal, parse,
-                       parse_element, serialize)
+from cedga.dsl import (KEYWORDS, ParseError, _Parser, _tokenize, bundle_equal,
+                       parse, parse_element, serialize)
 
 
 def test_parse_minimal_presentation():
@@ -203,6 +203,11 @@ def test_parse_never_panics_on_garbage():
      3, 1),
     ("ring laurent(t)\nidempotents e1\ngen t deg 0 from e1 to e1\n", 3, 5),
     ("ring laurent(t)\nidempotents t\n", 2, 13),
+    ("ring Q # \u00e9 @ > \u00b2\nidempotents e1 @\n", 2, 16),
+    ("ring Q\nidempotents e1\ngen a deg 0 from e1 to e1\ndiff a = - > a\n",
+     4, 12),
+    ("ring Q\nidempotents e1\ngen a deg 0 from e1 to e1\ndiff a = # to come",
+     4, 19),
 ], ids=["half_in_gf2", "zero_denominator_in_q", "duplicate_idempotent",
         "duplicate_gen", "generator_as_endpoint", "map_value_of_wrong_degree",
         "aug_value_out_of_scope", "aug_value_on_nonzero_degree",
@@ -212,7 +217,8 @@ def test_parse_never_panics_on_garbage():
         "repeated_parameter", "non_ascii_parameter", "second_ring",
         "repeated_ring", "convention_after_presentation",
         "repeated_convention", "generator_named_as_parameter",
-        "idempotent_named_as_parameter"])
+        "idempotent_named_as_parameter", "bad_characters_in_a_comment",
+        "lone_greater_than_after_minus", "end_after_a_trailing_comment"])
 def test_bad_coefficients_and_duplicates_are_positioned(text, line, col):
     with pytest.raises(ParseError) as exc:
         parse(text)
@@ -240,7 +246,7 @@ def _assert_positioned(exc, text):
 
 @functools.lru_cache(maxsize=None)
 def _catalog_tokens(name):
-    return tuple(t[1] for t in _tokenize(serialize(example(name)))[:-1])
+    return tuple(_tokenize(serialize(example(name)))[:-1])
 
 
 # tokens outside the grammar's ASCII alphabet, and the pieces of a
@@ -403,12 +409,33 @@ def _reference_tokenize(text):
     return toks
 
 
-def _outcome(tokenize, text):
-    """(kind, text, line, col) tokens, from (kind, text, offset) tokens
-    or as they come; or the error."""
+def _kind(token):
+    """The kind of a token string, read off its first character."""
+    if not token:
+        return "eof"
+    if token[0].isdigit():
+        return "int"
+    return "ident" if token[0].isalpha() or token[0] == "_" else "sym"
+
+
+def _outcome(text):
+    """`_tokenize`'s tokens as (kind, text, line, col), each token k placed
+    where the parser reports an error at k; or the error."""
     try:
-        return [t if len(t) == 4 else (t[0], t[1], *_line_col(text, t[2]))
-                for t in tokenize(text)]
+        parser = _Parser(text)
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+    tokens = []
+    for k, token in enumerate(parser.toks):
+        with pytest.raises(ParseError) as exc:
+            parser.err("here", k)
+        tokens.append((_kind(token), token, exc.value.line, exc.value.col))
+    return tokens
+
+
+def _reference_outcome(text):
+    try:
+        return _reference_tokenize(text)
     except ParseError as exc:
         return ("error", exc.message, exc.line, exc.col)
 
@@ -416,7 +443,7 @@ def _outcome(tokenize, text):
 @settings(max_examples=500, deadline=None)
 @given(st.text(alphabet="aZ_09 \t\r\n#{}():;=^*/+-,>@.", max_size=60))
 def test_tokenizer_matches_the_reference(text):
-    new, ref = _outcome(_tokenize, text), _outcome(_reference_tokenize, text)
+    new, ref = _outcome(text), _reference_outcome(text)
     if "#" in text.rsplit("\n", 1)[-1] and isinstance(new, list):
         # the reference does not advance the column through a comment, so
         # the end-of-input column after a trailing comment differs
