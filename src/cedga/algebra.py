@@ -281,12 +281,16 @@ class Presentation:
                 f"generator {g.name!r} has no differential assignment")
         return self.differential[g.index]
 
-    def d_word(self, w: Word) -> Element:
+    def _leibniz_terms(self, w: Word) -> list:
+        """d(w) unsummed: for each letter and each term dw, dc of its
+        differential, (prefix*dw*suffix, ±dc), minus after letters of odd
+        total degree.  The sign flip is not a ring call and may leave a
+        coefficient uncanonical; add_into mends it."""
         if isinstance(w, int):
-            return {}
+            return []
         diff, gens = self.differential, self.generators
-        add_into, minus = self.ring.add_into, self.ring.from_int(-1)
-        out: Element = {}
+        negation = self.ring.negation()
+        terms = []
         sign_exp = 0
         for t, i in enumerate(w):
             dg = diff.get(i)
@@ -294,18 +298,30 @@ class Presentation:
                 self.d_gen(i)  # raises IncompletePresentationError
             if dg:
                 prefix, suffix = w[:t], w[t + 1:]
-                add_into(out, [(splice(prefix, dw, suffix), dc)
-                               for dw, dc in dg.items()],
-                         minus if sign_exp % 2 else None)
+                odd = sign_exp % 2
+                for dw, dc in dg.items():
+                    terms.append((
+                        prefix + suffix or dw if isinstance(dw, int)
+                        else prefix + dw + suffix,
+                        negation(dc) if odd else dc))
             sign_exp += gens[i].degree
-        return out
+        return terms
+
+    def d_word(self, w: Word) -> Element:
+        return self.ring.add_into({}, self._leibniz_terms(w))
 
     def apply_differential(self, x: Element) -> Element:
-        """Linear, graded-Leibniz extension of the generator assignments."""
+        """Linear, graded-Leibniz extension of the generator assignments.
+        Each word's Leibniz terms go into `out` scaled by its coefficient;
+        when a key repeats among them they are summed first, so that `out`
+        gains keys in the order adding d(w) whole would give."""
         out: Element = {}
-        add_into, d_word = self.ring.add_into, self.d_word
+        add_into, terms_of = self.ring.add_into, self._leibniz_terms
         for w, c in x.items():
-            add_into(out, d_word(w).items(), c)
+            terms = terms_of(w)
+            if len(dict(terms)) < len(terms):
+                terms = add_into({}, terms).items()
+            add_into(out, terms, c)
         return out
 
     # -- validation -------------------------------------------------------------

@@ -10,6 +10,7 @@ parse or any other error.  `-` as a file name reads standard input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -218,7 +219,7 @@ def build_parser():
         p = sub.add_parser(name, help=help_, parents=[json_flag])
         for arg in positionals:
             p.add_argument(arg)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         return p
 
     def checks(*names):
@@ -236,7 +237,7 @@ def build_parser():
 
     # catalog prints names or .cedga text and has no envelope, so no --json
     p = sub.add_parser("catalog", help="list or emit worked examples")
-    p.set_defaults(func=cmd_catalog)
+    p.set_defaults(func=cmd_catalog.__name__)
     p.add_argument("name", nargs="?")
     out = p.add_mutually_exclusive_group()
     out.add_argument("--emit", action="store_true")
@@ -272,14 +273,19 @@ def build_parser():
     return ap
 
 
+# built on the first call of main, not at import; a command names its
+# function, which main looks up when it runs, so wrappers take effect
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.monotonic()
     try:
-        result = args.func(args)
+        result = globals()[args.func](args)
     except (OSError, ValueError) as exc:
         print(f"cedga: error: {exc}", file=sys.stderr)
         return 2

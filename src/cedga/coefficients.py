@@ -44,6 +44,10 @@ def _q(a):
     return a.numerator if a.denominator == 1 else a
 
 
+def _neg_laurent(a):
+    return {e: -c for e, c in a.items()}
+
+
 class RingMismatchError(ValueError):
     """Operands belong to different coefficient rings."""
 
@@ -170,14 +174,32 @@ class CoeffRing:
                 else:
                     pop(k, None)
         else:
-            add, mul = self.add, self.mul
+            # exponent dicts are summed here, into a new dict each time:
+            # a coefficient dict that was given is never changed
+            mul = self.mul
             for k, c in x:
-                s = add(get(k, {}), c if f is None else mul(f, c))
+                if f is not None:
+                    c = mul(f, c)
+                old = get(k)
+                if old is not None:
+                    s = dict(old)
+                    for e, a in c.items():
+                        s[e] = s.get(e, 0) + a
+                    c = s
+                s = {e: a if type(a) is int else _q(a)
+                     for e, a in c.items() if a}
                 if s:
                     out[k] = s
                 else:
                     pop(k, None)
         return out
+
+    def negation(self):
+        """a -> -a as one plain function, for a loop that flips the sign
+        of many terms without a ring call each.  On Q and GF(2) it is the
+        builtin, which may leave a value uncanonical (an integral Fraction,
+        -1 in GF(2)) for add_into to mend."""
+        return _neg_laurent if self.kind == LAURENT else operator.neg
 
     def mul(self, a, b):
         if self.kind == RATIONALS:

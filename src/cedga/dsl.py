@@ -33,6 +33,7 @@ byte-stable form that parses back to an equal bundle.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import string
@@ -133,6 +134,15 @@ class _Parser:
             self.err(f"expected {what}, found {self.peek()!r}")
         return self.next()
 
+    def expect_name(self, what):
+        """A new presentation, map or augmentation name: an identifier
+        that is not a keyword, which serialize could not write back."""
+        at = self.pos
+        name = self.expect_ident(what)
+        if why := bad_name(name):
+            self.err(f"{what} {why}", at)
+        return name
+
     def expect_int(self):
         sign = -1 if self.accept("-") else 1
         t = self.next()
@@ -229,7 +239,7 @@ class _Parser:
 
     def parse_presentation_block(self):
         self.next()
-        P = self.presentation(self.expect_ident("presentation name"))
+        P = self.presentation(self.expect_name("presentation name"))
         self.expect("{")
         while not self.accept("}"):
             self.parse_pstmt(P)
@@ -278,23 +288,26 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def parse_sum(self, term, total, add):
-        """An optional sign, then `+`/`-`-separated summands: each is
-        term(sign), folded into `total` with add(total, summand)."""
+    def parse_sum(self, term):
+        """An optional sign, then `+`/`-`-separated summands: the list of
+        term(sign) for each."""
+        summands = []
         sign = self.accept("+", "-")
         while True:
-            total = add(total, term(-1 if sign == "-" else 1))
+            summands.append(term(-1 if sign == "-" else 1))
             sign = self.accept("+", "-")
             if sign is None:
-                return total
+                return summands
 
     def parse_expr(self, P):
-        return self.parse_sum(lambda sign: self.parse_term(P, sign),
-                              P.zero(), P.ring.add_into)
+        """An element: the (word, coefficient) pairs of every term, summed
+        in one add_into."""
+        return P.ring.add_into({}, itertools.chain.from_iterable(
+            self.parse_sum(lambda sign: self.parse_term(P, sign))))
 
     def parse_coeff_expr(self, P):
-        return self.parse_sum(lambda sign: self.parse_factors(P, sign),
-                              P.ring.zero(), P.ring.add)
+        summands = self.parse_sum(lambda sign: self.parse_factors(P, sign))
+        return functools.reduce(P.ring.add, summands, P.ring.zero())
 
     def parse_factors(self, P, sign, letters=None):
         """`*`-joined factors; their coefficient product times sign is
@@ -370,7 +383,7 @@ class _Parser:
     def parse_map(self):
         self.next()
         at = self.pos
-        name = self.expect_ident("map name")
+        name = self.expect_name("map name")
         self.expect(":")
         src = self.lookup_presentation("source", self.env)
         self.expect("->")
@@ -409,7 +422,7 @@ class _Parser:
 
     def parse_aug(self):
         self.next()
-        name = self.expect_ident("augmentation name")
+        name = self.expect_name("augmentation name")
         self.expect("on")
         src_name = self.peek()
         src = self.lookup_presentation("source", self.env)

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from cedga import analysis, catalog, dsl
+from cedga import analysis, catalog, cli, dsl
 from cedga.algebra import Presentation
 from cedga.cli import main
 
@@ -479,6 +479,36 @@ def test_an_unexpected_exception_is_one_named_line_and_exit_2(
     f.write_text(_TWO_LETTERS)
     assert run(capsys, "h0", str(f), "--json") == (
         2, "", "cedga: error: RuntimeError: no rewriting today\n")
+
+
+def test_one_parser_serves_every_call_and_looks_commands_up_late(
+        tmp_path, capsys, monkeypatch):
+    f = tmp_path / "two.cedga"
+    f.write_text(_TWO_LETTERS)
+    # a usage error between two calls leaves the parser as it was
+    for argv, code, verdict in (
+            (("check-d2", str(f), "--json"), 0, "pass"),
+            (("grade", str(f), "--json", "--no-such-flag"), 2, None),
+            (("grade", str(f), "--json"), 0, "pass"),
+            (("h0", str(f), "--json"), 0, "basis")):
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if verdict:
+            obj = json.loads(out)
+            assert (obj["command"], obj["verdict"], err) == (
+                argv[0], verdict, "")
+    assert cli._parser() is cli._parser()
+    seen = []
+    real_h0, real_cmd_h0 = analysis.h0, cli.cmd_h0
+    monkeypatch.setattr(analysis, "h0",
+                        lambda P, **kw: seen.append("h0") or real_h0(P, **kw))
+    monkeypatch.setattr(cli, "cmd_h0",
+                        lambda args: seen.append("cmd") or real_cmd_h0(args))
+    code, out, _ = run(capsys, "h0", str(f), "--degree-bound", "1", "--json")
+    obj = json.loads(out)
+    assert (code, obj["command"], obj["verdict"]) == (0, "h0", "basis")
+    assert obj["certificates"]["h0"]["dimension"] == 3
+    assert seen == ["cmd", "h0"]
 
 
 def test_h0_walks_a_basis_deeper_than_the_recursion_limit(tmp_path, capsys):

@@ -575,7 +575,15 @@ def _point(ring):
     (lambda: serialize(CatalogBundle("x", {"p": _point(rationals()),
                                            "q": _point(gf2())})),
      ValueError, "bundle mixes rings or conventions"),
-], ids=["trailing-input", "empty-bundle", "mixed-rings"])
+    (lambda: parse("ring GF2\npresentation gen { idempotents e1 }"),
+     ParseError, "2:14: presentation name 'gen' is a reserved word"),
+    (lambda: parse("ring GF2\nidempotents e1\nmap map : main -> main { }"),
+     ParseError, "3:5: map name 'map' is a reserved word"),
+    (lambda: parse("ring GF2\nidempotents e1\naug to on main scope { }"),
+     ParseError, "3:5: augmentation name 'to' is a reserved word"),
+], ids=["trailing-input", "empty-bundle", "mixed-rings",
+        "keyword-presentation-name", "keyword-map-name",
+        "keyword-augmentation-name"])
 def test_reader_and_writer_refusals_name_what_is_wrong(call, error, match):
     with pytest.raises(error, match=match):
         call()

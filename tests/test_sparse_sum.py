@@ -11,6 +11,7 @@ combination) pairs.  Split into pairs, the two must store the same pairs
 up to a rational factor and return the same solutions, whatever order
 the items of a column come in.
 """
+import copy
 import math
 from fractions import Fraction
 
@@ -211,26 +212,62 @@ def presentations(draw):
 
 
 @pytest.mark.parametrize("scaled", [False, True])
-@pytest.mark.parametrize("ring", [rationals(), gf2()], ids=["Q", "GF2"])
+@pytest.mark.parametrize("ring", RINGS, ids=["Q", "GF2", "laurent"])
 def test_add_into_key_order_is_that_of_the_inline_loop(ring, scaled):
     """A zero addend leaves its key in place (a), a repeated key whose sum
     stays nonzero keeps its place (d), and a key that cancels and comes
-    back goes last (b).  Scaled, the addends are negated and f = -1."""
-    if ring == rationals():
+    back goes last (b).  Scaled, the addends are negated and f = -1.  No
+    coefficient that was given, in `out` or in the addends, changes."""
+    if ring == gf2():
+        x = [("a", 0), ("d", 1), ("d", 0), ("b", 1), ("b", 1), ("e", 1)]
+        want = [("a", 1), ("c", 1), ("d", 1), ("b", 1), ("e", 1)]
+    else:
         x = [("a", 0), ("d", 1), ("d", Fraction(-1, 2)), ("b", -1),
              ("b", Fraction(1, 2)), ("e", Fraction(3, 1))]
         want = [("a", 1), ("c", 1), ("d", Fraction(1, 2)),
                 ("b", Fraction(1, 2)), ("e", 3)]
-    else:
-        x = [("a", 0), ("d", 1), ("d", 0), ("b", 1), ("b", 1), ("e", 1)]
-        want = [("a", 1), ("c", 1), ("d", 1), ("b", 1), ("e", 1)]
+    start = [("a", 1), ("b", 1), ("c", 1)]
+    if ring == laurent("t"):
+        # rational constants, and a t-term on d that every addend leaves
+        constant = ring.from_fraction
+        x = [(k, constant(c)) for k, c in x]
+        want = [(k, constant(c)) for k, c in want]
+        start = [(k, constant(c)) for k, c in start]
+        t = ring.parameter("t")
+        x[1] = ("d", ring.add(x[1][1], t))
+        want[2] = ("d", ring.add(want[2][1], t))
     f = None
     if scaled:
         f = ring.from_int(-1)
         x = [(k, ring.mul(f, c)) for k, c in x]
-    out = ring.add_into({"a": 1, "b": 1, "c": 1}, x, f)
+    given = [copy.deepcopy(c) for _, c in start + x]
+    out = dict(start)
+    ring.add_into(out, x, f)
     assert list(out.items()) == want
     assert [type(c) for c in out.values()] == [type(c) for _, c in want]
+    if ring == laurent("t"):
+        assert [[type(a) for a in c.values()] for c in out.values()] == [
+            [type(a) for a in c.values()] for _, c in want]
+    assert [c for _, c in start + x] == given
+
+
+def test_a_word_whose_leibniz_terms_repeat_adds_its_differential_whole():
+    """d(a*a*b) = -2 a*a*b - a*a*a holds a*a*b in two Leibniz terms.  Added
+    to d(a*b*b) one term at a time, the first would cancel the a*a*b of
+    d(a*b*b) and the second would bring it back after a*b*a; added as d(w)
+    whole, a*a*b keeps its place."""
+    P = Presentation(rationals())
+    P.add_idempotent("e1")
+    for name in ("a", "b"):
+        P.add_generator(name, 0, "e1", "e1")
+    a = (0,)
+    P.set_differential("a", {a: -1})
+    P.set_differential("b", {a: -1})
+    x = {(0, 1, 1): 1, (0, 0, 1): -1}
+    got = list(P.apply_differential(x).items())
+    assert got == list(_ref_apply_differential(P, x).items())
+    assert got == [((0, 1, 1), -1), ((0, 0, 1), 1), ((0, 1, 0), -1),
+                   ((0, 0, 0), 1)]
 
 
 @settings(max_examples=200, deadline=None)
