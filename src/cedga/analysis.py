@@ -462,23 +462,60 @@ def is_trivial(P: Presentation, bounds: Bounds,
 
 class RewriteSystem:
     """Rules lhs -> rhs with lhs strictly larger in length-then-lex order,
-    in one table `rules` from left side to right side, in rule order."""
+    in one table `rules` from left side to right side, in rule order.
+
+    Beside the table, an index maps each left side to its rank in rule
+    order (a running serial) and counts the live left sides of each
+    length, so `_find` probes one dict per factor of a word.  Assigning
+    `rules` rebuilds the index; a rule enters by `_add` and leaves by
+    `_retire`.
+    """
 
     def __init__(self, P: Presentation):
         self.P = P
         self.rules: dict[tuple, Element] = {}
         self.collapses: dict[str, list] = {}
 
+    @property
+    def rules(self) -> dict:
+        return self._rules
+
+    @rules.setter
+    def rules(self, table: dict):
+        self._rules = table
+        self._rank = {lhs: k for k, lhs in enumerate(table)}
+        self._serial = len(table)
+        self._lengths = collections.Counter(map(len, table))
+
+    def _add(self, lhs, rhs):
+        self._rules[lhs] = rhs
+        self._rank[lhs] = self._serial
+        self._serial += 1
+        self._lengths[len(lhs)] += 1
+
+    def _retire(self, lhs):
+        """Drop the rule of `lhs` and return its right side."""
+        del self._rank[lhs]
+        self._lengths[len(lhs)] -= 1
+        if not self._lengths[len(lhs)]:
+            del self._lengths[len(lhs)]
+        return self._rules.pop(lhs)
+
     def _find(self, w):
-        """(lhs, pos) of the first rule in rule order in w, leftmost."""
+        """(lhs, pos) of the first rule in rule order in w, leftmost: the
+        factor of least rank among the factors of the live lengths."""
         if isinstance(w, int):
             return None
-        for lhs in self.rules:
-            L = len(lhs)
-            for pos in range(len(w) - L + 1):
-                if w[pos:pos + L] == lhs:
-                    return lhs, pos
-        return None
+        rank, n, best = self._rank.get, len(w), None
+        for L in self._lengths:
+            for pos in range(n - L + 1):
+                r = rank(w[pos:pos + L])
+                if r is not None and (best is None or r < best[0]):
+                    best = r, pos, L
+        if best is None:
+            return None
+        _, pos, L = best
+        return w[pos:pos + L], pos
 
     def normal_form(self, el: Element) -> Element:
         """Rewrite every word of `el` until no rule applies; `pending`
@@ -516,7 +553,7 @@ class RewriteSystem:
                 map(P.sort_key, el), reverse=True)
             return "degenerate"
         lc = el.pop(lead)
-        self.rules[lead] = P.scale(P.ring.neg(P.ring.inverse(lc)), el)
+        self._add(lead, P.scale(P.ring.neg(P.ring.inverse(lc)), el))
         return "added"
 
     def interreduce(self):
@@ -567,7 +604,7 @@ class RewriteSystem:
                 # retire every rule whose left side the new one rewrites
                 for lhs in [l for l in rules
                             if l != new and _contains(l, new)]:
-                    queue.append(P.sub({lhs: one}, rules.pop(lhs)))
+                    queue.append(P.sub({lhs: one}, self._retire(lhs)))
                 for l1, l2, k, n in self._overlap_words(new):
                     if n > degree_bound:
                         beyond.add((l1, l2))
@@ -622,9 +659,13 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     `degree_bound`, then counts normal-form words up to that length, at
     most BASIS_CAP of them.  The walk appends letters on the acting side,
     so a word is irreducible when no suffix of it is a left side in the
-    rule table.  The report decides its verdict: inconclusive for a
-    truncated or cut run or one with a collapse, else the ground ring
-    when the rules rewrite every degree-0 letter, else a basis.
+    rule table.  It carries the word's source and the state of an
+    Aho-Corasick automaton over the left sides (CACM 1975): the word's
+    longest suffix that is a proper prefix of a left side.  The letters
+    kept after each state are listed once.  The report decides its
+    verdict: inconclusive for a truncated or cut run or one with a
+    collapse, else the ground ring when the rules rewrite every degree-0
+    letter, else a basis.
     """
     Bounds(degree_bound=degree_bound)  # the int and sign checks of Bounds
     require_valid(P)
@@ -645,28 +686,31 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     rs = RewriteSystem(P)
     truncated = rs.complete(relations, degree_bound)
 
-    heads: dict[int, set] = {}  # letter -> what precedes it in a left side
-    for lhs in rs.rules:
-        heads.setdefault(lhs[-1], set()).add(lhs[:-1])
-    cuts = {i: {len(h) for h in hs} for i, hs in heads.items()}
     letters = [g for g in P.generators if g.degree == 0]
     by_target: dict[int, list] = {}
     for g in letters:
         by_target.setdefault(g.target, []).append((g.index, g.source))
+    rules = rs.rules
+    prefixes = {lhs[:k] for lhs in rules for k in range(len(lhs))} | {()}
+    memo: dict[tuple, list] = {}
 
-    def irreducible(word, src):
-        """The letters that keep `word`, of source src, in normal form,
-        tested on its tails: only the walk builds the longer word."""
-        kept, n = [], len(word)
-        for i, gs in by_target.get(src, ()):
-            hs = heads.get(i)
-            if not hs or not any(word[n - m:] in hs
-                                 for m in cuts[i] if m <= n):
-                kept.append((i, gs, True))
-        return kept
+    def irreducible(word, state):
+        """The letters that keep a word of state (source, u) in normal
+        form, each with the longer word's state: no suffix of u + letter
+        is a left side, and the next u is its longest suffix in prefixes."""
+        if state not in memo:
+            src, u = state
+            memo[state] = kept = []
+            for i, gs in by_target.get(src, ()):
+                v = u + (i,)
+                tails = [v[k:] for k in range(len(v) + 1)]  # longest first
+                if rules.keys().isdisjoint(tails):
+                    nxt = next(t for t in tails if t in prefixes)
+                    kept.append((i, (gs, nxt), True))
+        return memo[state]
 
     walk = (w for t in sorted(by_target)
-            for w in walk_words(irreducible, t, degree_bound))
+            for w in walk_words(irreducible, (t, ()), degree_bound))
     basis = [e.index for e in P.idempotents]
     basis += itertools.islice(walk, max(BASIS_CAP - len(basis), 0))
     cut = next(walk, None) is not None

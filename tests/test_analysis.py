@@ -527,6 +527,106 @@ def test_h0_queues_again_a_relation_lost_behind_a_collapse():
     assert (rep.dimension, rep.basis) == (2, ["e1", "e2"])
 
 
+def _scan_find(rules, w):
+    """The rule-by-rule scan the indexed `_find` replaced: the first rule
+    in rule order that occurs in w, at its leftmost position."""
+    if isinstance(w, int):
+        return None
+    for lhs in rules:
+        L = len(lhs)
+        for pos in range(len(w) - L + 1):
+            if w[pos:pos + L] == lhs:
+                return lhs, pos
+    return None
+
+
+@st.composite
+def rule_tables(draw):
+    """Left sides of lengths 1-4 over 2-3 letters, in drawn rule order, the
+    ones to retire and add after them, and words to find them in."""
+    letter = st.integers(0, draw(st.integers(1, 2)))
+    word = st.lists(letter, min_size=1, max_size=8).map(tuple)
+    sides = st.lists(st.lists(letter, min_size=1, max_size=4).map(tuple),
+                     min_size=1, max_size=8, unique=True)
+    table, later = draw(sides), draw(sides)
+    retired = draw(st.sets(st.sampled_from(table)))
+    added = [lhs for lhs in later if lhs not in table]
+    return table, retired, added, draw(st.lists(word, min_size=1,
+                                                max_size=12)) + [0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_tables())
+def test_find_keeps_the_choice_of_the_rule_order_scan(case):
+    table, retired, added, words = case
+    rs = RewriteSystem(_simple())
+    rs.rules = {lhs: {} for lhs in table}  # assigned wholesale
+    assert [rs._find(w) for w in words] == [_scan_find(rs.rules, w)
+                                            for w in words]
+    for lhs in retired:
+        rs._retire(lhs)
+    for lhs in added:
+        rs._add(lhs, {})
+    assert [rs._find(w) for w in words] == [_scan_find(rs.rules, w)
+                                            for w in words]
+
+
+def _check_every_find(monkeypatch):
+    """Compare each `_find` call with the scan over the live table; the
+    returned dict counts the calls made after a rule was retired."""
+    seen = {"retired": 0, "calls_after": 0}
+    find, retire = RewriteSystem._find, RewriteSystem._retire
+
+    def checked_find(rs, w):
+        assert find(rs, w) == _scan_find(rs.rules, w)
+        seen["calls_after"] += seen["retired"] > 0
+        return find(rs, w)
+
+    def counted_retire(rs, lhs):
+        seen["retired"] += 1
+        return retire(rs, lhs)
+
+    monkeypatch.setattr(RewriteSystem, "_find", checked_find)
+    monkeypatch.setattr(RewriteSystem, "_retire", counted_retire)
+    return seen
+
+
+def test_find_keeps_its_choice_after_complete_retires_rules(monkeypatch):
+    # a1*a0*a1 -> a0*a0*a1 is retired when a1 -> a0 arrives; completion
+    # goes on rewriting with the table left behind
+    seen = _check_every_find(monkeypatch)
+    P = _binomials(1, [(0, 0)] * 2, [((1, 0, 1), (0, 0, 1), -1),
+                                     ((1,), (0,), -1)])
+    assert h0(P, degree_bound=2).rules == ["a1 -> a0"]
+    assert seen["retired"] and seen["calls_after"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(binomial_presentations())
+def test_find_keeps_its_choice_through_every_completion(case):
+    P, bound = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_every_find(monkeypatch)
+        h0(P, degree_bound=bound)
+
+
+def test_h0_walk_keeps_a_partial_match_on_a_mismatch():
+    # d r = a0*a0*a1: after a0*a0*a0 the walk still holds the match a0*a0,
+    # so a0*a0*a0*a1 is reducible; restarting from the empty state on the
+    # mismatch would keep it
+    P = _binomials(1, [(0, 0)] * 2, [])
+    P.add_generator("r", -1, "e1", "e1")
+    P.set_differential("r", {(0, 0, 1): P.ring.one()})
+    rep = h0(P, degree_bound=5)
+    # pre-order is lexicographic order on the letter indices
+    brute = sorted(w for n in range(1, 6)
+                   for w in itertools.product((0, 1), repeat=n)
+                   if not any(w[k:k + 3] == (0, 0, 1) for k in range(n)))
+    assert rep.rules == ["a0*a0*a1 -> 0"] and rep.verdict == "basis"
+    assert rep.basis == ["e1"] + [P.format_word(w) for w in brute]
+    assert "a0*a0*a0*a1" not in rep.basis
+
+
 # -- the word walker ----------------------------------------------------------
 
 def _reference_composable_words(P, *, degree, ends, max_len, max_level,

@@ -103,3 +103,91 @@ def test_obstruct_at_length_7_is_pinned(tmp_path, monkeypatch):
     text = _run(["obstruct", "a3_link.cedga", "--map", "pairing_xw_yv",
                  "--max-len", "7", "--json"])
     assert hashlib.sha256(text.encode()).hexdigest() == OBSTRUCT_L7
+
+
+# `h0 --json` beyond the catalog, whose h0 runs all complete: braid
+# relations around a triangle (an infinite completion, truncated at the
+# bound), the presentations whose truncation is read off the final rules
+# after overlaps of retired rules, and an inhomogeneous binomial over
+# GF(2); recorded before the rule table was indexed by left side
+H0_TEXTS = {
+    "braids.cedga": """ring Q
+presentation braids {
+  idempotents e1
+  gen a0 deg 0 from e1 to e1
+  gen a1 deg 0 from e1 to e1
+  gen a2 deg 0 from e1 to e1
+  gen r0 deg -1 from e1 to e1
+  gen r1 deg -1 from e1 to e1
+  gen r2 deg -1 from e1 to e1
+  diff a0 = 0
+  diff a1 = 0
+  diff a2 = 0
+  diff r0 = a0*a1*a0 - a1*a0*a1
+  diff r1 = a1*a2*a1 - a2*a1*a2
+  diff r2 = - a0*a2*a0 + a2*a0*a2
+}
+""",
+    "truncation.cedga": """ring Q
+presentation retired_overlap {
+  idempotents e1
+  gen a0 deg 0 from e1 to e1
+  gen a1 deg 0 from e1 to e1
+  gen a2 deg 0 from e1 to e1
+  gen r0 deg -1 from e1 to e1
+  gen r1 deg -1 from e1 to e1
+  gen r2 deg -1 from e1 to e1
+  gen r3 deg -1 from e1 to e1
+  diff a0 = 0
+  diff a1 = 0
+  diff a2 = 0
+  diff r0 = a1*a1 - a2*a0
+  diff r1 = a0*a1 + a2*a0
+  diff r2 = a0*a1 + a1*a1
+  diff r3 = a0*a1 + a2*a1
+}
+presentation retired_self_overlap {
+  idempotents e1
+  gen a0 deg 0 from e1 to e1
+  gen a1 deg 0 from e1 to e1
+  gen r0 deg -1 from e1 to e1
+  gen r1 deg -1 from e1 to e1
+  diff a0 = 0
+  diff a1 = 0
+  diff r0 = - a0*a0*a1 + a1*a0*a1
+  diff r1 = - a0 + a1
+}
+""",
+    "inhomogeneous.cedga": """ring GF2
+presentation p {
+  idempotents e1
+  gen a0 deg 0 from e1 to e1
+  gen a1 deg 0 from e1 to e1
+  gen a2 deg 0 from e1 to e1
+  gen r0 deg -1 from e1 to e1
+  gen r1 deg -1 from e1 to e1
+  diff a0 = 0
+  diff a1 = 0
+  diff a2 = 0
+  diff r0 = a1*a0 + a2
+  diff r1 = a2*a2*a1 + a0*a1
+}
+""",
+}
+H0_RUNS = (("braids.cedga", "braids", "8"),
+           ("truncation.cedga", "retired_overlap", "3"),
+           ("truncation.cedga", "retired_overlap", "8"),
+           ("truncation.cedga", "retired_self_overlap", "2"),
+           ("truncation.cedga", "retired_self_overlap", "5"),
+           ("inhomogeneous.cedga", "p", "8"))
+H0_BEYOND_CATALOG = (
+    "a5a285165f1f45be7845c0803cf72465fbe419f9e7d28637caa67a60f1d0220f")
+
+
+def test_h0_beyond_the_catalog_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in H0_TEXTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    text = "".join(_run(["h0", name, "--pres", pres, "--degree-bound",
+                         bound, "--json"]) for name, pres, bound in H0_RUNS)
+    assert hashlib.sha256(text.encode()).hexdigest() == H0_BEYOND_CATALOG
