@@ -204,7 +204,8 @@ class Presentation:
     def format_word(self, w: Word) -> str:
         if isinstance(w, int):
             return self.idempotents[w].label
-        return "*".join(self.generators[i].name for i in w)
+        gens = self.generators
+        return "*".join([gens[i].name for i in w])
 
     # -- elements -----------------------------------------------------------
 
@@ -327,35 +328,45 @@ class Presentation:
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Name uniqueness, composability and degree homogeneity of every diff."""
+        """Violations, in generator order: a missing differential, or a
+        word of d(g) whose ends differ from g's, that breaks between two
+        letters, or whose degree is not deg(g) + 1."""
+        gens, labels = self.generators, [e.label for e in self.idempotents]
+        sources = [g.source for g in gens]
+        targets = [g.target for g in gens]
+        degrees = [g.degree for g in gens]
         violations = []
-        for g in self.generators:
+        for g in gens:
             dg = self.differential.get(g.index)
             if dg is None:
                 violations.append(Violation(
                     "missing-differential", g.name, "no diff statement"))
                 continue
+            want = g.degree + 1
             for w in dg:
-                if (self.word_source(w) != g.source
-                        or self.word_target(w) != g.target):
+                if isinstance(w, int):
+                    src = tgt = w
+                    degree = 0
+                else:
+                    src, tgt = sources[w[-1]], targets[w[0]]
+                    degree = sum(map(degrees.__getitem__, w))
+                if src != g.source or tgt != g.target:
                     violations.append(Violation(
                         "composability", g.name,
                         f"word {self.format_word(w)} has ends "
-                        f"({self.idempotents[self.word_source(w)].label}, "
-                        f"{self.idempotents[self.word_target(w)].label})"))
+                        f"({labels[src]}, {labels[tgt]})"))
                 if not isinstance(w, int):
                     for a, b in zip(w, w[1:]):
-                        if self.generators[a].source != self.generators[b].target:
+                        if sources[a] != targets[b]:
                             violations.append(Violation(
                                 "composability", g.name,
                                 f"word {self.format_word(w)} breaks between "
-                                f"{self.generators[a].name} and "
-                                f"{self.generators[b].name}"))
-                if self.word_degree(w) != g.degree + 1:
+                                f"{gens[a].name} and {gens[b].name}"))
+                if degree != want:
                     violations.append(Violation(
                         "degree", g.name,
-                        f"word {self.format_word(w)} has degree "
-                        f"{self.word_degree(w)}, expected {g.degree + 1}"))
+                        f"word {self.format_word(w)} has degree {degree}, "
+                        f"expected {want}"))
         return ValidationReport(ok=not violations, violations=violations)
 
     # -- structural equality (used by the DSL round-trip) -----------------------

@@ -175,10 +175,21 @@ class CoeffRing:
                     pop(k, None)
         else:
             # exponent dicts are summed here, into a new dict each time:
-            # a coefficient dict that was given is never changed
-            mul = self.mul
+            # a coefficient dict that was given is never changed.  A
+            # constant f scales each rational (none when f is 1); only a
+            # non-constant f takes a product.
+            mul = scale = None
+            if f is not None:
+                if len(f) == 1 and not any(next(iter(f))):
+                    (q,) = f.values()
+                    if q != 1:
+                        scale = q
+                else:
+                    mul = self.mul
             for k, c in x:
-                if f is not None:
+                if scale is not None:
+                    c = {e: scale * a for e, a in c.items()}
+                elif mul is not None:
                     c = mul(f, c)
                 old = get(k)
                 if old is not None:

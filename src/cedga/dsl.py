@@ -288,62 +288,95 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def parse_sum(self, term):
-        """An optional sign, then `+`/`-`-separated summands: the list of
-        term(sign) for each."""
+    def parse_expr(self, P):
+        """An element: the (word, coefficient) pairs of every term, summed
+        in one add_into.  One loop reads the terms and their `*`-joined
+        factors.  A factor is a generator or idempotent name, looked up in
+        P's name tables, or a coefficient atom; a term with no name letter
+        is its coefficient times the unit.  A term's letters must compose
+        (each one's source is the next one's target); a term that does not
+        is reported once all its factors are read, at its first letter
+        that fails, so a later error in the same term comes first."""
+        toks, ring = self.toks, P.ring
+        gens, idems = P._gen_by_name, P._idem_by_label
+        mul = ring.mul
+        terms = []
+        pos = self.pos
+        t = toks[pos]
+        sign = -1 if t == "-" else 1
+        if t == "+" or t == "-":
+            pos += 1
+        while True:
+            start = pos
+            coeff = ring.from_int(sign)
+            word = bad = src = None
+            while True:
+                t = toks[pos]
+                if (g := gens.get(t)) is not None:
+                    w, s, e = (g.index,), g.source, g.target
+                elif (i := idems.get(t)) is not None:
+                    w = s = e = i.index
+                else:
+                    w = None
+                    self.pos = pos
+                    c = self.try_coeff_atom(P)
+                    if c is None:
+                        self.err("expected a term")
+                    coeff = mul(coeff, c)
+                    pos = self.pos
+                if w is not None:
+                    # letter w, from s to e, acts before the word so far
+                    if word is None:
+                        word = w
+                    elif e != src:
+                        if bad is None:
+                            bad = pos
+                    elif type(w) is tuple:
+                        word = w if type(word) is int else word + w
+                    src = s
+                    pos += 1
+                if toks[pos] != "*":
+                    break
+                pos += 1
+            if bad is not None:
+                self.pos = pos
+                self.err("non-composable word " + "*".join(
+                    t for t in toks[start:pos] if t in gens or t in idems),
+                    bad)
+            if word is None:
+                terms += P.scale(coeff, P.one()).items()
+            else:
+                terms.append((word, coeff))
+            t = toks[pos]
+            if t != "+" and t != "-":
+                self.pos = pos
+                return ring.add_into({}, terms)
+            sign = -1 if t == "-" else 1
+            pos += 1
+
+    def parse_coeff_expr(self, P):
+        """An optional sign, then `+`/`-`-separated products of
+        coefficients: their sum."""
+        ring = P.ring
         summands = []
         sign = self.accept("+", "-")
         while True:
-            summands.append(term(-1 if sign == "-" else 1))
+            summands.append(self.parse_factors(P, -1 if sign == "-" else 1))
             sign = self.accept("+", "-")
             if sign is None:
-                return summands
+                return functools.reduce(ring.add, summands, ring.zero())
 
-    def parse_expr(self, P):
-        """An element: the (word, coefficient) pairs of every term, summed
-        in one add_into."""
-        return P.ring.add_into({}, itertools.chain.from_iterable(
-            self.parse_sum(lambda sign: self.parse_term(P, sign))))
-
-    def parse_coeff_expr(self, P):
-        summands = self.parse_sum(lambda sign: self.parse_factors(P, sign))
-        return functools.reduce(P.ring.add, summands, P.ring.zero())
-
-    def parse_factors(self, P, sign, letters=None):
-        """`*`-joined factors; their coefficient product times sign is
-        returned.  Given a `letters` list, the presentation's names are
-        factors too, and each is appended to it as (token index, its
-        word)."""
+    def parse_factors(self, P, sign):
+        """`*`-joined coefficient factors: their product times sign."""
         ring = P.ring
         coeff = ring.from_int(sign)
         while True:
-            word = None if letters is None else P.word_of(self.peek())
-            if word is not None:
-                letters.append((self.pos, word))
-                self.pos += 1
-            else:
-                c = self.try_coeff_atom(P)
-                if c is None:
-                    self.err("expected a coefficient" if letters is None
-                             else "expected a term")
-                coeff = ring.mul(coeff, c)
+            c = self.try_coeff_atom(P)
+            if c is None:
+                self.err("expected a coefficient")
+            coeff = ring.mul(coeff, c)
             if not self.accept("*"):
                 return coeff
-
-    def parse_term(self, P, sign):
-        """One term as (word, coefficient) pairs; with no name letter it
-        is its coefficient times the unit."""
-        letters = []
-        coeff = self.parse_factors(P, sign, letters)
-        if not letters:
-            return P.scale(coeff, P.one()).items()
-        word = letters[0][1]
-        for at, w in letters[1:]:
-            word = P.concat(word, w)
-            if word is None:
-                self.err("non-composable word "
-                         + "*".join(self.toks[k] for k, _ in letters), at)
-        return [(word, coeff)]
 
     def try_coeff_atom(self, P):
         """Parse one coefficient factor, or return None."""

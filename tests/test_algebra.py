@@ -1,9 +1,17 @@
+import contextlib
+import hashlib
+import io
+import json
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cedga import (Presentation, PresentationError,
                    IncompletePresentationError, gf2, make_point_algebra,
                    rationals)
+from cedga.algebra import require_valid
+from cedga.cli import main
 
 
 @pytest.fixture
@@ -272,3 +280,94 @@ def test_differential_raises_degree_by_one(i3):
                 assert i3.is_homogeneous(dx) == deg + 1
 
         law()
+
+
+# `grade --json` on presentations that carry every kind of violation the
+# text form can hold, and validate() where it cannot (the reader refuses a
+# word that breaks between two letters), pinned by one sha256 over the
+# exit codes, output and reports; recorded before validate read the ends
+# and degrees of the letters from per-letter lists.
+VIOLATIONS_TEXT = """ring Q
+presentation ends {
+  idempotents e1 e2 e3
+  gen x deg 0 from e1 to e2
+  gen y deg 0 from e2 to e3
+  gen a deg -1 from e1 to e1
+  gen b deg -1 from e1 to e3
+  diff x = 0
+  diff y = 0
+  diff a = x - 2*y*x + e1
+  diff b = y*x + x
+}
+presentation idempotent_ends {
+  idempotents e1 e2
+  gen x deg 0 from e1 to e2
+  gen a deg -1 from e1 to e2
+  gen c deg -1 from e1 to e1
+  diff x = 0
+  diff a = e1 + x + e2
+  diff c = e1 - e2
+}
+presentation degree {
+  idempotents e1
+  gen u deg 1 from e1 to e1
+  gen a deg -1 from e1 to e1
+  diff u = u
+  diff a = e1 + u*u - u + u*u*u
+}
+presentation missing {
+  idempotents e1 e2
+  gen g1 deg 0 from e1 to e1
+  gen g2 deg -1 from e1 to e2
+  gen g3 deg 0 from e2 to e2
+  diff g2 = g1
+}
+presentation clean {
+  idempotents e1
+  gen t deg 0 from e1 to e1
+  gen a deg -1 from e1 to e1
+  diff t = 0
+  diff a = e1 - t*t
+}
+"""
+VIOLATIONS = (
+    "002835014906e4aa2d5ea991636a8ffec0f48f68322d759949c298cc2dc9b344")
+
+
+def _breaking_presentation():
+    """Words that break between letters, alone and with wrong ends and a
+    wrong degree in the same word; a generator with no differential."""
+    P = Presentation(rationals())
+    e1, e2, e3 = (P.add_idempotent(f"e{i}") for i in (1, 2, 3))
+    x = P.add_generator("x", 0, e1, e2).index
+    y = P.add_generator("y", 0, e2, e3).index
+    w = P.add_generator("w", 1, e2, e2).index
+    P.add_generator("m", 0, e3, e3)
+    a = P.add_generator("a", -1, e1, e3).index
+    b = P.add_generator("b", -1, e1, e1).index
+    for g in (x, y, w):
+        P.differential[g] = {}
+    P.differential[a] = {(y, x): 1, (x, y): 1, (y, w, x): 2,
+                         (x, y, x, y): -1, (y, x, w): 1}
+    P.differential[b] = {(x, w, y, x): 1, e1.index: 1, (w,): 1}
+    return P
+
+
+def test_validation_messages_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "v.cedga").write_text(VIOLATIONS_TEXT, encoding="utf-8")
+    runs = []
+    for argv in (["grade", "v.cedga", "--json"], ["grade", "v.cedga"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        text = re.sub(r'"timings": \{[^}]*\}', '"timings": {}',
+                      out.getvalue())
+        runs.append(f"{argv}\n{code}\n{text}")
+    P = _breaking_presentation()
+    runs.append(json.dumps(P.validate().to_json_dict(), sort_keys=True))
+    with pytest.raises(PresentationError) as exc:
+        require_valid(P)
+    runs.append(str(exc.value))
+    digest = hashlib.sha256("\n".join(runs).encode()).hexdigest()
+    assert digest == VIOLATIONS

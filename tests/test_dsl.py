@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import random
 import re
 from fractions import Fraction
 
@@ -581,9 +583,18 @@ def _point(ring):
      ParseError, "3:5: map name 'map' is a reserved word"),
     (lambda: parse("ring GF2\nidempotents e1\naug to on main scope { }"),
      ParseError, "3:5: augmentation name 'to' is a reserved word"),
+    # a term is checked for composability once all its factors are read
+    (lambda: parse(_PRECEDENCE_TEXTS["Q"][0].format("a*b")), ParseError,
+     r"6:12: non-composable word a\*b"),
+    (lambda: parse(_PRECEDENCE_TEXTS["Q"][0].format("a*b*zz")), ParseError,
+     "6:14: undeclared name 'zz'"),
+    (lambda: parse(_PRECEDENCE_TEXTS["Q"][0].format("a*b*1/0")), ParseError,
+     "6:14: coefficient 1/0 is undefined in Q"),
 ], ids=["trailing-input", "empty-bundle", "mixed-rings",
         "keyword-presentation-name", "keyword-map-name",
-        "keyword-augmentation-name"])
+        "keyword-augmentation-name", "non-composable-term",
+        "undeclared-name-after-a-non-composable-pair",
+        "undefined-coefficient-after-a-non-composable-pair"])
 def test_reader_and_writer_refusals_name_what_is_wrong(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -614,3 +625,109 @@ def test_serialize_refuses_names_the_text_form_cannot_carry():
                                      "'map' is a reserved word")):
         with pytest.raises(ValueError, match=why):
             serialize(bundle)
+
+
+# The reader's outcome on a fixed corpus, pinned by one sha256: for each
+# catalog bundle, its canonical text, tokens joined by single spaces, with
+# one token inserted or deleted at a place drawn from
+# random.Random(READER_SEED), or, for half of them, inserted, deleted or
+# replaced by another token of its line inside an element; then hand-written
+# elements in which a later error in a term competes with the term's
+# composability (reported only once the whole term is read).  An outcome
+# is the parsed data, with every element's terms in their stored order,
+# or the ParseError text with its line:col.  Recorded before parse_expr
+# read an element in one loop.
+READER_SEED = 2329
+READER_MUTATIONS = 60
+READER_OUTCOMES = (
+    "54b84109ed153d9ad42ea2cdbd25dfdeea8a47a016a60a89da9216875c626712")
+_INSERTED = ("zz", "0", "1", "2", "/", "*", "+", "-", "(", ")", "^", "=",
+             ";", "->", "{", "}", "e1", "e2", "idem", "\u00e9")
+_PRECEDENCE_TEXTS = {
+    "Q": ("ring Q\nidempotents e1 e2\ngen a deg 0 from e1 to e2\n"
+          "gen b deg 0 from e1 to e2\ngen c deg -1 from e1 to e1\n"
+          "diff c = {}\n",
+          ("a*b", "a*b*zz", "a*b*1/0", "a*b + zz", "a*b*(", "a*b*(1/0)",
+           "2*a*b", "a*2*b*3", "a*e1*b", "e2*a", "e1*a", "a*e2", "a*e1",
+           "e1*e1", "e1*e2", "e2*e2*a*e1", "1 - e1 - e2", "a*a*b",
+           "- a*b", "+ 3*a", "a * * b", "a*", "*a", "a*b*", "a b",
+           "(1/2)*a*(3)", "a*b*2^3", "zz*a*b", "a*b - a*b", "a*a",
+           "b*e1*a", "a*b*a*b*zz", "3/4*e2*a*e1 - 1/4*a + a", "a*b*1/",
+           "a*b*-1", "a*b*c", "c*a*b", "a*(b)", "2*(1 + 1/2)*a*e1*e1")),
+    "GF2": ("ring GF2\nidempotents e1 e2\ngen a deg 0 from e1 to e2\n"
+            "gen b deg 0 from e2 to e1\ngen c deg -1 from e1 to e1\n"
+            "diff c = {}\n",
+            ("b*a", "a*b*a*b", "a*a*1/2", "a*a*zz", "b*a + b*a + e1",
+             "1/3*b*a", "e2*b*a", "a*e1*b*a", "b*a*b*a*1/2")),
+    "laurent": ("ring laurent(t,s)\nidempotents e1 e2\n"
+                "gen a deg 0 from e1 to e2\ngen b deg 0 from e2 to e1\n"
+                "gen c deg -1 from e1 to e1\ndiff c = {}\n",
+                ("t*b*a", "b*t^-1*a", "(1 - t)*b*a*b", "b*a*t^", "a*a*t",
+                 "t*zz", "2/0*b*a", "b*(t + 1/2)*a - 1/2*b*a",
+                 "a*a*(t", "s^2*t*b*a - t*s^2*b*a", "(t*s - s*t)*e1",
+                 "1 + t*e2", "-b*s^-2*a*3/2")),
+}
+
+
+def _reader_outcome(text):
+    """The parsed data, or the ParseError text, as one line."""
+    try:
+        bundle = parse(text)
+    except ParseError as exc:
+        return f"error {exc}"
+    data = []
+    for name, P in bundle.presentations.items():
+        fmt = P.ring.format
+        data.append((name, P.data_tuple(),
+                     [(i, [(w, fmt(c)) for w, c in el.items()])
+                      for i, el in P.differential.items()]))
+    for name, phi in bundle.maps.items():
+        fmt = phi.target.ring.format
+        data.append((name, sorted(phi.idem_values.items()),
+                     [(gi, [(w, fmt(c)) for w, c in el.items()])
+                      for gi, el in sorted(phi.gen_values.items())]))
+    for name, eps in bundle.augmentations.items():
+        fmt = eps.presentation.ring.format
+        data.append((name, sorted(eps.scope),
+                     [(gi, fmt(c)) for gi, c in sorted(eps.values.items())]))
+    return repr(data)
+
+
+def _reader_corpus():
+    """Every text of the pinned corpus, in a fixed order."""
+    rng = random.Random(READER_SEED)
+    texts = []
+    for name in catalog_names():
+        lines = [_tokenize(line)[:-1] for line in
+                 serialize(example(name)).splitlines()]
+        vocabulary = sorted({t for line in lines for t in line}
+                            | set(_INSERTED))
+        for n in range(READER_MUTATIONS):
+            # every other mutation falls inside an element, after the
+            # `=` of a diff or the `->` of a map entry
+            mutated = [list(line) for line in lines]
+            line = rng.choice([line for line in mutated if line
+                               and (n % 2 or "=" in line
+                                    or line[-1] == ";")])
+            k = rng.randrange(len(line))
+            if not n % 2:
+                k = max(k, line.index("=" if "=" in line else "->") + 1)
+            op = rng.choice(("delete", "insert") if n % 2
+                            else ("delete", "insert", "replace"))
+            if op == "delete":
+                del line[k]
+            elif op == "insert":
+                line.insert(k, rng.choice(vocabulary))
+            else:
+                line[k] = rng.choice(line)
+            texts.append("\n".join(" ".join(line) for line in mutated))
+    for template, elements in _PRECEDENCE_TEXTS.values():
+        texts += [template.format(el) for el in elements]
+    return texts
+
+
+def test_reader_outcomes_on_the_mutation_corpus_are_pinned():
+    outcomes = "\n".join(_reader_outcome(text) for text in _reader_corpus())
+    assert (hashlib.sha256(outcomes.encode()).hexdigest()
+            == READER_OUTCOMES)
+

@@ -158,12 +158,16 @@ def _assert_same_echelon(ring, new, ref):
 
 
 def _canonical(x):
-    """Every value of x is an int when integral: no Fraction(n, 1)."""
-    return all(type(c) is int or c.denominator != 1 for c in x.values())
+    """Every rational of x, a value or a Laurent value's coefficient, is
+    an int when integral: no Fraction(n, 1)."""
+    return all(_canonical(c) if type(c) is dict
+               else type(c) is int or c.denominator != 1
+               for c in x.values())
 
 
 def _coeff(draw, ring):
-    """A coefficient, zero with fair probability."""
+    """A coefficient, zero with fair probability; a Laurent one sums
+    monomials whose coefficients are halves."""
     if ring == gf2():
         return draw(st.integers(0, 1))
     if ring == rationals():
@@ -172,7 +176,7 @@ def _coeff(draw, ring):
     c = ring.zero()
     for _ in range(draw(st.integers(0, 2))):
         c = ring.add(c, ring.monomial((draw(st.integers(-1, 1)),),
-                                      draw(st.integers(-1, 1))))
+                                      Fraction(draw(st.integers(-4, 4)), 2)))
     return c
 
 
@@ -275,11 +279,16 @@ def test_a_word_whose_leibniz_terms_repeat_adds_its_differential_whole():
 def test_products_and_differentials_match_the_inline_loops(data):
     P, pool, element = data.draw(presentations())
     x, y = element(), element()
-    assert list(P.mul(x, y).items()) == list(_ref_mul(P, x, y).items())
+    xy = P.mul(x, y)
+    assert list(xy.items()) == list(_ref_mul(P, x, y).items())
+    assert _canonical(xy)
     for w in pool:
-        assert list(P.d_word(w).items()) == list(_ref_d_word(P, w).items())
-    assert (list(P.apply_differential(x).items())
-            == list(_ref_apply_differential(P, x).items()))
+        dw = P.d_word(w)
+        assert list(dw.items()) == list(_ref_d_word(P, w).items())
+        assert _canonical(dw)
+    dx = P.apply_differential(x)
+    assert list(dx.items()) == list(_ref_apply_differential(P, x).items())
+    assert _canonical(dx)
 
 
 @settings(max_examples=200, deadline=None)
