@@ -355,28 +355,22 @@ class _Parser:
             pos += 1
 
     def parse_coeff_expr(self, P):
-        """An optional sign, then `+`/`-`-separated products of
-        coefficients: their sum."""
+        """An optional sign, then `+`/`-`-separated products of `*`-joined
+        coefficient atoms: their sum.  One loop reads the atoms; each sign
+        starts a summand, which each atom multiplies."""
         ring = P.ring
         summands = []
-        sign = self.accept("+", "-")
+        sep = self.accept("+", "-") or "+"
         while True:
-            summands.append(self.parse_factors(P, -1 if sign == "-" else 1))
-            sign = self.accept("+", "-")
-            if sign is None:
-                return functools.reduce(ring.add, summands, ring.zero())
-
-    def parse_factors(self, P, sign):
-        """`*`-joined coefficient factors: their product times sign."""
-        ring = P.ring
-        coeff = ring.from_int(sign)
-        while True:
+            if sep != "*":
+                summands.append(ring.from_int(-1 if sep == "-" else 1))
             c = self.try_coeff_atom(P)
             if c is None:
                 self.err("expected a coefficient")
-            coeff = ring.mul(coeff, c)
-            if not self.accept("*"):
-                return coeff
+            summands[-1] = ring.mul(summands[-1], c)
+            sep = self.accept("*", "+", "-")
+            if sep is None:
+                return functools.reduce(ring.add, summands, ring.zero())
 
     def try_coeff_atom(self, P):
         """Parse one coefficient factor, or return None."""
@@ -439,17 +433,8 @@ class _Parser:
                     self.err(f"duplicate map entry for {self.toks[a]!r}", a)
                 phi.idem_values[i] = j
             else:
-                a = self.pos
-                self.expect_ident("generator")
-                g = self.find(src.gen, a, "unknown source generator")
-                if g.index in phi.gen_values:
-                    self.err(f"duplicate map entry for {self.toks[a]!r}", a)
-                self.expect("->")
-                phi.gen_values[g.index] = self.parse_expr(tgt)
-                try:
-                    phi.check_value(g.index)
-                except MapError as exc:
-                    self.err(str(exc), a)
+                self.parse_entry(phi, src, phi.gen_values, "map",
+                                 "source generator", self.parse_expr, tgt)
             self.accept(";")
         self.bundle.maps[name] = phi
 
@@ -470,20 +455,26 @@ class _Parser:
             g.index for g in src.generators if g.link in links))
         self.expect("{")
         while not self.accept("}"):
-            a = self.pos
-            self.expect_ident("generator")
-            g = self.find(src.gen, a, "unknown generator")
-            if g.index in eps.values:
-                self.err(f"duplicate augmentation entry for "
-                         f"{self.toks[a]!r}", a)
-            self.expect("->")
-            eps.values[g.index] = self.parse_coeff_expr(src)
-            try:
-                eps.check_value(g.index)
-            except ScopeError as exc:
-                self.err(str(exc), a)
+            self.parse_entry(eps, src, eps.values, "augmentation",
+                             "generator", self.parse_coeff_expr, src)
             self.accept(";")
         self.bundle.augmentations[name] = eps
+
+    def parse_entry(self, block, src, values, kind, gen, read, P):
+        """One `g -> VALUE` entry of a map or augmentation `block`: g is a
+        `gen` of src with no entry yet in `values`, and read(P) reads its
+        value over P.  A refusal, block.check_value's included, is at g."""
+        a = self.pos
+        self.expect_ident("generator")
+        g = self.find(src.gen, a, f"unknown {gen}")
+        if g.index in values:
+            self.err(f"duplicate {kind} entry for {self.toks[a]!r}", a)
+        self.expect("->")
+        values[g.index] = read(P)
+        try:
+            block.check_value(g.index)
+        except (MapError, ScopeError) as exc:
+            self.err(str(exc), a)
 
 
 def parse(text: str, env=None, target_env=None) -> CatalogBundle:
@@ -528,7 +519,9 @@ def serialize_presentation(P: Presentation, name: str) -> str:
 def serialize(bundle: CatalogBundle) -> str:
     """Canonical text form; stable across runs and platforms (LF only).
     Raises ValueError, before any text is made, on a presentation, map or
-    augmentation name that breaks the name rule."""
+    augmentation name that breaks the name rule.  Also raises it on a map
+    or augmentation that uses a presentation the bundle does not hold,
+    unless the bundle holds none (then each is written as `main`)."""
     for name in (*bundle.presentations, *bundle.maps, *bundle.augmentations):
         if why := bad_name(name):
             raise ValueError(f"cannot serialize: {why}")
@@ -546,12 +539,21 @@ def serialize(bundle: CatalogBundle) -> str:
     parts.append(f"ring {some.ring}")
     parts.append(f"convention {some.convention}")
     names = {id(P): n for n, P in bundle.presentations.items()}
+
+    def name_of(P, what):
+        """The name of presentation P, which `what` uses; a bundle of
+        maps and augmentations alone names every presentation `main`."""
+        if not names:
+            return "main"
+        if id(P) not in names:
+            raise ValueError(f"cannot serialize {what}: it uses a "
+                             f"presentation the bundle does not hold")
+        return names[id(P)]
     for pname in bundle.presentations:
         parts.append(serialize_presentation(bundle.presentations[pname],
                                             pname))
     for mname, m in bundle.maps.items():
-        src = names.get(id(m.source), "main")
-        tgt = names.get(id(m.target), "main")
+        src, tgt = (name_of(P, f"map {mname}") for P in (m.source, m.target))
         lines = [f"map {mname} : {src} -> {tgt} {{"]
         for gi in sorted(m.gen_values):
             g = m.source.generators[gi]
@@ -563,8 +565,8 @@ def serialize(bundle: CatalogBundle) -> str:
         lines.append("}")
         parts.append("\n".join(lines))
     for aname, a in bundle.augmentations.items():
-        src = names.get(id(a.presentation), "main")
         P = a.presentation
+        src = name_of(P, f"augmentation {aname}")
         links = sorted({P.generators[gi].link for gi in a.scope
                         if P.generators[gi].link})
         if a.scope != {g.index for g in P.generators if g.link in links}:
@@ -584,32 +586,23 @@ def serialize(bundle: CatalogBundle) -> str:
 
 
 def bundle_equal(b1: CatalogBundle, b2: CatalogBundle) -> bool:
-    """Structural equality of the data a round-trip must preserve."""
-    if set(b1.presentations) != set(b2.presentations):
-        return False
-    for n in b1.presentations:
-        if not b1.presentations[n].same_data(b2.presentations[n]):
-            return False
-    if set(b1.maps) != set(b2.maps) or \
-            set(b1.augmentations) != set(b2.augmentations):
-        return False
-    for n in b1.maps:
-        m1, m2 = b1.maps[n], b2.maps[n]
-        fmt1 = {m1.source.generators[gi].name:
-                m1.target.format_element(v) for gi, v in m1.gen_values.items()}
-        fmt2 = {m2.source.generators[gi].name:
-                m2.target.format_element(v) for gi, v in m2.gen_values.items()}
-        if fmt1 != fmt2 or m1.idem_values != m2.idem_values:
-            return False
-    for n in b1.augmentations:
-        a1, a2 = b1.augmentations[n], b2.augmentations[n]
-        P1, P2 = a1.presentation, a2.presentation
-        v1 = {P1.generators[g].name: P1.ring.format(c)
-              for g, c in a1.values.items() if not P1.ring.is_zero(c)}
-        v2 = {P2.generators[g].name: P2.ring.format(c)
-              for g, c in a2.values.items() if not P2.ring.is_zero(c)}
-        s1 = {P1.generators[g].name for g in a1.scope}
-        s2 = {P2.generators[g].name for g in a2.scope}
-        if v1 != v2 or s1 != s2:
-            return False
-    return True
+    """Structural equality of the data a round-trip must preserve: one key
+    per bundle, holding each presentation's data, each map's source and
+    target names and values, and each augmentation's presentation name,
+    values and scope; values and scopes are keyed by generator name."""
+    def key(b):
+        names = {id(P): n for n, P in b.presentations.items()}
+        maps = {n: (names.get(id(m.source)), names.get(id(m.target)),
+                    {m.source.generators[g].name: m.target.format_element(v)
+                     for g, v in m.gen_values.items()}, m.idem_values)
+                for n, m in b.maps.items()}
+        augs = {}
+        for n, a in b.augmentations.items():
+            P = a.presentation
+            augs[n] = (names.get(id(P)),
+                       {P.generators[g].name: P.ring.format(c)
+                        for g, c in a.values.items() if not P.ring.is_zero(c)},
+                       {P.generators[g].name for g in a.scope})
+        return ({n: P.data_tuple() for n, P in b.presentations.items()},
+                maps, augs)
+    return key(b1) == key(b2)

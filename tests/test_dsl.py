@@ -1,15 +1,18 @@
+import dataclasses
 import functools
 import hashlib
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cedga import (POTENTIAL_MINUS, POTENTIAL_PLUS, Augmentation,
                    CatalogBundle, GenMap, Presentation, PresentationError,
-                   catalog_names, example, gf2, laurent, rationals)
+                   catalog_names, example, gf2, laurent, rationals,
+                   verify_augmentation, verify_chain_map)
 from cedga.dsl import (KEYWORDS, ParseError, _Parser, _tokenize, bundle_equal,
                        parse, parse_element, serialize)
 
@@ -35,13 +38,13 @@ def test_one_expands_to_the_sum_of_idempotents():
     gen a deg -1 from e1 to e1 long
     diff a = 1
     """
-    with pytest.raises(Exception):
-        # 1 = e1 + e2 is not composable with a's single ends; the validator
-        # rejects it downstream
-        B = parse(text)
-        rep = B.presentations["main"].validate()
-        assert not rep.ok
-        raise ValueError(rep.violations[0])
+    P = parse(text).presentations["main"]
+    e1, e2 = (P.idem(e).index for e in ("e1", "e2"))
+    assert P.d_gen("a") == {e1: 1, e2: 1}
+    # 1 = e1 + e2 is not composable with a's single ends; the validator,
+    # not the reader, rejects it
+    assert [str(v) for v in P.validate().violations] == [
+        "composability at a: word e2 has ends (e2, e2)"]
 
 
 def test_noncomposable_word_is_a_parse_error_with_position():
@@ -138,12 +141,10 @@ def test_map_and_aug_blocks_round_trip():
     rep_names = set(parsed.maps)
     assert rep_names == {"Phi"}
     phi = parsed.maps["Phi"]
-    from cedga import verify_chain_map
     assert verify_chain_map(phi).ok
 
     T = example("singular_torus")
     parsed = parse(serialize(T))
-    from cedga import verify_augmentation
     for eps in parsed.augmentations.values():
         assert verify_augmentation(eps).ok
 
@@ -570,6 +571,25 @@ def _point(ring):
     return P
 
 
+def _entry(block):
+    """Parse `block`, a map or augmentation, after four generators."""
+    return parse("ring laurent(lam)\nidempotents e1 e2\n"
+                 "gen x deg 0 from e1 to e1 short l0\n"
+                 "gen y deg 0 from e2 to e2 short l0\n"
+                 "gen z deg 1 from e1 to e1 short l1\n"
+                 "gen a deg -1 from e1 to e1 long\n" + block)
+
+
+def _lacking(part):
+    """A bundle with saddle_cobordism's map Phi, or singular_torus' two
+    augmentations, and a presentation that is not the one they use."""
+    if part == "map":
+        saddle = example("saddle_cobordism")
+        return CatalogBundle("x", {"main": saddle.main}, saddle.maps, {}, [])
+    return CatalogBundle("x", {"main": example("singular_torus").main}, {},
+                         example("singular_torus").augmentations, [])
+
+
 @pytest.mark.parametrize("call,error,match", [
     (lambda: parse_element("e1 e1", _point(rationals())), ParseError,
      "1:4: trailing input 'e1'"),
@@ -590,11 +610,47 @@ def _point(ring):
      "6:14: undeclared name 'zz'"),
     (lambda: parse(_PRECEDENCE_TEXTS["Q"][0].format("a*b*1/0")), ParseError,
      "6:14: coefficient 1/0 is undefined in Q"),
+    # each refusal of a map or augmentation entry
+    (lambda: _entry("map m : main -> main { x -> x; x -> x; }"), ParseError,
+     "7:32: duplicate map entry for 'x'"),
+    (lambda: _entry("aug eps on main scope l0 { x -> 1; x -> lam; }"),
+     ParseError, "7:36: duplicate augmentation entry for 'x'"),
+    (lambda: _entry("map m : main -> main { w -> x; }"), ParseError,
+     "7:24: unknown source generator 'w'"),
+    (lambda: _entry("aug eps on main scope l0 { w -> 1; }"), ParseError,
+     "7:28: unknown generator 'w'"),
+    (lambda: _entry("map m : main -> main { x -> x + y; }"), ParseError,
+     "7:24: m: value of x mixes ends"),
+    (lambda: _entry("map m : main -> main {\n  x -> z; }"), ParseError,
+     "8:3: m: value of x has degree 1, expected 0"),
+    (lambda: _entry("aug eps on main scope l0 { z -> 0; }"), ParseError,
+     "7:28: eps: value for unscoped generator z"),
+    (lambda: _entry("aug eps on main scope l1 {\n  z -> lam; }"),
+     ParseError, "8:3: eps: nonzero value on nonzero-degree generator z"),
+    (lambda: _entry("aug eps on main scope l0 { x -> lam + ; }"),
+     ParseError, "7:39: expected a coefficient"),
+    (lambda: _entry("aug eps on main scope l0 { x -> 2*; }"), ParseError,
+     "7:35: expected a coefficient"),
+    # writing Phi's target, the codomain, as `main` would bind it to the
+    # source
+    (lambda: serialize(_lacking("map")), ValueError,
+     "cannot serialize map Phi: it uses a presentation the bundle does "
+     "not hold"),
+    (lambda: serialize(_lacking("aug")), ValueError,
+     "cannot serialize augmentation eps: it uses a presentation the bundle "
+     "does not hold"),
 ], ids=["trailing-input", "empty-bundle", "mixed-rings",
         "keyword-presentation-name", "keyword-map-name",
         "keyword-augmentation-name", "non-composable-term",
         "undeclared-name-after-a-non-composable-pair",
-        "undefined-coefficient-after-a-non-composable-pair"])
+        "undefined-coefficient-after-a-non-composable-pair",
+        "duplicate-map-entry", "duplicate-augmentation-entry",
+        "unknown-map-generator", "unknown-augmentation-generator",
+        "map-value-mixes-ends", "map-value-of-wrong-degree",
+        "unscoped-augmentation-value", "nonzero-value-of-nonzero-degree",
+        "no-coefficient-after-a-sign", "no-coefficient-after-a-star",
+        "map-on-a-presentation-the-bundle-lacks",
+        "augmentation-on-a-presentation-the-bundle-lacks"])
 def test_reader_and_writer_refusals_name_what_is_wrong(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -625,6 +681,83 @@ def test_serialize_refuses_names_the_text_form_cannot_carry():
                                      "'map' is a reserved word")):
         with pytest.raises(ValueError, match=why):
             serialize(bundle)
+
+
+def test_the_readme_example_parses_and_round_trips():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## The `.cedga` format", 1)[1]
+    text = section.split("```\n", 2)[1]
+    bundle = parse(text)
+    assert (list(bundle.presentations), list(bundle.maps),
+            list(bundle.augmentations)) == (["main", "codomain"], ["Phi"],
+                                            ["eps"])
+    assert verify_chain_map(bundle.maps["Phi"]).ok
+    assert verify_augmentation(bundle.augmentations["eps"]).ok
+    canonical = serialize(bundle)
+    assert bundle_equal(bundle, parse(canonical))
+    assert serialize(parse(canonical)) == canonical
+
+
+# one text with a presentation, a map and an augmentation, and one edit for
+# each piece of data that bundle_equal compares
+_EQUAL_TEXT = """ring laurent(lam)
+presentation main {
+  idempotents e1 e2
+  gen x deg 0 from e1 to e1 short l0
+  gen y deg 0 from e1 to e1 short l1
+  gen a deg -1 from e1 to e1 long
+  diff a = e1 - x
+}
+presentation cod {
+  idempotents e1 e2
+  gen x deg 0 from e1 to e1 short l0
+  gen u deg 0 from e1 to e1 short l0
+}
+map phi : main -> cod {
+  x -> u;
+  idem e1 -> e1;
+}
+aug eps on main scope l0 {
+  x -> lam;
+}
+"""
+
+
+@pytest.mark.parametrize("old,new", [
+    ("diff a = e1 - x", "diff a = e1 - 2*x"),
+    ("gen y deg 0", "gen y deg 2"),
+    ("y deg 0 from e1 to e1 short l1", "y deg 0 from e1 to e1 short l2"),
+    ("y deg 0 from e1 to e1 short l1", "y deg 0 from e1 to e1 long"),
+    ("x -> u;", "x -> lam*u;"),
+    ("idem e1 -> e1", "idem e1 -> e2"),
+    # the same values on another source
+    ("phi : main -> cod", "phi : cod -> cod"),
+    ("x -> lam;", "x -> lam^2;"),
+    ("scope l0", "scope l0 l1"),
+], ids=["differential-coefficient", "generator-degree", "generator-link",
+        "generator-long", "map-value", "map-idempotent-value",
+        "map-source",
+        "augmentation-value", "augmentation-scope"])
+def test_bundle_equal_sees_each_single_difference(old, new):
+    assert old in _EQUAL_TEXT
+    base, changed = parse(_EQUAL_TEXT), parse(_EQUAL_TEXT.replace(old, new))
+    assert bundle_equal(base, parse(_EQUAL_TEXT))
+    assert not bundle_equal(base, changed)
+    assert not bundle_equal(changed, base)
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), None])
+def test_bundle_equal_sees_a_missing_or_renamed_part(name):
+    b = example(name) if name else parse(_EQUAL_TEXT)
+    assert bundle_equal(b, parse(serialize(b)))
+    for part in ("presentations", "maps", "augmentations"):
+        for key in getattr(b, part):
+            rest = dict(getattr(b, part))
+            value = rest.pop(key)
+            for other in (rest, {**rest, key + "_renamed": value}):
+                changed = dataclasses.replace(b, **{part: other})
+                assert not bundle_equal(b, changed)
+                assert not bundle_equal(changed, b)
 
 
 # The reader's outcome on a fixed corpus, pinned by one sha256: for each
