@@ -3,8 +3,9 @@
 The singular torus carries a Hopf-link subalgebra with two-parameter
 Laurent coefficients; the two fillings of the resolved double point induce
 the augmentations eps and eps' which differ only on the chord p.
-Partial linearization evaluates the short chords by an augmentation,
-leaving a presentation on long chords only.
+Partial linearization, partial_linearize(eps), evaluates the short chords
+of the augmentation's own presentation by eps, leaving a presentation on
+long chords only.
 """
 from cedga import (Augmentation, check_d_squared, example, partial_linearize,
                    verify_augmentation)
@@ -38,7 +39,7 @@ scope = frozenset(g.index for g in U.generators if g.role == "short")
 unit = U.ring.one()
 eps_u = Augmentation(U, scope=scope, values={
     U.gen("t0_12").index: unit, U.gen("t1_21").index: unit})
-L = partial_linearize(U, eps_u)
+L = partial_linearize(eps_u)
 print(f"  generators: {[g.name for g in L.generators]}")
 print(f"  d a = {L.format_element(L.d_gen('a'))}")
 print(f"  d^2 = 0 on the linearized output: {check_d_squared(L).ok}")

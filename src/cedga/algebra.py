@@ -234,9 +234,6 @@ class Presentation:
     def add(self, x: Element, y: Element) -> Element:
         return self.ring.add_into(dict(x), y.items())
 
-    def neg(self, x: Element) -> Element:
-        return {w: self.ring.neg(c) for w, c in x.items()}
-
     def sub(self, x: Element, y: Element) -> Element:
         return self.ring.add_into(dict(x), y.items(), self.ring.from_int(-1))
 

@@ -12,6 +12,7 @@ carries the bounds it was run at and is never an unbounded claim.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
@@ -127,22 +128,22 @@ def check_parity_flip(P: Presentation) -> ParityReport:
 def walk_words(children, root, max_len):
     """Words of length 1..max_len in pre-order, grown from the state `root`.
 
-    children(word, state) lists the letters that may follow `word`, whose
-    state is `state`, as (letter index, child state, emit) triples, in
-    walk order; the extended word is yielded when emit is true.  An
-    explicit stack, so the depth is not limited by the recursion limit.
+    children(state) lists the letters that may follow a word in state
+    `state`, as (letter index, child state, emit) triples, in walk order;
+    the extended word is yielded when emit is true.  An explicit stack,
+    so the depth is not limited by the recursion limit.
     """
     if max_len < 1:
         return
     # one frame per word being extended: (word, its next letters)
-    stack = [((), iter(children((), root)))]
+    stack = [((), iter(children(root)))]
     while stack:
         word, after = stack[-1]
         for i, state, emit in after:
             nw = word + (i,)
             if emit:
                 yield nw
-            if len(nw) < max_len and (more := children(nw, state)):
+            if len(nw) < max_len and (more := children(state)):
                 stack.append((nw, iter(more)))
                 break
         else:
@@ -170,9 +171,9 @@ def composable_words(P: Presentation, *, degree, ends, max_len, max_level,
     A word's grade packs its degree and weight into one int.  `reach`
     holds, per length k and idempotent i, the grades of the words of
     length <= k and each length parity that lead from i back to the
-    source; from it, one memoized list per (length, source, grade) holds
-    the letters after which the word can still close, and walk_words
-    walks them.
+    source; from it, `extensions` lists, once per state (length, source,
+    grade) under functools.cache, the letters after which the word can
+    still close, and walk_words walks them.
     """
     letters = [g for g in P.generators if (g.level or 0) <= max_level]
     wt, goals = weights or ([()] * len(P.generators), [()])
@@ -196,24 +197,21 @@ def composable_words(P: Presentation, *, degree, ends, max_len, max_level,
                     even.update(x + gr for x in po)
                     odd.update(x + gr for x in pe)
             reach.append(nxt)
-        memo: dict[tuple, list] = {}
 
-        def extensions(word, state):
+        @functools.cache
+        def extensions(state):
             """The letters after which a word of length n, source src and
             grade acc, its state (n, src, acc), can still close, each with
             the extended word's state and whether that word closes."""
-            if state not in memo:
-                n, src, acc = state
-                rest = reach[max_len - n - 1]
-                bits = (0, 1) if parity is None else ((parity - n - 1) % 2,)
-                closes = parity is None or (n + 1) % 2 == parity
-                memo[state] = [
-                    (i, (n + 1, gs, acc + gr),
+            n, src, acc = state
+            rest = reach[max_len - n - 1]
+            bits = (0, 1) if parity is None else ((parity - n - 1) % 2,)
+            closes = parity is None or (n + 1) % 2 == parity
+            return [(i, (n + 1, gs, acc + gr),
                      closes and gs == s and acc + gr in want)
                     for i, gs, gr in by_target.get(src, ())
                     if gs in rest and any(G - acc - gr in rest[gs][b]
                                           for G in want for b in bits)]
-            return memo[state]
 
         out.extend(walk_words(extensions, (0, t, 0), max_len))
     return out
@@ -661,11 +659,11 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     so a word is irreducible when no suffix of it is a left side in the
     rule table.  It carries the word's source and the state of an
     Aho-Corasick automaton over the left sides (CACM 1975): the word's
-    longest suffix that is a proper prefix of a left side.  The letters
-    kept after each state are listed once.  The report decides its
-    verdict: inconclusive for a truncated or cut run or one with a
-    collapse, else the ground ring when the rules rewrite every degree-0
-    letter, else a basis.
+    longest suffix that is a proper prefix of a left side.  `irreducible`
+    lists the letters kept after each state once, for every target root
+    (functools.cache).  The report decides its verdict: inconclusive for
+    a truncated or cut run or one with a collapse, else the ground ring
+    when the rules rewrite every degree-0 letter, else a basis.
     """
     Bounds(degree_bound=degree_bound)  # the int and sign checks of Bounds
     require_valid(P)
@@ -692,22 +690,21 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
         by_target.setdefault(g.target, []).append((g.index, g.source))
     rules = rs.rules
     prefixes = {lhs[:k] for lhs in rules for k in range(len(lhs))} | {()}
-    memo: dict[tuple, list] = {}
 
-    def irreducible(word, state):
+    @functools.cache
+    def irreducible(state):
         """The letters that keep a word of state (source, u) in normal
         form, each with the longer word's state: no suffix of u + letter
         is a left side, and the next u is its longest suffix in prefixes."""
-        if state not in memo:
-            src, u = state
-            memo[state] = kept = []
-            for i, gs in by_target.get(src, ()):
-                v = u + (i,)
-                tails = [v[k:] for k in range(len(v) + 1)]  # longest first
-                if rules.keys().isdisjoint(tails):
-                    nxt = next(t for t in tails if t in prefixes)
-                    kept.append((i, (gs, nxt), True))
-        return memo[state]
+        src, u = state
+        kept = []
+        for i, gs in by_target.get(src, ()):
+            v = u + (i,)
+            tails = [v[k:] for k in range(len(v) + 1)]  # longest first
+            if rules.keys().isdisjoint(tails):
+                nxt = next(t for t in tails if t in prefixes)
+                kept.append((i, (gs, nxt), True))
+        return kept
 
     walk = (w for t in sorted(by_target)
             for w in walk_words(irreducible, (t, ()), degree_bound))

@@ -85,9 +85,10 @@ def _quadratic_terms(n, p, i, j):
             yield left, right
 
 
-def add_point_family(P: Presentation, *, prefix, n, potentials, p_max=2,
-                     legs=None, link_id=None, signs=ALTERNATING):
-    """Attach one n-point link family to `P`; returns the name table."""
+def add_point_family(P: Presentation, *, prefix, n, potentials, link_id,
+                     p_max=2, legs=None, signs=ALTERNATING):
+    """Attach one n-point link family, on the link `link_id`, to `P`;
+    returns the name table."""
     if n < 2:
         raise InvalidFamilyError(f"point family needs n >= 2, got {n}")
     if p_max < 0:
@@ -98,7 +99,6 @@ def add_point_family(P: Presentation, *, prefix, n, potentials, p_max=2,
     if legs is None:
         legs = list(range(n))
     legs = [P.idem(x).index for x in legs]
-    link_id = link_id if link_id is not None else prefix
     gens = {}
     for (p, i, j) in _family_indices(n, p_max):
         gens[(p, i, j)] = P.add_generator(

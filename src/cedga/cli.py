@@ -174,7 +174,7 @@ def cmd_linearize(args):
         bundle = _load(args.augfile, env=dict(bundle.presentations))
     ((name, eps),) = _select(bundle.augmentations, args.aug,
                              "augmentation", "--aug", one=True).items()
-    lin = morphisms.partial_linearize(eps.presentation, eps)
+    lin = morphisms.partial_linearize(eps)
     text = dsl.serialize(
         catalog.CatalogBundle("linearized", {"main": lin}, {}, {}, []))
     certs = {"augmentation": name,

@@ -226,27 +226,26 @@ class AugmentationReport:
 
 
 def verify_augmentation(eps: Augmentation) -> AugmentationReport:
-    """Check eps(d g) = 0 for every scoped generator."""
+    """Check eps(d g) = 0 for every scoped generator g in index order; the
+    first d g with a letter outside the scope raises ScopeError."""
     P = eps.presentation
-    for gi in sorted(eps.scope):
-        for w in P.differential.get(gi, {}):
-            if not isinstance(w, int):
-                for i in w:
-                    if i not in eps.scope:
-                        raise ScopeError(
-                            f"{eps.name}: scope is not differential-closed "
-                            f"(d {P.generators[gi].name} uses "
-                            f"{P.generators[i].name})")
+    require_valid(P)
     failures = []
     for gi in sorted(eps.scope):
-        residual = eps.eval(P.differential.get(gi, {}))
+        dg = P.differential[gi]
+        if out := [i for w in dg if not isinstance(w, int) for i in w
+                   if i not in eps.scope]:
+            raise ScopeError(f"{eps.name}: scope is not differential-closed "
+                             f"(d {P.generators[gi].name} uses "
+                             f"{P.generators[out[0]].name})")
+        residual = eps.eval(dg)
         if not P.ring.is_zero(residual):
             failures.append((P.generators[gi].name, P.ring.format(residual)))
     return AugmentationReport(ok=not failures, failures=failures)
 
 
-def partial_linearize(P: Presentation, eps: Augmentation) -> Presentation:
-    """Push the differential through eps on short generators.
+def partial_linearize(eps: Augmentation) -> Presentation:
+    """Push eps.presentation's differential through eps on short generators.
 
     The output presentation keeps the idempotents and the long generators;
     each word of a long differential maps to its subword of long letters,
@@ -259,6 +258,7 @@ def partial_linearize(P: Presentation, eps: Augmentation) -> Presentation:
         raise UnverifiedAugmentationError(
             f"{eps.name} fails at {rep.failures[0][0]} "
             f"(residual {rep.failures[0][1]})")
+    P = eps.presentation
     out = Presentation(P.ring, P.convention)
     for e in P.idempotents:
         out.add_idempotent(e.label)
@@ -268,7 +268,7 @@ def partial_linearize(P: Presentation, eps: Augmentation) -> Presentation:
     for gi, oi in gmap.items():
         g = P.generators[gi]
         el = out.zero()
-        for w, c in P.differential.get(gi, {}).items():
+        for w, c in P.differential[gi].items():
             if isinstance(w, int):
                 P.ring.add_into(el, ((w, c),))
                 continue
@@ -494,16 +494,21 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
     long generators contribute correction blocks whose parity components
     are constrained by the images of their own differentials).  A parity
     component that is certifiably not a boundary within bounds --
-    corrections included -- is decisive and yields Obstructed.
+    corrections included -- is decisive and yields Obstructed.  domain
+    and codomain are link_map's source and target, or the same data.
     """
-    require_valid(domain, codomain)
-    pf = check_parity_flip(codomain)
+    S, T = link_map.source, link_map.target
+    for given, own, end in ((domain, S, "source"), (codomain, T, "target")):
+        if given is not own and not given.same_data(own):
+            raise MapError(f"{link_map.name}: the {end} given is not the "
+                           f"map's {end}")
+    require_valid(S, T)
+    pf = check_parity_flip(T)
     if not pf.ok:
         raise UnsupportedCodomainError(
             f"codomain differential does not flip word-length parity "
             f"(witness {pf.witness[0]})")
     _validate_link_map(link_map)
-    S, T = domain, codomain
     idem_images = _idem_images(link_map)
     long_gens = [g for g in S.generators if g.role == "long"]
     images = {g.index: _map_differential(S, T, link_map.gen_values,

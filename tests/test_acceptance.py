@@ -191,7 +191,7 @@ def test_criterion_08_partial_linearization():
     eps = Augmentation(P, scope=scope, values={
         P.gen("t0_12").index: P.ring.one(),
         P.gen("t1_21").index: P.ring.one()})
-    L = partial_linearize(P, eps)
+    L = partial_linearize(eps)
     assert [g.name for g in L.generators] == ["a"]
     assert L.d_gen("a") == {}
     assert check_d_squared(L).ok

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
@@ -660,6 +661,41 @@ def _reference_composable_words(P, *, degree, ends, max_len, max_level,
     for (s, t) in sorted(set(ends)):
         grow((), t, 0, s)
     return out
+
+
+# a hand-made state graph: state -> (letter, child state, emit) triples;
+# "c" is reached from "a" and from "b", and "d" has no letters after it
+_GRAPH = {"r": [(0, "a", True), (1, "b", False)],
+          "a": [(2, "c", True)],
+          "b": [(2, "c", True), (3, "a", True)],
+          "c": [(4, "r", True), (5, "d", True)],
+          "d": []}
+
+
+@pytest.mark.parametrize("root,max_len,words,listed", [
+    ("r", 0, [], []),
+    ("r", 1, [(0,)], ["r"]),  # (1,) is not emitted; the cut stops the walk
+    ("r", 2, [(0,), (0, 2), (1, 2), (1, 3)], ["r", "a", "b"]),
+    ("r", 3, [(0,), (0, 2), (0, 2, 4), (0, 2, 5), (1, 2), (1, 2, 4),
+              (1, 2, 5), (1, 3), (1, 3, 2)],
+     ["r", "a", "c", "b", "c", "a"]),
+    ("b", 2, [(2,), (2, 4), (2, 5), (3,), (3, 2)], ["b", "c", "a"]),
+])
+def test_walk_words_walks_a_state_graph_in_pre_order(root, max_len, words,
+                                                     listed):
+    seen = []
+
+    def children(state):
+        seen.append(state)
+        return _GRAPH[state]
+
+    assert list(analysis.walk_words(children, root, max_len)) == words
+    # the root, then the state of each word shorter than max_len, emitted
+    # or not, in walk order: "c" is listed from (0, 2) and from (1, 2)
+    assert seen == listed
+    # the state alone picks the letters, so a cached lister walks the same
+    cached = functools.cache(_GRAPH.__getitem__)
+    assert list(analysis.walk_words(cached, root, max_len)) == words
 
 
 @st.composite

@@ -1,7 +1,10 @@
+import argparse
 import errno
 import io
 import json
 import os
+import pathlib
+import re
 
 import pytest
 
@@ -61,6 +64,33 @@ def test_catalog_output_flags_exclude_each_other(capsys):
                          "--map", "y_filling_links")
     assert (code, out) == (2, "")
     assert "argument --map: not allowed with argument --pres" in err
+
+
+def _synopsis_flags():
+    """Command -> the sorted flags that README's "Command line" block gives
+    it; an indented line continues the command above it."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split(
+        "## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    flags = {}
+    for line in block.splitlines():
+        if line.startswith("cedga "):
+            names = re.match(r"[\w-]+(?: \| [\w-]+)*", line[6:]).group()
+            names = names.split(" | ")
+        for name in names:
+            flags.setdefault(name, set()).update(
+                re.findall(r"(?<![\w-])--?[a-z][\w-]*", line))
+    return {name: sorted(f) for name, f in flags.items()}
+
+
+def test_the_readme_synopsis_gives_each_command_its_flags():
+    # an option is named by its shortest spelling (-o for -o/--output)
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert _synopsis_flags() == {
+        name: sorted(min(a.option_strings, key=len) for a in p._actions
+                     if a.option_strings and a.dest != "help")
+        for name, p in sub.choices.items()}
 
 
 @pytest.mark.parametrize("name", catalog.catalog_names())
@@ -448,6 +478,24 @@ def test_invalid_presentation_is_refused_by_every_search(tmp_path, capsys,
     code, out, err = run(capsys, argv[0], str(f), *argv[1:])
     assert (code, out) == (2, "")
     assert "fails validation" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-aug", "FILE"], ["linearize", "FILE", "FILE", "-o", "-"],
+    ["check-d2", "FILE"]])
+def test_an_augmentation_on_an_invalid_presentation_is_refused(
+        tmp_path, capsys, argv):
+    # the scoped generator t has no diff line, so d t would read as 0
+    f = tmp_path / "no_diff.cedga"
+    f.write_text("ring Q\nidempotents e1\n"
+                 "gen t deg 0 from e1 to e1 short l\n"
+                 "gen a deg -1 from e1 to e1 long\ndiff a = 1 - t\n"
+                 "aug eps on main scope l { t -> 1; }\n")
+    code, out, err = run(capsys, *(str(f) if a == "FILE" else a
+                                   for a in argv))
+    assert (code, out) == (2, "")
+    assert err == ("cedga: error: presentation fails validation: "
+                   "missing-differential at t: no diff statement\n")
 
 
 @pytest.mark.parametrize("argv", [["exact", "--target", "a"], ["trivial"]])

@@ -1,7 +1,8 @@
 import pytest
 
 from cedga import (Augmentation, GenMap, MapError, Presentation,
-                   ScopeError, UnverifiedAugmentationError, catalog_names,
+                   PresentationError, ScopeError,
+                   UnverifiedAugmentationError, catalog_names,
                    check_d_squared, compose, example,
                    free_product, gf2, identity_map, make_point_algebra,
                    partial_linearize, rationals, verify_augmentation,
@@ -173,6 +174,46 @@ def test_augmentation_scope_must_be_closed():
         verify_augmentation(eps)
 
 
+def _short_chain():
+    """Generators t, x, u, w in index order: t, x and w on the link l, u on
+    the link m; d t = e1 - x, d w = u, and x and u are cycles."""
+    P = Presentation(rationals())
+    P.add_idempotent("e1")
+    t = P.add_generator("t", -1, "e1", "e1", link="l")
+    x = P.add_generator("x", 0, "e1", "e1", link="l")
+    u = P.add_generator("u", 0, "e1", "e1", link="m")
+    w = P.add_generator("w", -1, "e1", "e1", link="l")
+    P.set_differential(t, P.sub(P.el_idem("e1"), P.el_gen(x)))
+    P.set_differential(x, P.zero())
+    P.set_differential(u, P.zero())
+    P.set_differential(w, P.el_gen(u))
+    return P, (t, x, u, w)
+
+
+def test_an_open_scope_is_refused_after_an_earlier_failure():
+    # eps(d t) = 1 fails first; d w, later in index order, leaves the scope
+    P, (t, x, u, w) = _short_chain()
+    eps = Augmentation(P, scope=frozenset([t.index, x.index, w.index]))
+    with pytest.raises(ScopeError, match=r"^eps: scope is not "
+                       r"differential-closed \(d w uses u\)$"):
+        verify_augmentation(eps)
+    closed = Augmentation(P, scope=frozenset([t.index, x.index]))
+    assert verify_augmentation(closed).failures == [("t", "1")]
+
+
+def test_an_invalid_presentation_is_refused_before_its_augmentation():
+    # the scoped generator x has no differential, so the presentation fails
+    # validation; unchecked, d x would read as 0 and eps would pass
+    P, (t, x, u, w) = _short_chain()
+    del P.differential[x.index]
+    eps = Augmentation(P, scope=frozenset([t.index, x.index]),
+                       values={x.index: P.ring.one()})
+    for check in (verify_augmentation, partial_linearize):
+        with pytest.raises(PresentationError,
+                           match="missing-differential at x"):
+            check(eps)
+
+
 def test_nonzero_value_on_nonzero_degree_rejected():
     P = example("singular_torus").main
     scope = frozenset(g.index for g in P.generators if g.link == "hopf")
@@ -190,21 +231,21 @@ def _unknot_eps(values=None):
             P.gen("t1_21").index: P.ring.one()}
     if values is not None:
         vals = {P.gen(k).index: v for k, v in values.items()}
-    return P, Augmentation(P, scope=scope, values=vals)
+    return Augmentation(P, scope=scope, values=vals)
 
 
 def test_linearized_unknot_has_one_closed_generator():
-    P, eps = _unknot_eps()
-    L = partial_linearize(P, eps)
+    eps = _unknot_eps()
+    L = partial_linearize(eps)
     assert [g.name for g in L.generators] == ["a"]
     assert L.d_gen("a") == {}
     assert check_d_squared(L).ok
 
 
 def test_linearize_refuses_unverified_augmentation():
-    P, eps = _unknot_eps(values={"t0_12": rationals().zero()})
+    eps = _unknot_eps(values={"t0_12": rationals().zero()})
     with pytest.raises(UnverifiedAugmentationError):
-        partial_linearize(P, eps)
+        partial_linearize(eps)
 
 
 def test_linearize_without_short_generators_is_identity():
@@ -215,7 +256,7 @@ def test_linearize_without_short_generators_is_identity():
     P.set_differential(b, P.zero())
     P.set_differential(a, P.add(P.el_idem("e1"), P.el_gen(b)))
     eps = Augmentation(P, scope=frozenset(), values={})
-    L = partial_linearize(P, eps)
+    L = partial_linearize(eps)
     assert L.same_data(P)
 
 
@@ -234,4 +275,4 @@ def test_linearize_refuses_a_short_letter_outside_the_scope():
     with pytest.raises(ScopeError,
                        match="eps: generator u outside the augmentation "
                              "scope"):
-        partial_linearize(P, eps)
+        partial_linearize(eps)

@@ -6,7 +6,7 @@ from cedga import (Bounds, GenMap, MapError, Presentation,
                    obstruct_y_filling)
 from cedga.analysis import letter_weights, word_weight
 from cedga.cli import main
-from cedga.dsl import parse
+from cedga.dsl import parse, serialize
 
 BOUNDS = Bounds(max_word_length=6, max_level=2)
 
@@ -42,6 +42,25 @@ def test_a3_link_both_pairings_obstructed(pairing, codomain):
     again = exactness_search(cod, rep.certificate.target, BOUNDS,
                              parity=rep.certificate.parity)
     assert again.status == "none_within_bounds"
+
+
+def test_the_presentations_must_be_the_link_maps_own():
+    B = example("a3_link")
+    link_map = B.maps["pairing_xw_yv"]
+    bounds = Bounds(max_word_length=4, max_level=2)
+    other = B.presentations["codomain_yv_xw"]
+    # the link values index codomain_xw_yv's generators, not other's
+    with pytest.raises(MapError, match="^pairing_xw_yv: the target given is "
+                                       "not the map's target$"):
+        obstruct_y_filling(B.main, other, link_map, bounds)
+    with pytest.raises(MapError, match="^pairing_xw_yv: the source given is "
+                                       "not the map's source$"):
+        obstruct_y_filling(other, link_map.target, link_map, bounds)
+    # presentations with the same data, from another parse, are accepted
+    again = parse(serialize(B))
+    rep = obstruct_y_filling(again.main, again.presentations["codomain_xw_yv"],
+                             link_map, bounds)
+    assert rep.obstructed and rep.decisive_generator in ("a1", "a2")
 
 
 def test_a3_arboreal_obstructed_via_b():
