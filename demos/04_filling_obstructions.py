@@ -22,7 +22,7 @@ print("codomain flips parity:", check_parity_flip(cod).ok)
 rep = obstruct_y_filling(edge.main, cod, edge.maps["y_filling_links"], bounds)
 print(f"verdict: {rep.status} via {rep.decisive_generator} "
       f"({rep.decisive_parity} part, target "
-      f"{cod.format_element(rep.target)})")
+      f"{cod.format_element(rep.certificate.target)})")
 for line in rep.transcript:
     print("  |", line)
 

@@ -6,8 +6,8 @@ split by the letter weights d preserves), and degree-0 homology by
 noncommutative rewriting with a length-then-declaration-order monomial
 order.
 
-Bounded searches certify finite shadows only: NoneWithinBounds always
-carries the bounds it was run at and is never an unbounded claim.
+Bounded searches certify finite shadows only: `none_within_bounds`
+always carries the bounds it was run at and is never an unbounded claim.
 """
 from __future__ import annotations
 
@@ -356,6 +356,7 @@ def word_weight(wt, w) -> tuple:
 
 @dataclass
 class ExactnessResult:
+    """A bounded search's answer; `bounded_solve` alone builds it."""
     status: str  # "witness" | "none_within_bounds"
     target: Element
     bounds: Bounds
@@ -363,10 +364,6 @@ class ExactnessResult:
     witness: Optional[Element] = None
     candidates: int = 0
     note: str = ""
-
-    @property
-    def found(self):
-        return self.status == "witness"
 
     def to_json_dict(self, P: Presentation):
         d = {"status": self.status, "parity": self.parity,
@@ -382,26 +379,37 @@ class ExactnessResult:
 _PARITIES = ("even", "odd")  # word-length parity bit -> name
 
 
-def bounded_solve(P: Presentation, rhs, bounds: Bounds, *, degree, ends,
-                  parity, weights, extra=()):
-    """Solve d(x) = rhs over the bounded composable words of `degree`
-    with `ends`, `parity` (a bit or None) and `weights` (wt, goals) or
-    None, as composable_words takes them; the (tag, column) pairs of
-    `extra` are added after the words' columns.
+def bounded_solve(P: Presentation, target: Element, bounds: Bounds, *,
+                  degree, parity, weights, ends=None, rows=None,
+                  extra=()) -> ExactnessResult:
+    """Solve d(x) = target over the bounded composable words of `degree`
+    with `ends` (default: the target's), `parity` (None, "even" or "odd")
+    and `weights` (wt, goals) or None, as composable_words takes them;
+    the (tag, column) pairs of `extra` are added after the words'
+    columns, and the right-hand side is the target plus the entries of
+    `rows`.
 
     A word's column is d(word), tagged by the word itself, so the rows
-    are words, plus whatever row labels `extra` and rhs bring.  Returns
-    (combination of the column tags or None when infeasible, the number
-    of bounded words of the degree whatever their weight).
+    are words, plus whatever row labels `extra` and `rows` bring.  The
+    result states the search for the target alone: `candidates` counts
+    the bounded words of the degree with the target's ends, whatever
+    their weight, and the witness is the combination of the column tags,
+    None when the system is infeasible.
     """
-    kw = dict(degree=degree, ends=ends, max_len=bounds.max_word_length,
-              max_level=bounds.max_level, parity=parity)
+    own = {(P.word_source(w), P.word_target(w)) for w in target}
+    kw = dict(degree=degree, max_len=bounds.max_word_length,
+              max_level=bounds.max_level,
+              parity=None if parity is None else _PARITIES.index(parity))
     solver = LinearSolver(P.ring)
-    for w in composable_words(P, **kw, weights=weights):
+    for w in composable_words(P, **kw, ends=own if ends is None else ends,
+                              weights=weights):
         solver.add_column(w, P.d_word(w))
     for tag, col in extra:
         solver.add_column(tag, col)
-    return solver.solve(rhs), count_words(P, **kw)
+    combo = solver.solve({**target, **(rows or {})})
+    status = "none_within_bounds" if combo is None else "witness"
+    return ExactnessResult(status, target, bounds, parity, witness=combo,
+                           candidates=count_words(P, **kw, ends=own))
 
 
 def exactness_search(P: Presentation, target: Element, bounds: Bounds,
@@ -409,7 +417,7 @@ def exactness_search(P: Presentation, target: Element, bounds: Bounds,
     """Solve d(x) = target over the span of bounded composable words.
 
     The target must be nonzero and homogeneous; a returned witness is
-    re-checked exactly before being reported.  NoneWithinBounds is a
+    re-checked exactly before being reported.  `none_within_bounds` is a
     bounded certificate, not a proof of unbounded non-exactness.
     """
     if parity not in (None, *_PARITIES):
@@ -427,18 +435,12 @@ def exactness_search(P: Presentation, target: Element, bounds: Bounds,
     # weights can enter a solution; every bounded word of the degree
     # counts, whatever its weight
     wt = letter_weights(P)
-    combo, count = bounded_solve(
-        P, target, bounds, degree=deg - 1,
-        ends={(P.word_source(w), P.word_target(w)) for w in target},
-        parity=_PARITIES.index(parity) if parity is not None else None,
-        weights=(wt, {word_weight(wt, w) for w in target}))
-    if combo is None:
-        return ExactnessResult("none_within_bounds", target, bounds, parity,
-                               candidates=count)
-    if not P.equal(P.apply_differential(combo), target):
+    res = bounded_solve(P, target, bounds, degree=deg - 1, parity=parity,
+                        weights=(wt, {word_weight(wt, w) for w in target}))
+    if res.witness is not None and not P.equal(
+            P.apply_differential(res.witness), target):
         raise AssertionError("solver returned an unsound witness")
-    return ExactnessResult("witness", target, bounds, parity,
-                           witness=combo, candidates=count)
+    return res
 
 
 @dataclass
@@ -451,7 +453,8 @@ def is_trivial(P: Presentation, bounds: Bounds,
                parity: Optional[str] = None) -> TrivialityResult:
     """Search for x with d(x) = 1 (the sum of all idempotents)."""
     res = exactness_search(P, P.one(), bounds, parity=parity)
-    return TrivialityResult(certified_trivial=res.found, search=res)
+    return TrivialityResult(certified_trivial=res.status == "witness",
+                            search=res)
 
 
 # ---------------------------------------------------------------------------

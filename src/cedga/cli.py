@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Every command but `catalog` returns (verdict, certificates, bounds, ok);
+Every command but `catalog` returns (verdict, certificates, bounds);
 `main` alone times it and prints it, as text or, under `--json`, as one
 object {command, verdict, certificates, bounds, timings} that is
-deterministic but for the timings.  Exit codes: 0 = pass/success, 1 =
-counterexample/failure/inconclusive (the check did not hold), 2 = usage,
-parse or any other error.  `-` as a file name reads standard input.
+deterministic but for the timings.  Exit codes: 0 = a verdict in PASSING,
+1 = any other verdict (the check did not hold), 2 = usage, parse or any
+other error.  `-` as a file name reads standard input.
 """
 from __future__ import annotations
 
@@ -98,6 +98,10 @@ def cmd_catalog(args):
     sys.stdout.write(dsl.serialize(bundle))
 
 
+PASSING = frozenset({"pass", "ok", "witness", "certified_trivial",
+                     "obstructed", "ground-ring", "basis"})
+
+
 def _report(rep):
     return rep.to_json_dict(), rep.ok
 
@@ -134,20 +138,20 @@ CHECKS = {
 
 def cmd_check(args):
     _, failed, kind, flag, check = CHECKS[args.command]
-    certs, ok = {}, True
+    certs, verdict = {}, "pass"
     for name, entry in _select(getattr(_load(args.file), kind + "s"),
                                getattr(args, flag[2:]), kind, flag).items():
-        certs[name], passed = check(entry)
-        ok = ok and passed
-    return "pass" if ok else failed, certs, None, ok
+        certs[name], held = check(entry)
+        if not held:
+            verdict = failed
+    return verdict, certs, None
 
 
 def cmd_h0(args):
     P = _single(_load(args.file), args)
     bounds = _bounds(args)
     rep = analysis.h0(P, degree_bound=bounds.degree_bound)
-    return rep.verdict, {"h0": rep.to_json_dict()}, bounds, \
-        rep.verdict != "inconclusive"
+    return rep.verdict, {"h0": rep.to_json_dict()}, bounds
 
 
 def cmd_exact(args):
@@ -155,7 +159,7 @@ def cmd_exact(args):
     target = dsl.parse_element(args.target, P)
     bounds = _bounds(args)
     res = analysis.exactness_search(P, target, bounds, parity=args.parity)
-    return res.status, {"search": res.to_json_dict(P)}, bounds, res.found
+    return res.status, {"search": res.to_json_dict(P)}, bounds
 
 
 def cmd_trivial(args):
@@ -164,8 +168,7 @@ def cmd_trivial(args):
     res = analysis.is_trivial(P, bounds, parity=args.parity)
     verdict = ("certified_trivial" if res.certified_trivial
                else "not_within_bounds")
-    return verdict, {"search": res.search.to_json_dict(P)}, bounds, \
-        res.certified_trivial
+    return verdict, {"search": res.search.to_json_dict(P)}, bounds
 
 
 def cmd_linearize(args):
@@ -187,7 +190,7 @@ def cmd_linearize(args):
         certs["text"] = text
     else:
         sys.stdout.write(text)
-    return "ok", certs, None, True
+    return "ok", certs, None
 
 
 def cmd_obstruct(args):
@@ -203,7 +206,7 @@ def cmd_obstruct(args):
     rep = morphisms.obstruct_y_filling(link_map.source, link_map.target,
                                        link_map, bounds)
     return rep.status, {"report": rep.to_json_dict(link_map.target),
-                        "map": name}, bounds, rep.obstructed
+                        "map": name}, bounds
 
 
 def build_parser():
@@ -294,7 +297,7 @@ def main(argv=None) -> int:
         return 2
     if result is None:
         return 0
-    verdict, certificates, bounds, ok = result
+    verdict, certificates, bounds = result
     if args.json:
         ms = int((time.monotonic() - t0) * 1000)
         print(json.dumps({"command": args.command, "verdict": verdict,
@@ -305,7 +308,7 @@ def main(argv=None) -> int:
         print(f"{args.command}: {verdict}")
         for key in sorted(certificates):
             print(f"  {key}: {json.dumps(certificates[key], sort_keys=True)}")
-    return 0 if ok else 1
+    return 0 if verdict in PASSING else 1
 
 
 if __name__ == "__main__":

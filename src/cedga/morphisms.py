@@ -10,14 +10,14 @@ given link map: it maps each long generator's differential (leaving
 unassigned long generators symbolic), splits by word-length parity (the
 codomain must flip parity), and certifies within bounds that one parity
 component -- decorated with cycle-constrained corrections for the
-symbolic generators -- is not hit by the differential.  Obstructed is a
-bounded certificate and always embeds the NoneWithinBounds search it
-implies at correction zero.
+symbolic generators -- is not hit by the differential.  `obstructed` is
+a bounded certificate and always embeds the `none_within_bounds` search
+it implies at correction zero.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .algebra import Element, Presentation, check_ring, require_valid
@@ -298,22 +298,17 @@ class ObstructionReport:
     status: str  # "obstructed" | "inconclusive"
     decisive_generator: Optional[str]
     decisive_parity: Optional[str]
-    target: Optional[Element]
     transcript: list
     certificate: Optional[ExactnessResult]
     bounds: Bounds
-
-    @property
-    def obstructed(self):
-        return self.status == "obstructed"
 
     def to_json_dict(self, codomain: Presentation):
         return {
             "status": self.status,
             "decisive_generator": self.decisive_generator,
             "decisive_parity": self.decisive_parity,
-            "target": (None if self.target is None
-                       else codomain.format_element(self.target)),
+            "target": (None if self.certificate is None
+                       else codomain.format_element(self.certificate.target)),
             "transcript": list(self.transcript),
             "certificate": (None if self.certificate is None
                             else self.certificate.to_json_dict(codomain)),
@@ -445,22 +440,22 @@ def _correction_blocks(S, T, wt, symbolic, bit, constraints, transcript):
 
 
 def _rows(wt, target, blocks):
-    """The right-hand side and the weights of its rows: the target on its
-    own words, and each constrained block's ("c", h, zbit, rw) rows, where
-    d z must equal the block's cpart, at wt(rw) + offset, the weight of
-    the z columns that reach them.  The weights are None when a block's
-    slots mix offsets: its z columns are not weight-homogeneous, so the
-    solve is not split."""
-    rhs, goals = dict(target), {word_weight(wt, w) for w in target}
+    """The right-hand side's rows beyond the target's words, and the
+    weights of all its rows: each constrained block's ("c", h, zbit, rw)
+    rows, where d z must equal the block's cpart, at wt(rw) + offset, the
+    weight of the z columns that reach them.  The weights are None when a
+    block's slots mix offsets: its z columns are not weight-homogeneous,
+    so the solve is not split."""
+    rows, goals = {}, {word_weight(wt, w) for w in target}
     for h, zbit, _, cpart, offset in blocks:
         for rw, rc in (cpart or {}).items():
-            rhs["c", h, zbit, rw] = rc
+            rows["c", h, zbit, rw] = rc
             if offset is not None:
                 goals.add(tuple(a + b for a, b in
                                 zip(word_weight(wt, rw), offset)))
     if any(offset is None for *_, offset in blocks):
         goals = None
-    return rhs, goals
+    return rows, goals
 
 
 def _correction_columns(S, T, wt, goals, blocks, idem_images, bounds):
@@ -494,7 +489,7 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
     long generators contribute correction blocks whose parity components
     are constrained by the images of their own differentials).  A parity
     component that is certifiably not a boundary within bounds --
-    corrections included -- is decisive and yields Obstructed.  domain
+    corrections included -- is decisive and yields `obstructed`.  domain
     and codomain are link_map's source and target, or the same data.
     """
     S, T = link_map.source, link_map.target
@@ -542,29 +537,26 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
                 f"{_PARITIES[opp]} part of phi({g.name}) to bound it")
             blocks = _correction_blocks(S, T, wt, symbolic, bit, constraints,
                                         transcript)
-            rhs, goals = _rows(wt, target, blocks)
-            combo, count = bounded_solve(
-                T, rhs, bounds, degree=g.degree, ends=u_ends, parity=opp,
-                weights=None if goals is None else (wt, goals),
-                extra=_correction_columns(S, T, wt, goals, blocks,
-                                          idem_images, bounds))
-            if combo is None:
-                # `candidates` counts every bounded u word: the search at
-                # correction zero that this certificate states
-                cert = ExactnessResult(
-                    "none_within_bounds", target, bounds,
-                    parity=_PARITIES[opp], candidates=count,
-                    note=("implied by the corrected decisive solve at "
-                          "correction zero"))
+            rows, goals = _rows(wt, target, blocks)
+            # the u columns span every image end, since corrections can
+            # land there; `candidates` counts the bounded u words of the
+            # target's ends: the search at correction zero it states
+            res = bounded_solve(
+                T, target, bounds, degree=g.degree, parity=_PARITIES[opp],
+                weights=None if goals is None else (wt, goals), ends=u_ends,
+                rows=rows, extra=_correction_columns(S, T, wt, goals, blocks,
+                                                     idem_images, bounds))
+            if res.status == "none_within_bounds":
                 transcript.append(
                     f"decisive: no bounded solution at {g.name} "
                     f"({parity_name} part)")
                 return ObstructionReport(
-                    "obstructed", g.name, parity_name, target, transcript,
-                    cert, bounds)
+                    "obstructed", g.name, parity_name, transcript,
+                    replace(res, note="implied by the corrected decisive "
+                                      "solve at correction zero"), bounds)
             transcript.append(
                 f"  {g.name} ({parity_name} part): bounded solution exists; "
                 f"not decisive")
     transcript.append("no decisive equation found within bounds")
-    return ObstructionReport("inconclusive", None, None, None, transcript,
-                             None, bounds)
+    return ObstructionReport("inconclusive", None, None, transcript, None,
+                             bounds)

@@ -146,7 +146,7 @@ def test_criterion_06_filling_obstructions():
     runs.append((R.main, R.presentations["codomain"], R.maps["pairing_b"]))
     for dom, cod, lm in runs:
         rep = obstruct_y_filling(dom, cod, lm, bounds)
-        assert rep.obstructed, lm.name
+        assert rep.status == "obstructed", lm.name
         cert = rep.certificate
         assert cert is not None and cert.status == "none_within_bounds"
         assert cert.bounds.max_word_length == 6

@@ -89,7 +89,7 @@ def test_exactness_trivial_target():
     a = P.add_generator("a", -1, "e1", "e1")
     P.set_differential(a, P.el_idem("e1"))
     res = exactness_search(P, P.one(), BOUNDS5)
-    assert res.found and res.witness == P.el_gen("a")
+    assert res.status == "witness" and res.witness == P.el_gen("a")
     assert _canonical_witness(res)
 
 
@@ -106,7 +106,7 @@ def test_exactness_unknot_witness():
     # d t1_11 = e - t1_21*t0_12, so t1_11 is a witness by construction
     assert P.apply_differential(P.el_word(["t1_11"])) == target
     res = exactness_search(P, target, BOUNDS5)
-    assert res.found
+    assert res.status == "witness"
     assert P.apply_differential(res.witness) == target
     assert res.witness == P.el_word(["t1_11"])
     assert _canonical_witness(res)
@@ -128,7 +128,7 @@ def test_zero_coefficients_are_dropped_from_the_target():
         exactness_search(P, {t0_12: 0}, BOUNDS5)
     target = P.sub(P.el_idem("e1"), P.el_word(["t1_21", "t0_12"]))
     res = exactness_search(P, {**target, t1_11: 0}, BOUNDS5)
-    assert res.found and res.target == target
+    assert res.status == "witness" and res.target == target
     assert res.witness == P.el_word(["t1_11"])
 
 
@@ -188,7 +188,7 @@ def test_witness_soundness_is_rechecked():
     P = example("unknot_one_handle").main
     target = P.sub(P.el_idem("e1"), P.el_word(["t0_12"]))
     res = exactness_search(P, target, BOUNDS5)
-    assert res.found
+    assert res.status == "witness"
     assert P.apply_differential(res.witness) == target
     assert _canonical_witness(res)
 

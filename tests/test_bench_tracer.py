@@ -57,7 +57,7 @@ def test_counting_tracer_sees_the_u_and_z_words_of_an_obstruction():
             cedga.Bounds(max_word_length=4, max_level=2))
     finally:
         patches.restore()
-    assert rep.obstructed
+    assert rep.status == "obstructed"
     assert counts["analysis.enumerate.calls"] == 2
     assert counts["analysis.enumerate.words"] == 54
     assert counts["analysis.eliminate.columns"] == 54

@@ -578,44 +578,47 @@ _MAP = _R + ("diff r = a\nmap m : main -> main {\n"
              "  idem e1 -> e1; a -> %s; b -> b; r -> r;\n}\n")
 
 
-@pytest.mark.parametrize("argv,text,code", [
-    (["check-d2"], _TWO_LETTERS, 0),
+@pytest.mark.parametrize("argv,text,verdict,code", [
+    (["check-d2"], _TWO_LETTERS, "pass", 0),
     (["check-d2"], "ring Q\nidempotents e1\ngen b deg 1 from e1 to e1\n"
-     "gen a deg 0 from e1 to e1\ndiff b = b*b\ndiff a = b\n", 1),
-    (["grade"], _TWO_LETTERS, 0),
-    (["grade"], _R + "diff r = a*r\n", 1),
-    (["grade"], _TWO_LETTERS.replace("diff b = 0\n", ""), 1),
-    (["parity"], _R + "diff r = a*b - b*a\n", 0),
-    (["parity"], _R + "diff r = a\n", 1),
-    (["h0"], _TWO_LETTERS, 0),
+     "gen a deg 0 from e1 to e1\ndiff b = b*b\ndiff a = b\n",
+     "counterexample", 1),
+    (["grade"], _TWO_LETTERS, "pass", 0),
+    (["grade"], _R + "diff r = a*r\n", "violation", 1),
+    (["grade"], _TWO_LETTERS.replace("diff b = 0\n", ""), "violation", 1),
+    (["parity"], _R + "diff r = a*b - b*a\n", "pass", 0),
+    (["parity"], _R + "diff r = a\n", "counterexample", 1),
+    (["h0"], _TWO_LETTERS, "basis", 0),
     (["h0"], _R + "gen s deg -1 from e1 to e1\ndiff r = a*b - e1\n"
-     "diff s = a\n", 1),
-    (["exact", "--target", "a"], _R + "diff r = a\n", 0),
-    (["exact", "--target", "b"], _R + "diff r = a\n", 1),
-    (["trivial"], _R + "diff r = e1\n", 0),
-    (["trivial", "--max-len", "2"], _R + "diff r = a\n", 1),
-    (["verify-map"], _MAP % "a", 0),
-    (["verify-map"], _MAP % "b", 1),
-    (["verify-aug"], _AUG % "1", 0),
-    (["verify-aug"], _AUG % "0", 1),
-    (["linearize", "{f}", "-o", "{out}"], _AUG % "1", 0),
+     "diff s = a\n", "inconclusive", 1),
+    (["exact", "--target", "a"], _R + "diff r = a\n", "witness", 0),
+    (["exact", "--target", "b"], _R + "diff r = a\n", "none_within_bounds",
+     1),
+    (["trivial"], _R + "diff r = e1\n", "certified_trivial", 0),
+    (["trivial", "--max-len", "2"], _R + "diff r = a\n", "not_within_bounds",
+     1),
+    (["verify-map"], _MAP % "a", "pass", 0),
+    (["verify-map"], _MAP % "b", "failure", 1),
+    (["verify-aug"], _AUG % "1", "pass", 0),
+    (["verify-aug"], _AUG % "0", "failure", 1),
+    (["linearize", "{f}", "-o", "{out}"], _AUG % "1", "ok", 0),
     (["obstruct", "--map", "y_filling_links"],
-     dsl.serialize(catalog.example("unknot_edge")), 0),
-    (["obstruct", "--map", "lm"], _INCONCLUSIVE, 1),
+     dsl.serialize(catalog.example("unknot_edge")), "obstructed", 0),
+    (["obstruct", "--map", "lm"], _INCONCLUSIVE, "inconclusive", 1),
 ], ids=["check_d2_pass", "check_d2_fail", "grade_pass", "grade_fail",
         "grade_fail_missing_diff", "parity_pass", "parity_fail", "h0_pass", "h0_fail", "exact_pass",
         "exact_fail", "trivial_pass", "trivial_fail", "verify_map_pass",
         "verify_map_fail", "verify_aug_pass", "verify_aug_fail",
         "linearize_pass", "obstruct_pass", "obstruct_fail"])
 def test_every_verdict_has_one_envelope_and_exit_code(tmp_path, capsys, argv,
-                                                      text, code):
+                                                      text, verdict, code):
     f = tmp_path / "in.cedga"
     f.write_text(text)
     command, *rest = [a.format(f=f, out=tmp_path / "out.cedga")
                       for a in argv]
     got, out, err = run(capsys, command, str(f), *rest, "--json")
     obj = json.loads(out)
-    assert (got, err) == (code, "")
+    assert (got, err, obj["verdict"]) == (code, "", verdict)
     assert set(obj) == {"bounds", "certificates", "command", "timings",
                         "verdict"}
     assert obj["command"] == command

@@ -15,11 +15,11 @@ def test_unknot_edge_is_obstructed():
     B = example("unknot_edge")
     cod = B.presentations["codomain"]
     rep = obstruct_y_filling(B.main, cod, B.maps["y_filling_links"], BOUNDS)
-    assert rep.obstructed
+    assert rep.status == "obstructed"
     assert rep.decisive_generator in ("a1", "a2")
     assert rep.decisive_parity == "even"
     # the decisive image is the mapped idempotent part e1 + e2
-    assert cod.format_element(rep.target) == "e1 + e2"
+    assert cod.format_element(rep.certificate.target) == "e1 + e2"
     cert = rep.certificate
     assert cert.status == "none_within_bounds" and cert.parity == "odd"
     # the embedded certificate re-checks as non-exact independently
@@ -35,7 +35,7 @@ def test_a3_link_both_pairings_obstructed(pairing, codomain):
     B = example("a3_link")
     cod = B.presentations[codomain]
     rep = obstruct_y_filling(B.main, cod, B.maps[pairing], BOUNDS)
-    assert rep.obstructed
+    assert rep.status == "obstructed"
     assert rep.decisive_generator in ("a1", "a2")
     # the symbolic phi(b) cycle constraint enters the transcript
     assert any("phi(b)" in line and "cycle" in line for line in rep.transcript)
@@ -60,14 +60,15 @@ def test_the_presentations_must_be_the_link_maps_own():
     again = parse(serialize(B))
     rep = obstruct_y_filling(again.main, again.presentations["codomain_xw_yv"],
                              link_map, bounds)
-    assert rep.obstructed and rep.decisive_generator in ("a1", "a2")
+    assert rep.status == "obstructed"
+    assert rep.decisive_generator in ("a1", "a2")
 
 
 def test_a3_arboreal_obstructed_via_b():
     B = example("a3_arboreal")
     cod = B.presentations["codomain"]
     rep = obstruct_y_filling(B.main, cod, B.maps["pairing_b"], BOUNDS)
-    assert rep.obstructed
+    assert rep.status == "obstructed"
     assert rep.decisive_generator == "b"
     # b is decisive before a1, a2 are reached; their equations would be
     # skipped anyway since their short letters are unassigned
@@ -118,7 +119,8 @@ def test_genuinely_obstructed_toy():
     dom2.set_differential(g2, dom2.el_idem("e1"))
     link = GenMap(dom2, cod, gen_values={x2.index: cod.el_gen(s)})
     rep = obstruct_y_filling(dom2, cod, link, BOUNDS)
-    assert rep.obstructed  # e1 is not a boundary in a complex with d = 0
+    # e1 is not a boundary in a complex with d = 0
+    assert rep.status == "obstructed"
 
 
 def test_cycle_correction_can_defeat_the_parity_argument():
@@ -406,7 +408,7 @@ def test_constraint_with_an_opposite_parity_part_is_decisive():
     """)
     assert rep.status == "obstructed"
     assert (rep.decisive_generator, rep.decisive_parity) == ("g", "even")
-    assert cod.format_element(rep.target) == "f1"
+    assert cod.format_element(rep.certificate.target) == "f1"
     assert rep.transcript == [
         "g: even part of the mapped differential is f1; a solution needs "
         "the odd part of phi(g) to bound it",
@@ -647,15 +649,84 @@ def test_the_constraint_rows_keep_their_own_weight(monkeypatch):
     assert rep == _unsplit(monkeypatch, CONSTRAINED)[0]
 
 
-@pytest.mark.parametrize("name,link_map,codomain", [
-    ("unknot_edge", "y_filling_links", "codomain"),
-    ("a3_link", "pairing_xw_yv", "codomain_xw_yv"),
-    ("a3_link", "pairing_yv_xw", "codomain_yv_xw"),
-    ("a3_arboreal", "pairing_b", "codomain")])
+CATALOG_MAPS = [("unknot_edge", "y_filling_links", "codomain"),
+                ("a3_link", "pairing_xw_yv", "codomain_xw_yv"),
+                ("a3_link", "pairing_yv_xw", "codomain_yv_xw"),
+                ("a3_arboreal", "pairing_b", "codomain")]
+
+
+@pytest.mark.parametrize("name,link_map,codomain", CATALOG_MAPS)
 def test_every_catalog_solve_is_split(monkeypatch, name, link_map, codomain):
     B = example(name)
     seen = _weights_seen(monkeypatch)
     rep = obstruct_y_filling(B.main, B.presentations[codomain],
                              B.maps[link_map], SMALL)
-    assert rep.obstructed
+    assert rep.status == "obstructed"
     assert seen and None not in seen
+
+
+# d g = x*x maps to s*s, whose ends are (f1, f1); y -> t puts f2 among
+# e1's images too, so the u columns span four pairs of image ends
+FOUR_ENDS = """
+ring GF2
+presentation dom {
+  idempotents e1
+  gen x deg 0 from e1 to e1 short l
+  gen y deg 0 from e1 to e1 short l
+  gen g deg -1 from e1 to e1 long
+  diff x = 0
+  diff y = 0
+  diff g = x*x
+}
+presentation cod {
+  idempotents f1 f2
+  gen s deg 0 from f1 to f1 short l
+  gen t deg 0 from f2 to f2 short l
+  gen r deg -1 from f1 to f1 long
+  gen q deg -1 from f1 to f2 long
+  gen q2 deg -1 from f2 to f1 long
+  diff s = 0
+  diff t = 0
+  diff r = 0
+  diff q = 0
+  diff q2 = 0
+}
+map link : dom -> cod { x -> s; y -> t; }
+"""
+
+
+def test_the_certificate_counts_only_the_targets_ends():
+    bounds = Bounds(max_word_length=3)
+    link = parse(FOUR_ENDS).maps["link"]
+    cod = link.target
+    rep = obstruct_y_filling(link.source, cod, link, bounds)
+    cert = rep.certificate
+    assert (rep.status, cod.format_element(cert.target), cert.parity,
+            cert.candidates) == ("obstructed", "s*s", "odd", 4)
+    again = exactness_search(cod, cert.target, bounds, parity="odd")
+    assert again.candidates == 4
+
+
+def _assert_the_certificate_is_its_search(link, bounds):
+    cod = link.target
+    rep = obstruct_y_filling(link.source, cod, link, bounds)
+    assert rep.status == "obstructed"
+    cert = rep.certificate
+    stated = cert.to_json_dict(cod)
+    assert stated.pop("note") == NOTE
+    again = exactness_search(cod, cert.target, bounds, parity=cert.parity)
+    assert stated == again.to_json_dict(cod)
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 5])
+@pytest.mark.parametrize("name,link_map,codomain", CATALOG_MAPS)
+def test_every_catalog_certificate_is_the_search_it_states(name, link_map,
+                                                           codomain, length):
+    _assert_the_certificate_is_its_search(
+        example(name).maps[link_map],
+        Bounds(max_word_length=length, max_level=2))
+
+
+def test_the_four_ends_certificate_is_the_search_it_states():
+    _assert_the_certificate_is_its_search(parse(FOUR_ENDS).maps["link"],
+                                          Bounds(max_word_length=3))
