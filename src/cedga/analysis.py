@@ -251,8 +251,20 @@ class LinearSolver:
     the added columns on keys ~n < 0, for the n-th added column, whose tag
     is `_tags[n]`.  Over Q the dicts are primitive and fraction-free, over
     GF2 every value is 1 and a step is an XOR.
+
+    A right-hand side given to `follow` is kept reduced as columns
+    arrive, and `add_column` returns True from the first column that puts
+    it in the span, so a caller may stop there.  The answer is the one
+    the full system gives: the pivot columns are the greedy basis (each
+    column independent of those before it), the greedy basis of a prefix
+    of the columns is a prefix of the full one, and the combination of
+    independent columns that makes the right side is unique.  The right
+    side is reduced only once the columns have numbered every one of its
+    labels, so that following it leaves the row numbering as it was; its
+    lead is then compared with each new pivot, and it is stepped on when
+    they meet.
     """
-    _RHS = object()  # the tag under which `solve` reduces its right side
+    _RHS = object()  # the tag under which the right side is reduced
 
     def __init__(self, ring):
         if not ring.is_field():
@@ -261,12 +273,16 @@ class LinearSolver:
         self._row_ids: dict = {}
         self._tags: list = []
         self._basis: dict = {}  # lead row id -> reduced column
+        self._target = None  # the right side followed, as given
+        self._unseen: list = []  # its labels no column has numbered yet
+        self._rhs = None  # it reduced, once every label is numbered
+        self._lead = -1  # its lead; None once in the span, -1 before
 
     def _reduce(self, tag, raw):
         """Column `tag` = raw, numbered and reduced: (row, lead).  lead is
         None when no row id is left: the keys of row, all < 0, are then a
         relation among the columns."""
-        ids, basis, xor = self._row_ids, self._basis, self._xor
+        ids = self._row_ids
         row = {ids.setdefault(k, len(ids)): c for k, c in raw.items() if c}
         m = 1  # over Q, clear the denominators unless every entry is an int
         if not all(type(c) is int for c in row.values()):
@@ -275,6 +291,11 @@ class LinearSolver:
                    for r, c in row.items()}
         row[~len(self._tags)] = m
         self._tags.append(tag)
+        return self._eliminate(row)
+
+    def _eliminate(self, row):
+        """Step a numbered row on the pivots until its lead has none."""
+        basis, xor = self._basis, self._xor
         stepped = False
         while (lead := max(row)) >= 0 and (hit := basis.get(lead)):
             stepped = True
@@ -303,20 +324,55 @@ class LinearSolver:
         return row, lead if lead >= 0 else None
 
     def add_column(self, tag, raw_vec):
+        """Add a column; True when the followed right side lies in the
+        span of the columns added so far."""
         row, lead = self._reduce(tag, raw_vec)
+        # a column that reduces to zero numbers no new label: a new label's
+        # row id has no pivot, so it would have been left as the lead
         if lead is not None:
             self._basis[lead] = row
+            if lead == self._lead:
+                self._rhs, self._lead = self._eliminate(self._rhs)
+            elif self._unseen:
+                self._number()
+        return self._lead is None
+
+    def follow(self, raw_rhs):
+        """Keep raw_rhs reduced as columns arrive, in place of any right
+        side followed before; True when it lies in the span already."""
+        ids = self._row_ids
+        self._target, self._rhs, self._lead = raw_rhs, None, -1
+        self._unseen = [k for k, c in raw_rhs.items() if c and k not in ids]
+        self._number()
+        return self._lead is None
+
+    def _number(self):
+        """Reduce the followed right side once the columns have numbered
+        every one of its labels."""
+        unseen, ids = self._unseen, self._row_ids
+        while unseen and unseen[-1] in ids:
+            unseen.pop()
+        if not unseen:
+            self._key = ~len(self._tags)  # the right side's combination key
+            self._rhs, self._lead = self._reduce(self._RHS, self._target)
 
     def solve(self, raw_rhs):
-        row, lead = self._reduce(self._RHS, raw_rhs)
-        tags = self._tags
-        tags.pop()
-        if lead is not None:
+        """The combination of the columns equal to raw_rhs, None when there
+        is none.  A right side not followed yet is followed from here;
+        one whose labels some column never numbered is numbered here."""
+        if raw_rhs != self._target:
+            self.follow(raw_rhs)
+        if self._rhs is None:
+            self._unseen.clear()
+            self._number()
+        if self._lead is not None:
             return None
-        s = row.pop(~len(tags))  # s*rhs + sum(row[~n]*column[n]) = 0
+        row, key, tags = self._rhs, self._key, self._tags
+        s = row[key]  # s*rhs + sum(row[~n]*column[n]) = 0
         if self._xor:
-            return {tags[~k]: 1 for k in row}  # -1 = 1
-        return {tags[~k]: _q(Fraction(-c, s)) for k, c in row.items()}
+            return {tags[~k]: 1 for k in row if k != key}  # -1 = 1
+        return {tags[~k]: _q(Fraction(-c, s)) for k, c in row.items()
+                if k != key}
 
 
 def letter_weights(P: Presentation) -> list:
@@ -391,6 +447,10 @@ def bounded_solve(P: Presentation, target: Element, bounds: Bounds, *,
 
     A word's column is d(word), tagged by the word itself, so the rows
     are words, plus whatever row labels `extra` and `rows` bring.  The
+    solver follows the right-hand side, and the solve stops at the first
+    column that puts it in the span: no later word's d is computed and no
+    later `extra` column is drawn.  The witness is the one all columns
+    give (see LinearSolver); an infeasible solve adds every column.  The
     result states the search for the target alone: `candidates` counts
     the bounded words of the degree with the target's ends, whatever
     their weight, and the witness is the combination of the column tags,
@@ -400,13 +460,18 @@ def bounded_solve(P: Presentation, target: Element, bounds: Bounds, *,
     kw = dict(degree=degree, max_len=bounds.max_word_length,
               max_level=bounds.max_level,
               parity=None if parity is None else _PARITIES.index(parity))
+    rhs = {**target, **(rows or {})}
     solver = LinearSolver(P.ring)
-    for w in composable_words(P, **kw, ends=own if ends is None else ends,
-                              weights=weights):
-        solver.add_column(w, P.d_word(w))
-    for tag, col in extra:
-        solver.add_column(tag, col)
-    combo = solver.solve({**target, **(rows or {})})
+    if not solver.follow(rhs):
+        for w in composable_words(P, **kw, weights=weights,
+                                  ends=own if ends is None else ends):
+            if solver.add_column(w, P.d_word(w)):
+                break
+        else:
+            for tag, col in extra:
+                if solver.add_column(tag, col):
+                    break
+    combo = solver.solve(rhs)
     status = "none_within_bounds" if combo is None else "witness"
     return ExactnessResult(status, target, bounds, parity, witness=combo,
                            candidates=count_words(P, **kw, ends=own))

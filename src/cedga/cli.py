@@ -76,6 +76,9 @@ def _single(bundle, args) -> Presentation:
 def cmd_catalog(args):
     names = catalog.catalog_names()
     if not args.name:
+        for flag in ("emit", "pres", "map"):
+            if getattr(args, flag) not in (None, False):
+                raise ValueError(f"catalog --{flag} needs a NAME")
         print("\n".join(names))
         return
     _select(dict.fromkeys(names), args.name, "catalog example")

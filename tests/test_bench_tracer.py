@@ -64,6 +64,41 @@ def test_counting_tracer_sees_the_u_and_z_words_of_an_obstruction():
     assert counts["analysis.eliminate.infeasible"] == 1
 
 
+def _counted(tracing, run):
+    counts = Counter()
+    patches = tracing.install_counting(cedga, counts)
+    try:
+        return run(), counts
+    finally:
+        patches.restore()
+
+
+def test_counting_tracer_sees_a_feasible_search_stop_early():
+    """A feasible search solves once and stops at the column that puts
+    the target in the span, so it adds fewer columns than it enumerates
+    words.  The a3_link obstruction's solves are all infeasible, so it
+    still adds a column for each u and z word."""
+    tracing = _tracing()
+    P = example("saddle_cobordism").presentations["codomain"]
+    target = P.differential[P.gen("xh2_12").index]
+    res, counts = _counted(tracing, lambda: cedga.exactness_search(
+        P, target, cedga.Bounds(max_word_length=3)))
+    assert res.status == "witness"
+    assert counts["analysis.eliminate.solves"] == 1
+    assert counts["analysis.eliminate.infeasible"] == 0
+    assert 0 < counts["analysis.eliminate.columns"] < counts[
+        "analysis.enumerate.words"]
+    B = example("a3_link")
+    rep, counts = _counted(tracing, lambda: cedga.morphisms.obstruct_y_filling(
+        B.main, B.presentations["codomain_xw_yv"], B.maps["pairing_xw_yv"],
+        cedga.Bounds(max_word_length=4, max_level=2)))
+    assert rep.status == "obstructed"
+    assert (counts["analysis.eliminate.solves"]
+            == counts["analysis.eliminate.infeasible"])
+    assert (counts["analysis.eliminate.columns"]
+            == counts["analysis.enumerate.words"] > 0)
+
+
 def test_benchmark_selftest_passes():
     """The oracles' self-test reads and replaces the result fields the
     benchmark checks (witness, status, certified_trivial, rules, basis,

@@ -66,6 +66,14 @@ def test_catalog_output_flags_exclude_each_other(capsys):
     assert "argument --map: not allowed with argument --pres" in err
 
 
+@pytest.mark.parametrize("flag", [["--emit"], ["--pres", "main"],
+                                  ["--map", "y_filling_links"]])
+def test_catalog_output_flags_need_a_name(capsys, flag):
+    code, out, err = run(capsys, "catalog", *flag)
+    assert (code, out) == (2, "")
+    assert err == f"cedga: error: catalog {flag[0]} needs a NAME\n"
+
+
 def _synopsis_flags():
     """Command -> the sorted flags that README's "Command line" block gives
     it; an indented line continues the command above it."""

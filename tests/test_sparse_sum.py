@@ -391,3 +391,53 @@ def test_row_numbering_does_not_change_the_solution(data):
         mixed.add_column(k, shuffled(col))
     for rhs in rhss:
         assert mixed.solve(shuffled(rhs)) == plain.solve(rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_followed_right_side_resolves_at_the_shortest_spanning_prefix(data):
+    """A solver that follows the right hand side reports it resolved after
+    exactly the columns whose span first holds it (the reference solves
+    it on every prefix), and stopping there or adding every column, it
+    solves to what the full solve that never followed it gives.  Items
+    come shuffled, so the rows are numbered in another order."""
+    draw = data.draw
+    ring = draw(st.sampled_from((rationals(), gf2())))
+    rows = draw(st.integers(1, 8))
+
+    def coeff():
+        if ring == gf2():
+            return draw(st.integers(0, 1))
+        return Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+
+    def vector():
+        return {("r", draw(st.integers(0, rows - 1))): coeff()
+                for _ in range(draw(st.integers(0, 4)))}
+
+    def shuffled(x):
+        return dict(draw(st.permutations(list(x.items()))))
+
+    cols = [vector() for _ in range(draw(st.integers(0, 16)))]
+    rhs = vector()
+    if cols and draw(st.booleans()):
+        for col in cols[:draw(st.integers(1, len(cols)))]:
+            ring.add_into(rhs, col.items(), coeff())
+    ref = _RefSolver(ring)
+    in_span = [ref.solve(rhs) is not None]
+    for k, col in enumerate(cols):
+        ref.add_column(k, col)
+        in_span.append(ref.solve(rhs) is not None)
+    full, followed, stopped = (LinearSolver(ring) for _ in range(3))
+    resolved = [followed.follow(shuffled(rhs))]
+    done = stopped.follow(rhs)
+    for k, col in enumerate(cols):
+        full.add_column(k, col)
+        resolved.append(followed.add_column(k, shuffled(col)))
+        if not done:
+            done = stopped.add_column(k, col)
+    assert resolved == in_span
+    want = full.solve(rhs)
+    assert (want is None) == (not in_span[-1])
+    assert followed.solve(shuffled(rhs)) == want
+    assert stopped.solve(rhs) == want
+    assert want is None or _canonical(want)
