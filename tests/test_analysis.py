@@ -958,6 +958,30 @@ def test_saddle_codomain_searches_match_the_unsplit_search(gen, monkeypatch):
     assert split < len(added) - split == want.candidates
 
 
+@pytest.mark.parametrize("row, drawn", [(("c", 0), ["z0", "z1"]),
+                                        (("c", 2), ["z0", "z1", "z2"])])
+def test_bounded_solve_draws_no_extra_column_after_the_stop(row, drawn):
+    """The `extra` columns are drawn one at a time: a solve that the
+    second of them resolves draws no third, an infeasible one draws
+    them all.  No word column can meet the right side's `c` row."""
+    P = _SADDLE
+    target = P.differential[P.gen("xh2_12").index]
+    cols = [("z0", {("c", 1): 1}), ("z1", {**target, ("c", 0): 1}),
+            ("z2", {("c", 0): 1})]
+    got = []
+
+    def extra():
+        for tag, col in cols:
+            got.append(tag)
+            yield tag, col
+    res = analysis.bounded_solve(
+        P, target, Bounds(max_word_length=2),
+        degree=P.is_homogeneous(target) - 1, parity=None, weights=None,
+        rows={row: 1}, extra=extra())
+    assert got == drawn
+    assert res.witness == ({"z1": 1} if row == ("c", 0) else None)
+
+
 def _braid_triangle():
     P = _simple()
     letters = [P.add_generator(f"a{k}", 0, "e1", "e1") for k in range(3)]
