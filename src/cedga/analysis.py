@@ -114,6 +114,7 @@ def check_parity_flip(P: Presentation) -> ParityReport:
     Generators have length 1, so this is the statement that the
     differential changes word length mod 2 (idempotents count as length 0).
     """
+    require_valid(P)
     for g in P.generators:
         for w in P.differential.get(g.index, {}):
             if P.word_length(w) % 2 == 1:
@@ -262,7 +263,8 @@ class LinearSolver:
     side is reduced only once the columns have numbered every one of its
     labels, so that following it leaves the row numbering as it was; its
     lead is then compared with each new pivot, and it is stepped on when
-    they meet.
+    they meet.  A right side with a label no column has numbered lies
+    outside the span: no column can cancel that entry.
     """
     _RHS = object()  # the tag under which the right side is reduced
 
@@ -279,9 +281,8 @@ class LinearSolver:
         self._lead = -1  # its lead; None once in the span, -1 before
 
     def _reduce(self, tag, raw):
-        """Column `tag` = raw, numbered and reduced: (row, lead).  lead is
-        None when no row id is left: the keys of row, all < 0, are then a
-        relation among the columns."""
+        """Column `tag` = raw, numbered and reduced: (row, lead), lead None
+        when no row id is left and row is a relation among the columns."""
         ids = self._row_ids
         row = {ids.setdefault(k, len(ids)): c for k, c in raw.items() if c}
         m = 1  # over Q, clear the denominators unless every entry is an int
@@ -323,18 +324,28 @@ class LinearSolver:
                 row[k] //= g
         return row, lead if lead >= 0 else None
 
+    def _relation(self, row):
+        """The relation a row with no row id left states, keyed by tag."""
+        return {self._tags[~k]: c for k, c in row.items()}
+
+    def _add(self, tag, raw):
+        """Add column `tag` = raw; when it depends on the columns before
+        it, return its reduced row, a relation among them (`_relation`)."""
+        row, lead = self._reduce(tag, raw)
+        # a column that reduces to zero numbers no new label: a new label's
+        # row id has no pivot, so it would have been left as the lead
+        if lead is None:
+            return row
+        self._basis[lead] = row
+        if lead == self._lead:
+            self._rhs, self._lead = self._eliminate(self._rhs)
+        elif self._unseen:
+            self._number()
+
     def add_column(self, tag, raw_vec):
         """Add a column; True when the followed right side lies in the
         span of the columns added so far."""
-        row, lead = self._reduce(tag, raw_vec)
-        # a column that reduces to zero numbers no new label: a new label's
-        # row id has no pivot, so it would have been left as the lead
-        if lead is not None:
-            self._basis[lead] = row
-            if lead == self._lead:
-                self._rhs, self._lead = self._eliminate(self._rhs)
-            elif self._unseen:
-                self._number()
+        self._add(tag, raw_vec)
         return self._lead is None
 
     def follow(self, raw_rhs):
@@ -353,26 +364,20 @@ class LinearSolver:
         while unseen and unseen[-1] in ids:
             unseen.pop()
         if not unseen:
-            self._key = ~len(self._tags)  # the right side's combination key
             self._rhs, self._lead = self._reduce(self._RHS, self._target)
 
     def solve(self, raw_rhs):
         """The combination of the columns equal to raw_rhs, None when there
-        is none.  A right side not followed yet is followed from here;
-        one whose labels some column never numbered is numbered here."""
+        is none.  A right side not followed yet is followed from here."""
         if raw_rhs != self._target:
             self.follow(raw_rhs)
-        if self._rhs is None:
-            self._unseen.clear()
-            self._number()
         if self._lead is not None:
             return None
-        row, key, tags = self._rhs, self._key, self._tags
-        s = row[key]  # s*rhs + sum(row[~n]*column[n]) = 0
+        combo = self._relation(self._rhs)
+        s = combo.pop(self._RHS)  # s*rhs + sum(combo[t]*column[t]) = 0
         if self._xor:
-            return {tags[~k]: 1 for k in row if k != key}  # -1 = 1
-        return {tags[~k]: _q(Fraction(-c, s)) for k, c in row.items()
-                if k != key}
+            return dict.fromkeys(combo, 1)  # -1 = 1
+        return {t: _q(Fraction(-c, s)) for t, c in combo.items()}
 
 
 def letter_weights(P: Presentation) -> list:
@@ -391,15 +396,10 @@ def letter_weights(P: Presentation) -> list:
             cols[g.index][g.index, w] = -1
             for i in () if isinstance(w, int) else w:
                 cols[i][g.index, w] = cols[i].get((g.index, w), 0) + 1
-    solver, null = LinearSolver(rationals()), []
-    for g in P.generators:  # the n-th generator is column ~n
-        row, lead = solver._reduce(g.index, cols[g.index])
-        if lead is None:
-            null.append(row)
-        else:
-            solver._basis[lead] = row
-    return [tuple(v.get(~n, 0) for v in null)
-            for n in range(len(P.generators))]
+    solver = LinearSolver(rationals())
+    null = [solver._relation(row) for g in P.generators
+            if (row := solver._add(g.index, cols[g.index])) is not None]
+    return [tuple(v.get(g.index, 0) for v in null) for g in P.generators]
 
 
 def word_weight(wt, w) -> tuple:
@@ -436,14 +436,14 @@ _PARITIES = ("even", "odd")  # word-length parity bit -> name
 
 
 def bounded_solve(P: Presentation, target: Element, bounds: Bounds, *,
-                  degree, parity, weights, ends=None, rows=None,
+                  parity, weights, ends=None, rows=None,
                   extra=()) -> ExactnessResult:
-    """Solve d(x) = target over the bounded composable words of `degree`
-    with `ends` (default: the target's), `parity` (None, "even" or "odd")
-    and `weights` (wt, goals) or None, as composable_words takes them;
-    the (tag, column) pairs of `extra` are added after the words'
-    columns, and the right-hand side is the target plus the entries of
-    `rows`.
+    """Solve d(x) = target, nonzero and homogeneous, over the bounded
+    composable words of degree deg(target) - 1 with `ends` (default: the
+    target's), `parity` (None, "even" or "odd") and `weights` (wt, goals)
+    or None, as composable_words takes them; the (tag, column) pairs of
+    `extra` are added after the words' columns, and the right-hand side
+    is the target plus the entries of `rows`.
 
     A word's column is d(word), tagged by the word itself, so the rows
     are words, plus whatever row labels `extra` and `rows` bring.  The
@@ -457,20 +457,20 @@ def bounded_solve(P: Presentation, target: Element, bounds: Bounds, *,
     None when the system is infeasible.
     """
     own = {(P.word_source(w), P.word_target(w)) for w in target}
-    kw = dict(degree=degree, max_len=bounds.max_word_length,
-              max_level=bounds.max_level,
+    kw = dict(degree=P.word_degree(next(iter(target))) - 1,
+              max_len=bounds.max_word_length, max_level=bounds.max_level,
               parity=None if parity is None else _PARITIES.index(parity))
     rhs = {**target, **(rows or {})}
     solver = LinearSolver(P.ring)
-    if not solver.follow(rhs):
-        for w in composable_words(P, **kw, weights=weights,
-                                  ends=own if ends is None else ends):
-            if solver.add_column(w, P.d_word(w)):
+    solver.follow(rhs)  # a label of the target is not numbered yet
+    for w in composable_words(P, **kw, weights=weights,
+                              ends=own if ends is None else ends):
+        if solver.add_column(w, P.d_word(w)):
+            break
+    else:
+        for tag, col in extra:
+            if solver.add_column(tag, col):
                 break
-        else:
-            for tag, col in extra:
-                if solver.add_column(tag, col):
-                    break
     combo = solver.solve(rhs)
     status = "none_within_bounds" if combo is None else "witness"
     return ExactnessResult(status, target, bounds, parity, witness=combo,
@@ -500,7 +500,7 @@ def exactness_search(P: Presentation, target: Element, bounds: Bounds,
     # weights can enter a solution; every bounded word of the degree
     # counts, whatever its weight
     wt = letter_weights(P)
-    res = bounded_solve(P, target, bounds, degree=deg - 1, parity=parity,
+    res = bounded_solve(P, target, bounds, parity=parity,
                         weights=(wt, {word_weight(wt, w) for w in target}))
     if res.witness is not None and not P.equal(
             P.apply_differential(res.witness), target):

@@ -38,6 +38,11 @@ class UnverifiedAugmentationError(ValueError):
     """Linearization refused: the augmentation does not verify."""
 
 
+class NonzeroDSquaredError(ValueError):
+    """Linearization refused: the linearized d^2 does not vanish, so the
+    presentation's own d^2 does not."""
+
+
 class UnsupportedCodomainError(ValueError):
     """The obstruction codomain must pass the parity-flip check."""
 
@@ -283,9 +288,9 @@ def partial_linearize(eps: Augmentation) -> Presentation:
         out.set_differential(oi, el)
     d2 = check_d_squared(out)
     if not d2.ok:
-        raise AssertionError(
-            "linearized differential fails d^2 = 0 at "
-            + d2.counterexamples[0][0])
+        raise NonzeroDSquaredError(
+            "linearized differential fails d^2 = 0 at {} (residual {})"
+            .format(*d2.counterexamples[0]))
     return out
 
 
@@ -497,8 +502,8 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
         if given is not own and not given.same_data(own):
             raise MapError(f"{link_map.name}: the {end} given is not the "
                            f"map's {end}")
-    require_valid(S, T)
-    pf = check_parity_flip(T)
+    require_valid(S)
+    pf = check_parity_flip(T)  # which validates T first
     if not pf.ok:
         raise UnsupportedCodomainError(
             f"codomain differential does not flip word-length parity "
@@ -542,7 +547,7 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
             # land there; `candidates` counts the bounded u words of the
             # target's ends: the search at correction zero it states
             res = bounded_solve(
-                T, target, bounds, degree=g.degree, parity=_PARITIES[opp],
+                T, target, bounds, parity=_PARITIES[opp],
                 weights=None if goals is None else (wt, goals), ends=u_ends,
                 rows=rows, extra=_correction_columns(S, T, wt, goals, blocks,
                                                      idem_images, bounds))

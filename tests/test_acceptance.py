@@ -80,7 +80,7 @@ def test_criterion_03_parity_flip():
     P = Presentation(F2)
     P.add_idempotent("e1")
     bb = P.add_generator("bb", 0, "e1", "e1")
-    cc = P.add_generator("cc", 0, "e1", "e1")
+    cc = P.add_generator("cc", 1, "e1", "e1")
     dd = P.add_generator("dd", 1, "e1", "e1")
     aa = P.add_generator("aa", 0, "e1", "e1")
     for g in (bb, cc, dd):

@@ -6,11 +6,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cedga import (Bounds, NonHomogeneousTargetError, Presentation,
-                   UnsupportedPresentationError, check_d_squared,
-                   check_degree, check_parity_flip, composable_words,
-                   example, exactness_search, gf2, h0, is_trivial, laurent,
-                   make_point_algebra, rationals)
+from cedga import (Bounds, GenMap, NonHomogeneousTargetError, Presentation,
+                   PresentationError, UnsupportedPresentationError,
+                   check_d_squared, check_degree, check_parity_flip,
+                   composable_words, example, exactness_search, gf2, h0,
+                   is_trivial, laurent, make_point_algebra, rationals,
+                   verify_chain_map)
 from cedga import analysis
 from cedga.analysis import (ExactnessResult, LinearSolver, RewriteSystem,
                             count_words, letter_weights, word_weight)
@@ -63,7 +64,7 @@ def test_d_squared_closed_under_truncation():
 def test_parity_flip_seeded_violation():
     P = _simple(F2)
     b = P.add_generator("b", 0, "e1", "e1")
-    c = P.add_generator("c", 0, "e1", "e1")
+    c = P.add_generator("c", 1, "e1", "e1")
     d = P.add_generator("d", 1, "e1", "e1")
     a = P.add_generator("a", 0, "e1", "e1")
     for g in (b, c, d):
@@ -72,6 +73,19 @@ def test_parity_flip_seeded_violation():
     rep = check_parity_flip(P)
     assert not rep.ok
     assert rep.witness == ("a", "d")
+
+
+def test_parity_flip_refuses_a_presentation_that_fails_validation():
+    # x has no differential and x*x has degree 0, not deg(a) + 1 = 6
+    P = _simple()
+    x = P.add_generator("x", 0, "e1", "e1")
+    a = P.add_generator("a", 5, "e1", "e1")
+    P.set_differential(a, P.el_word([x, x]))
+    with pytest.raises(PresentationError,
+                       match="missing-differential at x: no diff statement; "
+                             "degree at a: word x\\*x has degree 0, "
+                             "expected 6"):
+        check_parity_flip(P)
 
 
 def test_check_degree_reports_misgrading():
@@ -181,6 +195,23 @@ def test_is_trivial_certifies_and_refuses():
                           BOUNDS5).certified_trivial
     assert not is_trivial(example("unknot_one_handle").main,
                           BOUNDS5).certified_trivial
+
+
+def test_an_unsound_witness_is_refused(monkeypatch):
+    """A solver combination that is not a witness never becomes one: the
+    search re-checks d(witness) = target and raises instead."""
+    P = example("unknot_one_handle").main
+    target = P.sub(P.el_idem("e1"), P.el_word(["t0_12"]))
+    solve = LinearSolver.solve
+
+    def doubled(self, raw_rhs):
+        combo = solve(self, raw_rhs)
+        return combo and {t: 2 * c for t, c in combo.items()}
+    assert exactness_search(P, target, BOUNDS5).status == "witness"
+    monkeypatch.setattr(LinearSolver, "solve", doubled)
+    with pytest.raises(AssertionError,
+                       match="solver returned an unsound witness"):
+        exactness_search(P, target, BOUNDS5)
 
 
 def test_witness_soundness_is_rechecked():
@@ -975,8 +1006,7 @@ def test_bounded_solve_draws_no_extra_column_after_the_stop(row, drawn):
             got.append(tag)
             yield tag, col
     res = analysis.bounded_solve(
-        P, target, Bounds(max_word_length=2),
-        degree=P.is_homogeneous(target) - 1, parity=None, weights=None,
+        P, target, Bounds(max_word_length=2), parity=None, weights=None,
         rows={row: 1}, extra=extra())
     assert got == drawn
     assert res.witness == ({"z1": 1} if row == ("c", 0) else None)
@@ -1018,3 +1048,143 @@ def test_h0_basis_is_every_irreducible_degree_zero_word(name, bound):
             expected.add(P.format_word(w))
     assert set(rep.basis) == expected
     assert len(rep.basis) == rep.dimension == len(expected)
+
+
+# -- stable tame invariance ----------------------------------------------------
+# The CE algebra is an invariant up to stable tame isomorphism (Chekanov,
+# Invent. Math. 150, 2002), so every homology verdict must survive a
+# stabilization and an elementary automorphism.  The builders below make
+# each move with the maps both ways; the moves keep the word-length
+# filtration (w and u are sums of letters and idempotents), so h0's counts
+# up to a length bound agree too.
+
+def _copy(P):
+    """P's idempotents and generators, in order, without differentials."""
+    Q = Presentation(P.ring, P.convention)
+    for e in P.idempotents:
+        Q.add_idempotent(e.label)
+    for g in P.generators:
+        Q.add_generator(g.name, g.degree, g.source, g.target, link=g.link,
+                        level=g.level)
+    return Q
+
+
+def _fixing(P, Q, moved=()):
+    """The GenMap P -> Q that fixes every idempotent and every generator
+    but the (index, value) pairs of `moved`."""
+    one = P.ring.one()
+    values = {g.index: {(g.index,): one} for g in P.generators}
+    return GenMap(P, Q, {**values, **dict(moved)},
+                  {e.index: e.index for e in P.idempotents})
+
+
+def stabilize(P, degree, ends, w):
+    """P plus b of `degree` and a of degree - 1 at `ends`, with d b = 0 and
+    d a = b + w, for a cycle w of P with b's ends and degree; with the
+    inclusion P -> P' and the projection P' -> P (a -> 0, b -> -w)."""
+    S = _copy(P)
+    for g in P.generators:
+        S.set_differential(g, P.differential[g.index])
+    b = S.add_generator("stab_b", degree, *ends)
+    a = S.add_generator("stab_a", degree - 1, *ends)
+    S.set_differential(b, S.zero())
+    S.set_differential(a, S.add(S.el_gen(b), w))
+    back = _fixing(S, P, {b.index: P.sub({}, w), a.index: {}}.items())
+    return S, _fixing(P, S), back
+
+
+def tame(P, g, u):
+    """The elementary automorphism phi: g -> g + u, for u of g's degree and
+    ends without g: P' has P's generators and d' = phi^-1 d phi.  Returns
+    P', phi^-1: P -> P' and phi: P' -> P."""
+    T, one = _copy(P), P.ring.one()
+    to = _fixing(P, T, [(g, T.sub({(g,): one}, u))])
+    for h in P.generators:
+        dh = P.differential[h.index]
+        if h.index == g:
+            dh = P.add(dh, P.apply_differential(u))
+        T.set_differential(h, to.apply(dh))
+    return T, to, _fixing(T, P, [(g, P.add({(g,): one}, u))])
+
+
+def _sum_at(draw, P, degree, ends, but=None, cycles=False):
+    """A sum of distinct letters of `degree` at `ends` (not `but`; with
+    `cycles`, only letters d kills) and, in degree 0 at a loop, of its
+    idempotent, each with a drawn nonzero coefficient; may be zero."""
+    s, t = ends
+    words = [(h.index,) for h in P.generators if h.index != but
+             and (h.degree, h.source, h.target) == (degree, s, t)
+             and not (cycles and P.differential[h.index])]
+    if degree == 0 and s == t:
+        words.append(s)
+    chosen = draw(st.lists(st.sampled_from(words), unique=True,
+                           max_size=2)) if words else []
+    return P.add({}, {w: _coefficient(draw, P.ring) for w in chosen})
+
+
+_FIELD_CATALOG = [(name, pres) for name in
+                  ("unknot_one_handle", "unknot_two_handles",
+                   "saddle_cobordism", "unknot_edge", "theta", "a3_link")
+                  for pres in example(name).presentations]
+
+
+@st.composite
+def _zero_differential_quivers(draw):
+    P, _ = draw(quivers())
+    for g in P.generators:
+        P.set_differential(g, P.zero())
+    return P
+
+
+def _h0_or_none(P):
+    try:
+        return h0(P, degree_bound=6)
+    except UnsupportedPresentationError:
+        return None
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_stable_tame_moves_keep_every_homology_verdict(data):
+    """For P from the strategies or the catalog and P' a stabilization or
+    an elementary automorphism of it: d^2 = 0 on P' as on P, both maps
+    are chain maps, h0 agrees where neither side is inconclusive, and a
+    witness x for t on P maps to a witness for the image of t on P'."""
+    draw = data.draw
+    source = draw(st.sampled_from(("graded", "quiver", "catalog")))
+    if source == "catalog":
+        name, pres = draw(st.sampled_from(_FIELD_CATALOG))
+        P = example(name).presentations[pres]
+    elif source == "graded":
+        P = draw(graded_presentations(rings=(rationals(), F2)))
+    else:
+        P = draw(_zero_differential_quivers())
+    n = len(P.idempotents)
+    if draw(st.booleans()):
+        # not at degree 1: h0 reads every degree-0 letter as a cycle, and
+        # d a = b + w is not zero
+        degree = draw(st.sampled_from((-1, 0, 2)))
+        ends = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+        P2, to, back = stabilize(P, degree, ends,
+                                 _sum_at(draw, P, degree, ends, cycles=True))
+    else:
+        g = draw(st.sampled_from(P.generators))
+        P2, to, back = tame(P, g.index, _sum_at(draw, P, g.degree,
+                                                (g.source, g.target),
+                                                but=g.index))
+    assert P2.validate().ok
+    d2 = check_d_squared(P2).ok
+    assert d2 == check_d_squared(P).ok
+    assert d2 or source != "catalog"
+    assert verify_chain_map(to).ok and verify_chain_map(back).ok
+    rep, rep2 = _h0_or_none(P), _h0_or_none(P2)
+    assert (rep is None) == (rep2 is None)
+    if rep and "inconclusive" not in (rep.verdict, rep2.verdict):
+        assert (rep.verdict, rep.dimension) == (rep2.verdict, rep2.dimension)
+    targets = [P.one()] + [P.differential[h.index] for h in P.generators[:3]
+                           if P.differential[h.index]]
+    for t in targets:
+        res = exactness_search(P, t, Bounds(max_word_length=3))
+        if res.witness is not None:
+            assert P2.equal(P2.apply_differential(to.apply(res.witness)),
+                            to.apply(t))

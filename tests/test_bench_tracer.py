@@ -1,11 +1,14 @@
 """The benchmark's tracer wraps cedga entry points by name, and its
 oracles read result fields by name; these tests fail as soon as one of
 those names moves, instead of only under a benchmark run."""
+import json
 import subprocess
 import sys
 import types
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import cedga
 import cedga.cli  # noqa: F401  (binds cedga.cli and cedga.dsl)
@@ -13,6 +16,10 @@ from cedga import example
 
 BENCH = Path(__file__).resolve().parents[1] / "cedbench"
 TRACING = BENCH / "tracing.py"
+# `cedbench/run.py --workload W --seed 1 --counts-only`, one line per
+# workload; a change that moves a counter re-pins it and says which
+PINS = json.loads((Path(__file__).with_name("bench_counts_seed1.json"))
+                  .read_text(encoding="utf-8"))
 
 
 def _tracing():
@@ -107,3 +114,20 @@ def test_benchmark_selftest_passes():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.strip().splitlines()[-1] == "selftest: ok"
+
+
+@pytest.mark.parametrize("workload", sorted(PINS))
+def test_the_traced_counters_of_each_workload_stay_pinned(workload):
+    """The counting pass over pool 0 at seed 1 gives the pinned inputs and
+    counters; a mismatch names each counter that moved, as (pin, now)."""
+    done = subprocess.run(
+        [sys.executable, "-B", str(BENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--counts-only"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got, pin = json.loads(done.stdout.strip().splitlines()[-1]), PINS[workload]
+    assert got["input_sha256"] == pin["input_sha256"]
+    moved = {k: (pin["counts"].get(k), got["counts"].get(k))
+             for k in pin["counts"].keys() | got["counts"].keys()
+             if pin["counts"].get(k) != got["counts"].get(k)}
+    assert not moved

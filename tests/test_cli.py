@@ -506,6 +506,57 @@ def test_an_augmentation_on_an_invalid_presentation_is_refused(
                    "missing-differential at t: no diff statement\n")
 
 
+# x has no differential and x*x has degree 0, not deg(a) + 1 = 6
+_UNGRADED = ("ring Q\nidempotents e\ngen x deg 0 from e to e\n"
+             "gen a deg 5 from e to e\ndiff a = x*x\n")
+# eps verifies, but d(d c) = a + a*x, which eps sends to 2*a
+_D2_FAILS = ("ring Q\nidempotents e\ngen x deg 0 from e to e short L\n"
+             "gen a deg 2 from e to e\ngen b deg 1 from e to e\n"
+             "gen c deg 0 from e to e\ndiff x = 0\ndiff a = 0\n"
+             "diff b = a + a*x\ndiff c = b\n"
+             "aug eps on main scope L {\n  x -> 1;\n}\n")
+
+
+@pytest.mark.parametrize("argv,text,code,out,err", [
+    (["parity", "FILE"], _UNGRADED, 2, "",
+     "cedga: error: presentation fails validation: missing-differential at "
+     "x: no diff statement; degree at a: word x*x has degree 0, expected "
+     "6\n"),
+    (["check-d2", "FILE"], _UNGRADED, 2, "",
+     "cedga: error: presentation fails validation: missing-differential at "
+     "x: no diff statement; degree at a: word x*x has degree 0, expected "
+     "6\n"),
+    (["verify-aug", "FILE"], _D2_FAILS, 0,
+     'verify-aug: pass\n  eps: {"failures": [], "ok": true}\n', ""),
+    (["check-d2", "FILE"], _D2_FAILS, 1,
+     'check-d2: counterexample\n  main: {"counterexamples": [{"generator": '
+     '"c", "residual": "a + a*x"}], "ok": false}\n', ""),
+    (["linearize", "FILE", "FILE", "-o", "-"], _D2_FAILS, 2, "",
+     "cedga: error: linearized differential fails d^2 = 0 at c "
+     "(residual 2*a)\n"),
+], ids=["parity_invalid", "check_d2_invalid", "verify_aug_d2_fails",
+        "check_d2_d2_fails", "linearize_d2_fails"])
+def test_parity_and_linearize_refuse_what_check_d2_finds(tmp_path, capsys,
+                                                         argv, text, code,
+                                                         out, err):
+    f = tmp_path / "in.cedga"
+    f.write_text(text)
+    assert run(capsys, *(str(f) if a == "FILE" else a for a in argv)) == (
+        code, out, err)
+
+
+def test_an_unsound_witness_is_one_named_line_and_exit_2(tmp_path, capsys,
+                                                        monkeypatch):
+    f = tmp_path / "r.cedga"
+    f.write_text(_TWO_LETTERS + "gen r deg -1 from e1 to e1\ndiff r = a\n")
+    assert run(capsys, "exact", str(f), "--target", "a", "--json")[0] == 0
+    monkeypatch.setattr(analysis.LinearSolver, "solve",
+                        lambda self, raw_rhs: {(2,): 2})
+    assert run(capsys, "exact", str(f), "--target", "a", "--json") == (
+        2, "", "cedga: error: AssertionError: solver returned an unsound "
+               "witness\n")
+
+
 @pytest.mark.parametrize("argv", [["exact", "--target", "a"], ["trivial"]])
 def test_a_search_over_a_laurent_ring_is_one_line_and_exit_2(tmp_path, capsys,
                                                              argv):

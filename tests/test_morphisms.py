@@ -7,6 +7,7 @@ from cedga import (Augmentation, GenMap, MapError, Presentation,
                    free_product, gf2, identity_map, make_point_algebra,
                    partial_linearize, rationals, verify_augmentation,
                    verify_chain_map)
+from cedga.morphisms import NonzeroDSquaredError
 
 
 @pytest.fixture
@@ -245,6 +246,28 @@ def test_linearized_unknot_has_one_closed_generator():
 def test_linearize_refuses_unverified_augmentation():
     eps = _unknot_eps(values={"t0_12": rationals().zero()})
     with pytest.raises(UnverifiedAugmentationError):
+        partial_linearize(eps)
+
+
+def test_linearize_refuses_a_presentation_whose_d_squared_fails():
+    # eps verifies, but d(d c) = a + a*x, which eps sends to 2*a
+    P = Presentation(rationals())
+    P.add_idempotent("e")
+    x = P.add_generator("x", 0, "e", "e", link="L")
+    a = P.add_generator("a", 2, "e", "e")
+    b = P.add_generator("b", 1, "e", "e")
+    c = P.add_generator("c", 0, "e", "e")
+    P.set_differential(x, P.zero())
+    P.set_differential(a, P.zero())
+    P.set_differential(b, P.add(P.el_gen(a), P.el_word([a, x])))
+    P.set_differential(c, P.el_gen(b))
+    eps = Augmentation(P, scope=frozenset([x.index]),
+                       values={x.index: P.ring.one()})
+    assert verify_augmentation(eps).ok
+    assert check_d_squared(P).counterexamples == [("c", "a + a*x")]
+    with pytest.raises(NonzeroDSquaredError,
+                       match=r"^linearized differential fails d\^2 = 0 at c "
+                             r"\(residual 2\*a\)$"):
         partial_linearize(eps)
 
 

@@ -441,3 +441,22 @@ def test_a_followed_right_side_resolves_at_the_shortest_spanning_prefix(data):
     assert followed.solve(shuffled(rhs)) == want
     assert stopped.solve(rhs) == want
     assert want is None or _canonical(want)
+
+
+@pytest.mark.parametrize("ring", [rationals(), gf2()])
+def test_a_side_with_a_label_no_column_numbered_is_outside_the_span(ring):
+    """No column can cancel an entry on a label that none of them has, so
+    such a right side solves to None, and the solve numbers no row id;
+    followed first or not, and whether or not later columns number some
+    of its other labels."""
+    solver = LinearSolver(ring)
+    solver.add_column("c0", {"r0": ring.one(), "r1": ring.one()})
+    ids = dict(solver._row_ids)
+    assert solver.solve({"r0": ring.one(), "new": ring.one()}) is None
+    assert solver._row_ids == ids
+    assert not solver.follow({"r2": ring.one(), "new": ring.one()})
+    assert not solver.add_column("c1", {"r2": ring.one()})
+    ids = dict(solver._row_ids)
+    assert solver.solve({"r2": ring.one(), "new": ring.one()}) is None
+    assert solver._row_ids == ids
+    assert solver.solve({"r2": ring.one()}) == {"c1": 1}
