@@ -15,6 +15,7 @@ from cedga import catalog, dsl
 from cedga.cli import main
 
 PINNED = {
+    "checks": "c3dbbd445269de653f295f11134ed6e7a2ea2318e6094338b9c537ef7ca9533a",
     "exact": "75a83c19770ce09a8c761bac926843051bdc62042094b73d24255f407bbe5c8e",
     "h0": "cc5dd784a0a12386f6c8668417783bae8086fb0f394d2c28694e23b699a84040",
     # `-o - --json` puts the text in certificates.text, not before the JSON
@@ -23,6 +24,45 @@ PINNED = {
     "serialize": "802338f8ba62d82eb67eb28850887d7fe2a1f141ce517ad73cd986f6e4c54b10",
     "trivial": "3a22e6484f5c5293f11cfb18dc96372093581441145f1f9abfb9f44b4caf80de",
 }
+
+# every catalog check passes, so these files hold the failure entries:
+# d^2, parity, the map and the augmentation fail in the first, and the
+# second fails validation
+CHECK_FAILS = {
+    "fails.cedga": """ring Q
+presentation main {
+  idempotents e
+  gen x deg 0 from e to e short L
+  gen t deg -1 from e to e short M
+  gen a deg 2 from e to e
+  gen b deg 1 from e to e
+  gen c deg 0 from e to e
+  diff x = 0
+  diff t = 1 + x
+  diff a = 0
+  diff b = a + a*x
+  diff c = b
+}
+map phi : main -> main {
+  x -> x;
+  t -> t;
+  a -> a;
+  b -> b;
+  c -> 2*c;
+  idem e -> e;
+}
+aug eps on main scope L M {
+  x -> 1;
+}
+""",
+    "ungraded.cedga": """ring Q
+idempotents e
+gen x deg 0 from e to e
+gen a deg 5 from e to e
+diff a = x*x
+""",
+}
+CHECKS = ("check-d2", "grade", "parity", "verify-map", "verify-aug")
 
 LINK_MAPS = (("unknot_edge", "y_filling_links"), ("a3_link", "pairing_xw_yv"),
              ("a3_link", "pairing_yv_xw"), ("a3_arboreal", "pairing_b"))
@@ -40,6 +80,12 @@ def _run(argv):
     return f"{argv}\n{code}\n{err.getvalue()}" + "\n".join(lines) + "\n"
 
 
+def _checks(path):
+    """Every plain check on the file at `path`, as text and as JSON."""
+    return [_run([command, path, *json_flag]) for command in CHECKS
+            for json_flag in ((), ("--json",))]
+
+
 def _families():
     """{family: sha256 of its runs}; writes the catalog files to the
     working directory, so that no run's text holds a path."""
@@ -52,6 +98,7 @@ def _families():
         files[name] = f"{name}.cedga"
         with open(files[name], "w", encoding="utf-8") as fh:
             fh.write(text)
+        runs["checks"] += _checks(files[name])
         for aug in bundle.augmentations:
             runs["linearize"].append(_run(["linearize", files[name],
                                            files[name], "-o", "-", "--aug",
@@ -76,6 +123,10 @@ def _families():
                              P.format_element(P.differential[g.index]),
                              "--max-len", "3", "--parity", parity,
                              "--json"]))
+    for name, text in CHECK_FAILS.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        runs["checks"] += _checks(name)
     for name, link_map in LINK_MAPS:
         for length in ("3", "4", "5"):
             runs["obstruct"].append(_run(["obstruct", files[name], "--map",
