@@ -29,15 +29,15 @@ print("Map:", {dom.generators[i].name: cod.format_element(v)
 rep = verify_chain_map(phi)
 print(f"chain map verifies: {rep.ok}")
 for g in ("a1_plus", "a2_plus", "b"):
-    phi_d, d_phi = rep.lines[g]
-    print(f"  Phi(d {g}) = {phi_d}    d(Phi {g}) = {d_phi}")
+    print("  Phi(d {g}) = {phi_d}    d(Phi {g}) = {d_phi}".format(
+        g=g, **rep.lines[g]))
 
 print("\nMutating one assignment breaks it:")
 gv = dict(phi.gen_values)
 gv[dom.gen("b").index] = cod.el_word(["x0_12"])
 rep_bad = verify_chain_map(GenMap(dom, cod, gv, dict(phi.idem_values)))
-print(f"  b -> x0_12 fails at {rep_bad.failures[0][0]} with residual "
-      f"{rep_bad.failures[0][1]}")
+print("  b -> x0_12 fails at {generator} with residual {residual}".format(
+    **rep_bad.failures[0]))
 
 print("\nd^2 = 0 on both sides:",
       check_d_squared(dom).ok and check_d_squared(cod).ok)

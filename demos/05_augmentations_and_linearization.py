@@ -30,8 +30,8 @@ eps = B.augmentations["eps"]
 values = dict(eps.values)
 values[P.gen("c1_21").index] = lam
 rep = verify_augmentation(Augmentation(P, scope=eps.scope, values=values))
-for gen, residual in rep.failures:
-    print(f"  eps(d {gen}) = {residual}")
+for failure in rep.failures:
+    print("  eps(d {generator}) = {residual}".format(**failure))
 
 print("\nPartial linearization of the one-handle unknot by t -> 1:")
 U = example("unknot_one_handle").main

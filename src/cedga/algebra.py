@@ -12,7 +12,7 @@ sum of all idempotents.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .coefficients import CoeffRing, RingMismatchError, bad_name
@@ -75,9 +75,6 @@ class Violation:
 class ValidationReport:
     ok: bool
     violations: list = field(default_factory=list)
-
-    def to_json_dict(self):
-        return asdict(self)
 
 
 class Presentation:

@@ -46,9 +46,6 @@ class Bounds:
         if self.max_word_length < 0 or self.max_level < 0 or self.degree_bound < 0:
             raise ValueError("bounds must be nonnegative")
 
-    def to_json_dict(self):
-        return asdict(self)
-
 
 # ---------------------------------------------------------------------------
 # d^2, grading, parity
@@ -57,12 +54,7 @@ class Bounds:
 @dataclass
 class DSquaredReport:
     ok: bool
-    counterexamples: list = field(default_factory=list)  # (gen name, residual str)
-
-    def to_json_dict(self):
-        return {"ok": self.ok,
-                "counterexamples": [{"generator": g, "residual": r}
-                                    for g, r in self.counterexamples]}
+    counterexamples: list = field(default_factory=list)  # {generator, residual}
 
 
 def check_d_squared(P: Presentation) -> DSquaredReport:
@@ -72,7 +64,8 @@ def check_d_squared(P: Presentation) -> DSquaredReport:
     for g in P.generators:
         residual = P.apply_differential(P.differential[g.index])
         if residual:
-            bad.append((g.name, P.format_element(residual)))
+            bad.append({"generator": g.name,
+                        "residual": P.format_element(residual)})
     return DSquaredReport(ok=not bad, counterexamples=bad)
 
 
@@ -80,9 +73,6 @@ def check_d_squared(P: Presentation) -> DSquaredReport:
 class DegreeReport:
     ok: bool
     violations: list = field(default_factory=list)
-
-    def to_json_dict(self):
-        return asdict(self)
 
     @classmethod
     def from_validation(cls, report) -> DegreeReport:
@@ -100,12 +90,7 @@ def check_degree(P: Presentation) -> DegreeReport:
 @dataclass
 class ParityReport:
     ok: bool
-    witness: Optional[tuple] = None  # (gen name, word str)
-
-    def to_json_dict(self):
-        return {"ok": self.ok,
-                "witness": None if self.witness is None else
-                {"generator": self.witness[0], "word": self.witness[1]}}
+    witness: Optional[dict] = None  # {generator, word}
 
 
 def check_parity_flip(P: Presentation) -> ParityReport:
@@ -118,7 +103,8 @@ def check_parity_flip(P: Presentation) -> ParityReport:
     for g in P.generators:
         for w in P.differential.get(g.index, {}):
             if P.word_length(w) % 2 == 1:
-                return ParityReport(False, (g.name, P.format_word(w)))
+                return ParityReport(False, {"generator": g.name,
+                                            "word": P.format_word(w)})
     return ParityReport(True)
 
 
@@ -423,7 +409,7 @@ class ExactnessResult:
 
     def to_json_dict(self, P: Presentation):
         d = {"status": self.status, "parity": self.parity,
-             "candidates": self.candidates, "bounds": self.bounds.to_json_dict(),
+             "candidates": self.candidates, "bounds": asdict(self.bounds),
              "target": P.format_element(self.target),
              "witness": (None if self.witness is None
                          else P.format_element(self.witness))}

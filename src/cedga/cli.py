@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from . import analysis, catalog, dsl, morphisms
 from .algebra import Presentation
@@ -106,14 +106,14 @@ PASSING = frozenset({"pass", "ok", "witness", "certified_trivial",
 
 
 def _report(rep):
-    return rep.to_json_dict(), rep.ok
+    return asdict(rep), rep.ok
 
 
 def _grade(P):
     val = P.validate()
     deg = analysis.DegreeReport.from_validation(val)
-    return ({"validation": val.to_json_dict(), "degree": deg.to_json_dict()},
-            val.ok and deg.ok)
+    certs = {"validation": asdict(val), "degree": asdict(deg)}
+    return certs, val.ok and deg.ok
 
 
 def _chain_map(phi):
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
         ms = int((time.monotonic() - t0) * 1000)
         print(json.dumps({"command": args.command, "verdict": verdict,
                           "certificates": certificates,
-                          "bounds": bounds and bounds.to_json_dict(),
+                          "bounds": bounds and asdict(bounds),
                           "timings": {"total_ms": ms}}, sort_keys=True))
     else:
         print(f"{args.command}: {verdict}")

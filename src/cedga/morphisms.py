@@ -17,7 +17,7 @@ it implies at correction zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from .algebra import Element, Presentation, check_ring, require_valid
@@ -133,15 +133,8 @@ def identity_map(P: Presentation) -> GenMap:
 @dataclass
 class ChainMapReport:
     ok: bool
-    failures: list = field(default_factory=list)  # (gen, residual str)
-    lines: dict = field(default_factory=dict)     # gen -> (phi_d str, d_phi str)
-
-    def to_json_dict(self):
-        return {"ok": self.ok,
-                "failures": [{"generator": g, "residual": r}
-                             for g, r in self.failures],
-                "lines": {g: {"phi_d": a, "d_phi": b}
-                          for g, (a, b) in self.lines.items()}}
+    failures: list = field(default_factory=list)  # {generator, residual}
+    lines: dict = field(default_factory=dict)     # gen -> {phi_d, d_phi}
 
 
 def verify_chain_map(phi: GenMap) -> ChainMapReport:
@@ -154,10 +147,12 @@ def verify_chain_map(phi: GenMap) -> ChainMapReport:
     for g in phi.source.generators:
         phi_d = phi.apply(phi.source.differential[g.index])
         d_phi = T.apply_differential(phi.gen_values[g.index])
-        lines[g.name] = (T.format_element(phi_d), T.format_element(d_phi))
+        lines[g.name] = {"phi_d": T.format_element(phi_d),
+                         "d_phi": T.format_element(d_phi)}
         residual = T.sub(phi_d, d_phi)
         if residual:
-            failures.append((g.name, T.format_element(residual)))
+            failures.append({"generator": g.name,
+                             "residual": T.format_element(residual)})
     return ChainMapReport(ok=not failures, failures=failures, lines=lines)
 
 
@@ -222,12 +217,7 @@ class Augmentation:
 @dataclass
 class AugmentationReport:
     ok: bool
-    failures: list = field(default_factory=list)  # (gen, residual coeff str)
-
-    def to_json_dict(self):
-        return {"ok": self.ok,
-                "failures": [{"generator": g, "residual": r}
-                             for g, r in self.failures]}
+    failures: list = field(default_factory=list)  # {generator, residual}
 
 
 def verify_augmentation(eps: Augmentation) -> AugmentationReport:
@@ -245,7 +235,8 @@ def verify_augmentation(eps: Augmentation) -> AugmentationReport:
                              f"{P.generators[out[0]].name})")
         residual = eps.eval(dg)
         if not P.ring.is_zero(residual):
-            failures.append((P.generators[gi].name, P.ring.format(residual)))
+            failures.append({"generator": P.generators[gi].name,
+                             "residual": P.ring.format(residual)})
     return AugmentationReport(ok=not failures, failures=failures)
 
 
@@ -261,8 +252,8 @@ def partial_linearize(eps: Augmentation) -> Presentation:
     rep = verify_augmentation(eps)
     if not rep.ok:
         raise UnverifiedAugmentationError(
-            f"{eps.name} fails at {rep.failures[0][0]} "
-            f"(residual {rep.failures[0][1]})")
+            "{} fails at {generator} (residual {residual})"
+            .format(eps.name, **rep.failures[0]))
     P = eps.presentation
     out = Presentation(P.ring, P.convention)
     for e in P.idempotents:
@@ -289,8 +280,8 @@ def partial_linearize(eps: Augmentation) -> Presentation:
     d2 = check_d_squared(out)
     if not d2.ok:
         raise NonzeroDSquaredError(
-            "linearized differential fails d^2 = 0 at {} (residual {})"
-            .format(*d2.counterexamples[0]))
+            "linearized differential fails d^2 = 0 at {generator} "
+            "(residual {residual})".format(**d2.counterexamples[0]))
     return out
 
 
@@ -317,7 +308,7 @@ class ObstructionReport:
             "transcript": list(self.transcript),
             "certificate": (None if self.certificate is None
                             else self.certificate.to_json_dict(codomain)),
-            "bounds": self.bounds.to_json_dict(),
+            "bounds": asdict(self.bounds),
         }
 
 
@@ -507,7 +498,7 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
     if not pf.ok:
         raise UnsupportedCodomainError(
             f"codomain differential does not flip word-length parity "
-            f"(witness {pf.witness[0]})")
+            f"(witness {pf.witness['generator']})")
     _validate_link_map(link_map)
     idem_images = _idem_images(link_map)
     long_gens = [g for g in S.generators if g.role == "long"]

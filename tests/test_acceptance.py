@@ -87,7 +87,7 @@ def test_criterion_03_parity_flip():
         P.set_differential(g, P.zero())
     P.set_differential(aa, P.add(P.el_word([bb, cc]), P.el_gen(dd)))
     rep = check_parity_flip(P)
-    assert not rep.ok and rep.witness == ("aa", "dd")
+    assert not rep.ok and rep.witness == {"generator": "aa", "word": "dd"}
     _report(3, "(I3, closed hat I3, I3 * I3 flip; seeded violation caught)")
 
 
@@ -112,9 +112,11 @@ def test_criterion_05_saddle_chain_map():
     phi = B.maps["Phi"]
     rep = verify_chain_map(phi)
     assert rep.ok
-    assert rep.lines["a1_plus"] == ("e1 + y0_12", "e1 + y0_12")
-    assert rep.lines["a2_plus"] == ("e1 + y0_12", "e1 + y0_12")
-    assert rep.lines["b"] == ("0", "0")
+    assert rep.lines["a1_plus"] == {"phi_d": "e1 + y0_12",
+                                    "d_phi": "e1 + y0_12"}
+    assert rep.lines["a2_plus"] == {"phi_d": "e1 + y0_12",
+                                    "d_phi": "e1 + y0_12"}
+    assert rep.lines["b"] == {"phi_d": "0", "d_phi": "0"}
     dom, cod = B.main, B.presentations["codomain"]
     mutations = {
         "a1_plus": cod.el_word(["a1_minus"]),
@@ -177,7 +179,8 @@ def test_criterion_07_augmentations():
     values[P.gen("c1_21").index] = lam
     rep = verify_augmentation(Augmentation(P, scope=eps.scope, values=values))
     assert not rep.ok
-    residual = dict(rep.failures)["c1_11"]
+    residual = {f["generator"]: f["residual"]
+                for f in rep.failures}["c1_11"]
     one_minus_lam2 = ring.sub(ring.one(), ring.mul(lam, lam))
     assert residual in (ring.format(one_minus_lam2),
                         ring.format(ring.neg(one_minus_lam2)))

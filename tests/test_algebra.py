@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -365,7 +366,7 @@ def test_validation_messages_are_pinned(tmp_path, monkeypatch):
                       out.getvalue())
         runs.append(f"{argv}\n{code}\n{text}")
     P = _breaking_presentation()
-    runs.append(json.dumps(P.validate().to_json_dict(), sort_keys=True))
+    runs.append(json.dumps(asdict(P.validate()), sort_keys=True))
     with pytest.raises(PresentationError) as exc:
         require_valid(P)
     runs.append(str(exc.value))

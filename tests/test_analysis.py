@@ -45,7 +45,7 @@ def test_d_squared_counterexample():
     P.set_differential(a, P.el_gen(b))
     rep = check_d_squared(P)
     assert not rep.ok
-    assert rep.counterexamples[0][0] == "a"
+    assert rep.counterexamples[0]["generator"] == "a"
 
 
 def test_d_squared_all_zero_differential():
@@ -72,7 +72,7 @@ def test_parity_flip_seeded_violation():
     P.set_differential(a, P.add(P.el_word([b, c]), P.el_gen(d)))
     rep = check_parity_flip(P)
     assert not rep.ok
-    assert rep.witness == ("a", "d")
+    assert rep.witness == {"generator": "a", "word": "d"}
 
 
 def test_parity_flip_refuses_a_presentation_that_fails_validation():

@@ -40,9 +40,11 @@ def test_total_map_sends_unit_to_unit(saddle):
 def test_saddle_chain_map_and_intermediate_lines(saddle):
     rep = verify_chain_map(saddle.maps["Phi"])
     assert rep.ok
-    assert rep.lines["a1_plus"] == ("e1 + y0_12", "e1 + y0_12")
-    assert rep.lines["a2_plus"] == ("e1 + y0_12", "e1 + y0_12")
-    assert rep.lines["b"] == ("0", "0")
+    assert rep.lines["a1_plus"] == {"phi_d": "e1 + y0_12",
+                                    "d_phi": "e1 + y0_12"}
+    assert rep.lines["a2_plus"] == {"phi_d": "e1 + y0_12",
+                                    "d_phi": "e1 + y0_12"}
+    assert rep.lines["b"] == {"phi_d": "0", "d_phi": "0"}
 
 
 @pytest.mark.parametrize("mutate", ["drop_hat", "add_hat", "b_to_x"])
@@ -143,7 +145,7 @@ def test_mutated_augmentation_residual_is_one_minus_lambda_squared():
     bad = Augmentation(P, scope=eps.scope, values=values, name="bad")
     rep = verify_augmentation(bad)
     assert not rep.ok
-    residuals = dict(rep.failures)
+    residuals = {f["generator"]: f["residual"] for f in rep.failures}
     expected = ring.sub(ring.one(), ring.mul(lam, lam))
     assert residuals["c1_11"] in (ring.format(expected),
                                   ring.format(ring.neg(expected)))
@@ -164,7 +166,8 @@ def test_zero_unknot_augmentation_is_rejected():
     eps = Augmentation(P, scope=scope, values={})
     rep = verify_augmentation(eps)
     assert not rep.ok
-    assert ("t1_11", "1") in rep.failures  # eps(d t1_11) = 1 - 0 = 1
+    # eps(d t1_11) = 1 - 0 = 1
+    assert {"generator": "t1_11", "residual": "1"} in rep.failures
 
 
 def test_augmentation_scope_must_be_closed():
@@ -199,7 +202,8 @@ def test_an_open_scope_is_refused_after_an_earlier_failure():
                        r"differential-closed \(d w uses u\)$"):
         verify_augmentation(eps)
     closed = Augmentation(P, scope=frozenset([t.index, x.index]))
-    assert verify_augmentation(closed).failures == [("t", "1")]
+    assert verify_augmentation(closed).failures == [
+        {"generator": "t", "residual": "1"}]
 
 
 def test_an_invalid_presentation_is_refused_before_its_augmentation():
@@ -264,7 +268,8 @@ def test_linearize_refuses_a_presentation_whose_d_squared_fails():
     eps = Augmentation(P, scope=frozenset([x.index]),
                        values={x.index: P.ring.one()})
     assert verify_augmentation(eps).ok
-    assert check_d_squared(P).counterexamples == [("c", "a + a*x")]
+    assert check_d_squared(P).counterexamples == [
+        {"generator": "c", "residual": "a + a*x"}]
     with pytest.raises(NonzeroDSquaredError,
                        match=r"^linearized differential fails d\^2 = 0 at c "
                              r"\(residual 2\*a\)$"):

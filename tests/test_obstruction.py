@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from cedga import (Bounds, GenMap, MapError, Presentation,
@@ -246,7 +248,7 @@ def _obstruct(text):
 
 def _certificate(target, candidates):
     return {"status": "none_within_bounds", "parity": "odd",
-            "candidates": candidates, "bounds": SMALL.to_json_dict(),
+            "candidates": candidates, "bounds": asdict(SMALL),
             "target": target, "witness": None, "note": NOTE}
 
 
