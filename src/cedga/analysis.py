@@ -29,7 +29,8 @@ class NonHomogeneousTargetError(ValueError):
 
 
 class UnsupportedPresentationError(PresentationError):
-    """h0 needs degree-(-1) differentials supported on degree-0 letters."""
+    """h0 needs degree-(-1) differentials supported on degree-0 letters,
+    and degree-0 letters that are cycles."""
 
 
 @dataclass(frozen=True)
@@ -707,6 +708,10 @@ BASIS_CAP = 100000
 def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     """Quotient of the degree-0 subalgebra by the degree-(-1) differentials.
 
+    Every degree-(-1) differential must be a sum of idempotents and words
+    in degree-0 letters, and every degree-0 letter a cycle; else
+    UnsupportedPresentationError.
+
     Completes the relations to a rewrite system up to words of length
     `degree_bound`, then counts normal-form words up to that length, at
     most BASIS_CAP of them.  The walk appends letters on the acting side,
@@ -734,6 +739,11 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
                     f"({P.format_word(w)})")
         if dg:
             relations.append(dg)
+    for g in P.generators:
+        if g.degree == 0 and P.differential[g.index]:
+            raise UnsupportedPresentationError(
+                f"degree-0 letter {g.name} is not a cycle (d {g.name} = "
+                f"{P.format_element(P.differential[g.index])})")
 
     rs = RewriteSystem(P)
     truncated = rs.complete(relations, degree_bound)

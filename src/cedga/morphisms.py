@@ -39,8 +39,9 @@ class UnverifiedAugmentationError(ValueError):
 
 
 class NonzeroDSquaredError(ValueError):
-    """Linearization refused: the linearized d^2 does not vanish, so the
-    presentation's own d^2 does not."""
+    """Linearization refused: d^2 does not vanish on the linearized
+    output, or else on the input presentation itself, whose check names
+    the generator and residual that check_d_squared reports."""
 
 
 class UnsupportedCodomainError(ValueError):
@@ -277,11 +278,13 @@ def partial_linearize(eps: Augmentation) -> Presentation:
                     and out.word_target(nw) == g.target:
                 P.ring.add_into(el, ((nw, coeff),))
         out.set_differential(oi, el)
-    d2 = check_d_squared(out)
-    if not d2.ok:
-        raise NonzeroDSquaredError(
-            "linearized differential fails d^2 = 0 at {generator} "
-            "(residual {residual})".format(**d2.counterexamples[0]))
+    # eps may kill a residual of the input's own d^2: check it too
+    for pres, what in ((out, "linearized"), (P, "presentation's")):
+        d2 = check_d_squared(pres)
+        if not d2.ok:
+            raise NonzeroDSquaredError(
+                "{} differential fails d^2 = 0 at {generator} (residual "
+                "{residual})".format(what, **d2.counterexamples[0]))
     return out
 
 

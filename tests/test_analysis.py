@@ -1143,13 +1143,28 @@ def _h0_or_none(P):
         return None
 
 
+def test_h0_refuses_a_degree_0_letter_that_is_not_a_cycle():
+    """A quiver with zero differential, stabilized at degree 1: the new
+    degree-0 letter a has d a = b, so h0 would count a as a class."""
+    P = _simple()
+    P.set_differential(P.add_generator("x", 0, "e1", "e1"), P.zero())
+    assert h0(P, degree_bound=6).dimension == 7  # e1, x, ..., x^6
+    P2, _, _ = stabilize(P, 1, (0, 0), P.zero())
+    with pytest.raises(UnsupportedPresentationError,
+                       match=r"^degree-0 letter stab_a is not a cycle "
+                             r"\(d stab_a = stab_b\)$"):
+        h0(P2, degree_bound=6)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_stable_tame_moves_keep_every_homology_verdict(data):
     """For P from the strategies or the catalog and P' a stabilization or
     an elementary automorphism of it: d^2 = 0 on P' as on P, both maps
-    are chain maps, h0 agrees where neither side is inconclusive, and a
-    witness x for t on P maps to a witness for the image of t on P'."""
+    are chain maps, h0 agrees where neither side is inconclusive (and
+    refuses P' stabilized at degree 1, whose new degree-0 letter is not a
+    cycle), and a witness x for t on P maps to a witness for the image of
+    t on P'."""
     draw = data.draw
     source = draw(st.sampled_from(("graded", "quiver", "catalog")))
     if source == "catalog":
@@ -1159,11 +1174,9 @@ def test_stable_tame_moves_keep_every_homology_verdict(data):
         P = draw(graded_presentations(rings=(rationals(), F2)))
     else:
         P = draw(_zero_differential_quivers())
-    n = len(P.idempotents)
+    n, degree = len(P.idempotents), None
     if draw(st.booleans()):
-        # not at degree 1: h0 reads every degree-0 letter as a cycle, and
-        # d a = b + w is not zero
-        degree = draw(st.sampled_from((-1, 0, 2)))
+        degree = draw(st.sampled_from((-1, 0, 1, 2)))
         ends = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
         P2, to, back = stabilize(P, degree, ends,
                                  _sum_at(draw, P, degree, ends, cycles=True))
@@ -1178,9 +1191,13 @@ def test_stable_tame_moves_keep_every_homology_verdict(data):
     assert d2 or source != "catalog"
     assert verify_chain_map(to).ok and verify_chain_map(back).ok
     rep, rep2 = _h0_or_none(P), _h0_or_none(P2)
-    assert (rep is None) == (rep2 is None)
-    if rep and "inconclusive" not in (rep.verdict, rep2.verdict):
-        assert (rep.verdict, rep.dimension) == (rep2.verdict, rep2.dimension)
+    if degree == 1:
+        assert rep2 is None  # d stab_a = stab_b + w is not zero
+    else:
+        assert (rep is None) == (rep2 is None)
+        if rep and "inconclusive" not in (rep.verdict, rep2.verdict):
+            assert (rep.verdict, rep.dimension) == (rep2.verdict,
+                                                    rep2.dimension)
     targets = [P.one()] + [P.differential[h.index] for h in P.generators[:3]
                            if P.differential[h.index]]
     for t in targets:

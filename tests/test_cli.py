@@ -515,6 +515,8 @@ _D2_FAILS = ("ring Q\nidempotents e\ngen x deg 0 from e to e short L\n"
              "gen c deg 0 from e to e\ndiff x = 0\ndiff a = 0\n"
              "diff b = a + a*x\ndiff c = b\n"
              "aug eps on main scope L {\n  x -> 1;\n}\n")
+# d(d c) = a*x - a, which eps sends to 0: only the input shows it
+_D2_HIDDEN = _D2_FAILS.replace("a + a*x", "a*x - a")
 
 
 @pytest.mark.parametrize("argv,text,code,out,err", [
@@ -534,8 +536,15 @@ _D2_FAILS = ("ring Q\nidempotents e\ngen x deg 0 from e to e short L\n"
     (["linearize", "FILE", "FILE", "-o", "-"], _D2_FAILS, 2, "",
      "cedga: error: linearized differential fails d^2 = 0 at c "
      "(residual 2*a)\n"),
+    (["check-d2", "FILE"], _D2_HIDDEN, 1,
+     'check-d2: counterexample\n  main: {"counterexamples": [{"generator": '
+     '"c", "residual": "- a + a*x"}], "ok": false}\n', ""),
+    (["linearize", "FILE", "FILE", "-o", "-"], _D2_HIDDEN, 2, "",
+     "cedga: error: presentation's differential fails d^2 = 0 at c "
+     "(residual - a + a*x)\n"),
 ], ids=["parity_invalid", "check_d2_invalid", "verify_aug_d2_fails",
-        "check_d2_d2_fails", "linearize_d2_fails"])
+        "check_d2_d2_fails", "linearize_d2_fails", "check_d2_d2_hidden",
+        "linearize_d2_hidden"])
 def test_parity_and_linearize_refuse_what_check_d2_finds(tmp_path, capsys,
                                                          argv, text, code,
                                                          out, err):

@@ -276,6 +276,30 @@ def test_linearize_refuses_a_presentation_whose_d_squared_fails():
         partial_linearize(eps)
 
 
+def test_linearize_refuses_a_failing_d_squared_that_eps_kills():
+    # d(d c) = a*x - a, which eps sends to a - a = 0: the linearized d^2
+    # vanishes, so the refusal names what check_d_squared finds on P
+    P = Presentation(rationals())
+    P.add_idempotent("e")
+    x = P.add_generator("x", 0, "e", "e", link="L")
+    a = P.add_generator("a", 2, "e", "e")
+    b = P.add_generator("b", 1, "e", "e")
+    c = P.add_generator("c", 0, "e", "e")
+    P.set_differential(x, P.zero())
+    P.set_differential(a, P.zero())
+    P.set_differential(b, P.sub(P.el_word([a, x]), P.el_gen(a)))
+    P.set_differential(c, P.el_gen(b))
+    eps = Augmentation(P, scope=frozenset([x.index]),
+                       values={x.index: P.ring.one()})
+    assert verify_augmentation(eps).ok
+    assert check_d_squared(P).counterexamples == [
+        {"generator": "c", "residual": "- a + a*x"}]
+    with pytest.raises(NonzeroDSquaredError,
+                       match=r"^presentation's differential fails d\^2 = 0 "
+                             r"at c \(residual - a \+ a\*x\)$"):
+        partial_linearize(eps)
+
+
 def test_linearize_without_short_generators_is_identity():
     P = Presentation(rationals())
     P.add_idempotent("e1")
