@@ -40,8 +40,9 @@ class UnverifiedAugmentationError(ValueError):
 
 class NonzeroDSquaredError(ValueError):
     """Linearization refused: d^2 does not vanish on the linearized
-    output, or else on the input presentation itself, whose check names
-    the generator and residual that check_d_squared reports."""
+    output or, where eps hides the residual, on the input presentation;
+    the message names a generator and its residual as check_d_squared
+    reports them."""
 
 
 class UnsupportedCodomainError(ValueError):
@@ -248,7 +249,9 @@ def partial_linearize(eps: Augmentation) -> Presentation:
     each word of a long differential maps to its subword of long letters,
     scaled by the product of the eps-values of its short letters.  Words
     whose long-letter subword fails to compose (or no longer matches the
-    generator's ends) vanish, by the path-algebra product rule.
+    generator's ends) vanish, by the path-algebra product rule.  Refuses
+    an eps that does not verify, and a d^2 that does not vanish on the
+    output or on the input.
     """
     rep = verify_augmentation(eps)
     if not rep.ok:

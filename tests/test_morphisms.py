@@ -253,8 +253,16 @@ def test_linearize_refuses_unverified_augmentation():
         partial_linearize(eps)
 
 
-def test_linearize_refuses_a_presentation_whose_d_squared_fails():
-    # eps verifies, but d(d c) = a + a*x, which eps sends to 2*a
+# eps verifies, but d(d c) = sign*a + a*x, which eps sends to (sign + 1)*a:
+# with sign -1 only the input's own d^2 shows the failure
+@pytest.mark.parametrize("sign,residual,message", [
+    (1, "a + a*x", r"^linearized differential fails d\^2 = 0 at c "
+                   r"\(residual 2\*a\)$"),
+    (-1, "- a + a*x", r"^presentation's differential fails d\^2 = 0 at c "
+                      r"\(residual - a \+ a\*x\)$"),
+], ids=["linearized", "input"])
+def test_linearize_refuses_a_presentation_whose_d_squared_fails(
+        sign, residual, message):
     P = Presentation(rationals())
     P.add_idempotent("e")
     x = P.add_generator("x", 0, "e", "e", link="L")
@@ -263,40 +271,14 @@ def test_linearize_refuses_a_presentation_whose_d_squared_fails():
     c = P.add_generator("c", 0, "e", "e")
     P.set_differential(x, P.zero())
     P.set_differential(a, P.zero())
-    P.set_differential(b, P.add(P.el_gen(a), P.el_word([a, x])))
+    P.set_differential(b, P.add({(a.index,): sign}, P.el_word([a, x])))
     P.set_differential(c, P.el_gen(b))
     eps = Augmentation(P, scope=frozenset([x.index]),
                        values={x.index: P.ring.one()})
     assert verify_augmentation(eps).ok
     assert check_d_squared(P).counterexamples == [
-        {"generator": "c", "residual": "a + a*x"}]
-    with pytest.raises(NonzeroDSquaredError,
-                       match=r"^linearized differential fails d\^2 = 0 at c "
-                             r"\(residual 2\*a\)$"):
-        partial_linearize(eps)
-
-
-def test_linearize_refuses_a_failing_d_squared_that_eps_kills():
-    # d(d c) = a*x - a, which eps sends to a - a = 0: the linearized d^2
-    # vanishes, so the refusal names what check_d_squared finds on P
-    P = Presentation(rationals())
-    P.add_idempotent("e")
-    x = P.add_generator("x", 0, "e", "e", link="L")
-    a = P.add_generator("a", 2, "e", "e")
-    b = P.add_generator("b", 1, "e", "e")
-    c = P.add_generator("c", 0, "e", "e")
-    P.set_differential(x, P.zero())
-    P.set_differential(a, P.zero())
-    P.set_differential(b, P.sub(P.el_word([a, x]), P.el_gen(a)))
-    P.set_differential(c, P.el_gen(b))
-    eps = Augmentation(P, scope=frozenset([x.index]),
-                       values={x.index: P.ring.one()})
-    assert verify_augmentation(eps).ok
-    assert check_d_squared(P).counterexamples == [
-        {"generator": "c", "residual": "- a + a*x"}]
-    with pytest.raises(NonzeroDSquaredError,
-                       match=r"^presentation's differential fails d\^2 = 0 "
-                             r"at c \(residual - a \+ a\*x\)$"):
+        {"generator": "c", "residual": residual}]
+    with pytest.raises(NonzeroDSquaredError, match=message):
         partial_linearize(eps)
 
 
