@@ -3,8 +3,10 @@
 Each digest covers one family of CLI runs over the catalog: the exit
 code, standard error, and standard output with the `timings` object
 dropped from the JSON line.  The digests were recorded before every
-linear combination was routed through CoeffRing.add_into; a refactor
-that keeps verdicts, certificates and `.cedga` text must keep them.
+linear combination was routed through CoeffRing.add_into, and the
+`checks` digest before the check reports held their entries as dicts; a
+refactor that keeps verdicts, certificates and `.cedga` text must keep
+them.
 """
 import contextlib
 import hashlib
