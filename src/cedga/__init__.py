@@ -5,11 +5,11 @@ from .coefficients import (CoeffRing, NotAUnitError, RingMismatchError, gf2,
 from .algebra import (Element, Generator, Idempotent, Presentation,
                       PresentationError, IncompletePresentationError,
                       POTENTIAL_MINUS, POTENTIAL_PLUS, Word)
-from .analysis import (Bounds, DegreeReport, DSquaredReport, ExactnessResult,
-                       H0Report, NonHomogeneousTargetError, ParityReport,
+from .analysis import (Bounds, DSquaredReport, ExactnessResult, H0Report,
+                       NonHomogeneousTargetError, ParityReport,
                        TrivialityResult, UnsupportedPresentationError,
-                       check_d_squared, check_degree, check_parity_flip,
-                       composable_words, exactness_search, h0, is_trivial)
+                       check_d_squared, check_parity_flip, composable_words,
+                       exactness_search, h0, is_trivial)
 from .morphisms import (Augmentation, AugmentationReport, ChainMapReport,
                         GenMap, MapError, ObstructionReport, ScopeError,
                         UnsupportedCodomainError, UnverifiedAugmentationError,

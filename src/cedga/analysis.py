@@ -1,6 +1,6 @@
 """Verification and computation on presentations.
 
-d^2 and grading checks, the word-length parity-flip check, bounded
+The d^2 check, the word-length parity-flip check, bounded
 exactness and triviality searches (exact linear algebra over Q or GF(2),
 split by the letter weights d preserves), and degree-0 homology by
 noncommutative rewriting with a length-then-declaration-order monomial
@@ -14,7 +14,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
@@ -33,23 +33,27 @@ class UnsupportedPresentationError(PresentationError):
     and degree-0 letters that are cycles."""
 
 
+def _check_bounds(**bounds):
+    """Each named bound an int (not a bool), and none negative."""
+    for name, v in bounds.items():
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"bound {name} must be an int, not {v!r}")
+    if min(bounds.values()) < 0:
+        raise ValueError("bounds must be nonnegative")
+
+
 @dataclass(frozen=True)
 class Bounds:
+    """The word bounds of the bounded searches."""
     max_word_length: int = 6
     max_level: int = 2
-    degree_bound: int = 8
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"bound {f.name} must be an int, not {v!r}")
-        if self.max_word_length < 0 or self.max_level < 0 or self.degree_bound < 0:
-            raise ValueError("bounds must be nonnegative")
+        _check_bounds(**asdict(self))
 
 
 # ---------------------------------------------------------------------------
-# d^2, grading, parity
+# d^2, parity
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -68,24 +72,6 @@ def check_d_squared(P: Presentation) -> DSquaredReport:
             bad.append({"generator": g.name,
                         "residual": P.format_element(residual)})
     return DSquaredReport(ok=not bad, counterexamples=bad)
-
-
-@dataclass
-class DegreeReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-
-    @classmethod
-    def from_validation(cls, report) -> DegreeReport:
-        """The `degree` violations of a ValidationReport, as strings."""
-        bad = [f"{v.generator}: {v.detail}" for v in report.violations
-               if v.kind == "degree"]
-        return cls(ok=not bad, violations=bad)
-
-
-def check_degree(P: Presentation) -> DegreeReport:
-    """Every monomial of every d(g) raises degree by exactly one."""
-    return DegreeReport.from_validation(P.validate())
 
 
 @dataclass
@@ -248,10 +234,13 @@ class LinearSolver:
     of the columns is a prefix of the full one, and the combination of
     independent columns that makes the right side is unique.  The right
     side is reduced only once the columns have numbered every one of its
-    labels, so that following it leaves the row numbering as it was; its
-    lead is then compared with each new pivot, and it is stepped on when
-    they meet.  A right side with a label no column has numbered lies
-    outside the span: no column can cancel that entry.
+    labels, so that following it leaves the row numbering, and with it
+    each column's pivot row, as it was: numbering its labels in `follow`
+    would spare `_unseen` and `_number`, but it moves the pivots, and the
+    searches over Q ran slower with it.  Once reduced, its lead is
+    compared with each new pivot, and it is stepped on when they meet.  A
+    right side with a label no column has numbered lies outside the
+    span: no column can cancel that entry.
     """
     _RHS = object()  # the tag under which the right side is reduced
 
@@ -724,7 +713,7 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     a truncated or cut run or one with a collapse, else the ground ring
     when the rules rewrite every degree-0 letter, else a basis.
     """
-    Bounds(degree_bound=degree_bound)  # the int and sign checks of Bounds
+    _check_bounds(degree_bound=degree_bound)
     require_valid(P)
     if not P.ring.is_field():
         raise UnsupportedPresentationError("h0 needs a field (Q or GF2)")

@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Every command but `catalog` returns (verdict, certificates, bounds);
+Every command but `catalog` returns (verdict, certificates, bounds),
+bounds being the dict of the bounds the verdict was reached at, or None;
 `main` alone times it and prints it, as text or, under `--json`, as one
 object {command, verdict, certificates, bounds, timings} that is
 deterministic but for the timings.  Exit codes: 0 = a verdict in PASSING,
@@ -45,11 +46,16 @@ def _load(path: str, env=None, target_env=None):
     return dsl.parse(_read(path), env=env, target_env=target_env)
 
 
+def _given(args, names) -> dict:
+    """The flags among `names` (their dest names) that were given; a flag
+    not given keeps the default of what it enters."""
+    return {n: getattr(args, n) for n in names
+            if getattr(args, n) is not None}
+
+
 def _bounds(args) -> Bounds:
-    """The bound flags store under Bounds' field names; a flag not given
-    or not taken keeps its default, so `bounds` always has every field."""
-    return Bounds(**{f.name: getattr(args, f.name) for f in fields(Bounds)
-                     if getattr(args, f.name, None) is not None})
+    """The word bounds: their flags store under Bounds' field names."""
+    return Bounds(**_given(args, (f.name for f in fields(Bounds))))
 
 
 def _select(table, name, what, flag=None, one=False):
@@ -109,13 +115,6 @@ def _report(rep):
     return asdict(rep), rep.ok
 
 
-def _grade(P):
-    val = P.validate()
-    deg = analysis.DegreeReport.from_validation(val)
-    certs = {"validation": asdict(val), "degree": asdict(deg)}
-    return certs, val.ok and deg.ok
-
-
 def _chain_map(phi):
     try:
         return _report(morphisms.verify_chain_map(phi))
@@ -130,7 +129,7 @@ CHECKS = {
     "check-d2": ("d squared vanishes", "counterexample", "presentation",
                  "--pres", lambda P: _report(analysis.check_d_squared(P))),
     "grade": ("degree homogeneity", "violation", "presentation", "--pres",
-              _grade),
+              lambda P: _report(P.validate())),
     "parity": ("word-length parity flip", "counterexample", "presentation",
                "--pres", lambda P: _report(analysis.check_parity_flip(P))),
     "verify-map": ("chain-map check", "failure", "map", "--map", _chain_map),
@@ -152,9 +151,9 @@ def cmd_check(args):
 
 def cmd_h0(args):
     P = _single(_load(args.file), args)
-    bounds = _bounds(args)
-    rep = analysis.h0(P, degree_bound=bounds.degree_bound)
-    return rep.verdict, {"h0": rep.to_json_dict()}, bounds
+    rep = analysis.h0(P, **_given(args, ["degree_bound"]))
+    return (rep.verdict, {"h0": rep.to_json_dict()},
+            {"degree_bound": rep.degree_bound})
 
 
 def cmd_exact(args):
@@ -162,7 +161,7 @@ def cmd_exact(args):
     target = dsl.parse_element(args.target, P)
     bounds = _bounds(args)
     res = analysis.exactness_search(P, target, bounds, parity=args.parity)
-    return res.status, {"search": res.to_json_dict(P)}, bounds
+    return res.status, {"search": res.to_json_dict(P)}, asdict(bounds)
 
 
 def cmd_trivial(args):
@@ -171,7 +170,7 @@ def cmd_trivial(args):
     res = analysis.is_trivial(P, bounds, parity=args.parity)
     verdict = ("certified_trivial" if res.certified_trivial
                else "not_within_bounds")
-    return verdict, {"search": res.search.to_json_dict(P)}, bounds
+    return verdict, {"search": res.search.to_json_dict(P)}, asdict(bounds)
 
 
 def cmd_linearize(args):
@@ -209,7 +208,7 @@ def cmd_obstruct(args):
     rep = morphisms.obstruct_y_filling(link_map.source, link_map.target,
                                        link_map, bounds)
     return rep.status, {"report": rep.to_json_dict(link_map.target),
-                        "map": name}, bounds
+                        "map": name}, asdict(bounds)
 
 
 def build_parser():
@@ -305,7 +304,7 @@ def main(argv=None) -> int:
         ms = int((time.monotonic() - t0) * 1000)
         print(json.dumps({"command": args.command, "verdict": verdict,
                           "certificates": certificates,
-                          "bounds": bounds and asdict(bounds),
+                          "bounds": bounds,
                           "timings": {"total_ms": ms}}, sort_keys=True))
     else:
         print(f"{args.command}: {verdict}")

@@ -17,7 +17,7 @@ it implies at correction zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .algebra import Element, Presentation, check_ring, require_valid
@@ -301,20 +301,16 @@ class ObstructionReport:
     decisive_generator: Optional[str]
     decisive_parity: Optional[str]
     transcript: list
-    certificate: Optional[ExactnessResult]
-    bounds: Bounds
+    certificate: Optional[ExactnessResult]  # holds the target and bounds
 
     def to_json_dict(self, codomain: Presentation):
         return {
             "status": self.status,
             "decisive_generator": self.decisive_generator,
             "decisive_parity": self.decisive_parity,
-            "target": (None if self.certificate is None
-                       else codomain.format_element(self.certificate.target)),
             "transcript": list(self.transcript),
             "certificate": (None if self.certificate is None
                             else self.certificate.to_json_dict(codomain)),
-            "bounds": asdict(self.bounds),
         }
 
 
@@ -555,10 +551,9 @@ def obstruct_y_filling(domain: Presentation, codomain: Presentation,
                 return ObstructionReport(
                     "obstructed", g.name, parity_name, transcript,
                     replace(res, note="implied by the corrected decisive "
-                                      "solve at correction zero"), bounds)
+                                      "solve at correction zero"))
             transcript.append(
                 f"  {g.name} ({parity_name} part): bounded solution exists; "
                 f"not decisive")
     transcript.append("no decisive equation found within bounds")
-    return ObstructionReport("inconclusive", None, None, transcript, None,
-                             bounds)
+    return ObstructionReport("inconclusive", None, None, transcript, None)

@@ -6,9 +6,9 @@ criterion; bounds and time budgets are pinned here, not configurable.
 import time
 
 from cedga import (ALTERNATING, Augmentation, Bounds, GenMap, Presentation,
-                   catalog_names, check_d_squared, check_degree,
-                   check_parity_flip, example, exactness_search, free_product,
-                   gf2, is_trivial, h0, make_hat_point_algebra,
+                   catalog_names, check_d_squared, check_parity_flip,
+                   example, exactness_search, free_product, gf2,
+                   is_trivial, h0, make_hat_point_algebra,
                    make_point_algebra, obstruct_y_filling, partial_linearize,
                    rationals, verify_augmentation, verify_chain_map)
 from cedga.dsl import bundle_equal, parse, serialize
@@ -54,7 +54,7 @@ def test_criterion_01_d_squared():
 def test_criterion_02_grading():
     for name in catalog_names():
         for P in example(name).presentations.values():
-            assert check_degree(P).ok, name
+            assert P.validate().ok, name
     P = example("unknot_one_handle").main
     assert P.convention == "potential_plus"
     assert P.gen("a").degree == -1

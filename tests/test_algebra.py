@@ -287,7 +287,8 @@ def test_differential_raises_degree_by_one(i3):
 # text form can hold, and validate() where it cannot (the reader refuses a
 # word that breaks between two letters), pinned by one sha256 over the
 # exit codes, output and reports; recorded before validate read the ends
-# and degrees of the letters from per-letter lists.
+# and degrees of the letters from per-letter lists, and re-pinned when the
+# `grade` certificate became the validation report alone.
 VIOLATIONS_TEXT = """ring Q
 presentation ends {
   idempotents e1 e2 e3
@@ -332,7 +333,7 @@ presentation clean {
 }
 """
 VIOLATIONS = (
-    "002835014906e4aa2d5ea991636a8ffec0f48f68322d759949c298cc2dc9b344")
+    "4a0ff648369ab7e64674b459e30292a2a88047e66935d45915f4c6e35fa383a3")
 
 
 def _breaking_presentation():

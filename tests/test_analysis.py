@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cedga import (Bounds, GenMap, NonHomogeneousTargetError, Presentation,
                    PresentationError, UnsupportedPresentationError,
-                   check_d_squared, check_degree, check_parity_flip,
+                   check_d_squared, check_parity_flip,
                    composable_words, example, exactness_search, gf2, h0,
                    is_trivial, laurent, make_point_algebra, rationals,
                    verify_chain_map)
@@ -88,14 +88,15 @@ def test_parity_flip_refuses_a_presentation_that_fails_validation():
         check_parity_flip(P)
 
 
-def test_check_degree_reports_misgrading():
+def test_validate_reports_misgrading():
     P = _simple()
     t = P.add_generator("t", 0, "e1", "e1")
     a = P.add_generator("a", 1, "e1", "e1")
     P.set_differential(t, P.zero())
     P.differential[a.index] = {(t.index, t.index): P.ring.one()}  # degree 0, not 2
-    rep = check_degree(P)
-    assert not rep.ok and "a" in rep.violations[0]
+    rep = P.validate()
+    assert not rep.ok
+    assert [(v.kind, v.generator) for v in rep.violations] == [("degree", "a")]
 
 
 def test_exactness_trivial_target():
@@ -152,7 +153,7 @@ def test_zero_coefficients_are_dropped_from_the_target():
      "bound max_word_length must be an int"),
     (lambda P: Bounds(max_word_length=2.5),
      "bound max_word_length must be an int"),
-    (lambda P: Bounds(degree_bound="8"), "bound degree_bound must be an int"),
+    (lambda P: h0(P, "8"), "bound degree_bound must be an int, not '8'"),
     (lambda P: Bounds(max_level=-1), "bounds must be nonnegative"),
     (lambda P: h0(P, -1), "bounds must be nonnegative"),
     (lambda P: h0(P, True), "bound degree_bound must be an int, not True"),

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cedga import (POTENTIAL_MINUS, UNIFORM_MINUS, InvalidFamilyError,
-                   Presentation, PresentationError, catalog_names, check_d_squared, check_degree,
+                   Presentation, PresentationError, catalog_names, check_d_squared,
                    check_parity_flip, example, free_product, gf2,
                    make_hat_point_algebra, make_point_algebra, rationals,
                    verify_chain_map)
@@ -200,7 +200,6 @@ def test_catalog_entries_validate(name):
     bundle = example(name)
     for P in bundle.presentations.values():
         assert P.validate().ok
-        assert check_degree(P).ok
         assert check_d_squared(P).ok
 
 

@@ -341,15 +341,15 @@ def test_bound_flags_a_command_does_not_read_are_usage_errors(
     assert "unrecognized arguments" in err
 
 
-def test_truncated_h0_is_inconclusive_with_all_bounds(tmp_path, capsys):
+def test_truncated_h0_is_inconclusive_with_its_degree_bound(tmp_path,
+                                                            capsys):
     f = tmp_path / "u2.cedga"
     f.write_text(run(capsys, "catalog", "unknot_two_handles", "--emit")[1])
     code, out, _ = run(capsys, "h0", str(f), "--degree-bound", "0", "--json")
     obj = json.loads(out)
     assert code == 1 and obj["verdict"] == "inconclusive"
     assert obj["certificates"]["h0"]["truncated"] is True
-    assert obj["bounds"] == {"degree_bound": 0, "max_level": 2,
-                             "max_word_length": 6}
+    assert obj["bounds"] == {"degree_bound": 0}
 
 
 @pytest.mark.parametrize("text,argv,verdict,code", [
@@ -646,6 +646,12 @@ _MAP = _R + ("diff r = a\nmap m : main -> main {\n"
              "  idem e1 -> e1; a -> %s; b -> b; r -> r;\n}\n")
 
 
+# the keys of the envelope's bounds; the checks and linearize have none
+_BOUND_KEYS = {"h0": ["degree_bound"],
+               **dict.fromkeys(("exact", "trivial", "obstruct"),
+                               ["max_level", "max_word_length"])}
+
+
 @pytest.mark.parametrize("argv,text,verdict,code", [
     (["check-d2"], _TWO_LETTERS, "pass", 0),
     (["check-d2"], "ring Q\nidempotents e1\ngen b deg 1 from e1 to e1\n"
@@ -690,6 +696,11 @@ def test_every_verdict_has_one_envelope_and_exit_code(tmp_path, capsys, argv,
     assert set(obj) == {"bounds", "certificates", "command", "timings",
                         "verdict"}
     assert obj["command"] == command
+    # the bounds the verdict was reached at, each stated once
+    bounds = obj["bounds"]
+    assert (bounds and sorted(bounds)) == _BOUND_KEYS.get(command)
+    if command == "obstruct":
+        assert {"target", "bounds"}.isdisjoint(obj["certificates"]["report"])
     got, out, _ = run(capsys, command, str(f), *rest)
     assert got == code
     assert out.splitlines()[0] == f"{command}: {obj['verdict']}"
