@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .coefficients import CoeffRing, RingMismatchError, bad_name
+from .coefficients import GF2, LAURENT, CoeffRing, RingMismatchError, bad_name
 
 Word = Union[int, tuple]
 Element = dict
@@ -276,48 +276,89 @@ class Presentation:
                 f"generator {g.name!r} has no differential assignment")
         return self.differential[g.index]
 
-    def _leibniz_terms(self, w: Word) -> list:
-        """d(w) unsummed: for each letter and each term dw, dc of its
-        differential, (prefix*dw*suffix, ±dc), minus after letters of odd
-        total degree.  The sign flip is not a ring call and may leave a
-        coefficient uncanonical; add_into mends it."""
-        if isinstance(w, int):
-            return []
+    def _differential(self, pairs, staged: bool) -> Element:
+        """The sum of c*d(w) over the (w, c) in `pairs` (d(w) alone when c
+        is None), by the one Leibniz loop of d_word and apply_differential.
+
+        Letter t of w and a term (dw, dc) of its differential give the
+        term (w[:t]*dw*w[t+1:], ±dc), minus after letters of odd total
+        degree.  The ring is resolved once.  Over Q and GF(2) each term
+        goes straight into the sum as ±c*dc (over GF(2) the sum's low
+        bit), and each rational is put in canonical form at the end
+        (until then it may be an integral Fraction); a Laurent word's
+        terms are listed and summed by add_into.
+
+        Staged, the sum gains keys in the order adding each c*d(w) whole
+        would give.  Two terms of d(w) share a word only if the earlier
+        one is idempotent or its dw starts with its own letter (README),
+        so the terms before the first such one go straight into the sum,
+        and the rest of d(w) is summed apart and added scaled by c.
+        """
+        ring = self.ring
+        lau, gf2 = ring.kind == LAURENT, ring.kind == GF2
         diff, gens = self.differential, self.generators
-        negation = self.ring.negation()
-        terms = []
-        sign_exp = 0
-        for t, i in enumerate(w):
-            dg = diff.get(i)
-            if dg is None:
-                self.d_gen(i)  # raises IncompletePresentationError
-            if dg:
-                prefix, suffix = w[:t], w[t + 1:]
-                odd = sign_exp % 2
-                for dw, dc in dg.items():
-                    terms.append((
-                        prefix + suffix or dw if isinstance(dw, int)
-                        else prefix + dw + suffix,
-                        negation(dc) if odd else dc))
-            sign_exp += gens[i].degree
-        return terms
+        out: Element = {}
+        out_get, out_pop = out.get, out.pop
+        for w, c in pairs:
+            # a word is an int or a tuple: `type(.) is int` is the faster
+            # test, and the loop below makes it on every term
+            if type(w) is int:
+                continue
+            f = 1 if c is None or lau else c
+            target, get, pop = out, out_get, out_pop
+            rest, split = None, staged
+            terms = [] if lau else None
+            sign_exp = 0
+            for t, i in enumerate(w):
+                dg = diff.get(i)
+                if dg is None:
+                    self.d_gen(i)  # raises IncompletePresentationError
+                if dg:
+                    prefix, suffix = w[:t], w[t + 1:]
+                    odd = sign_exp % 2
+                    g = -f if odd else f
+                    for dw, dc in dg.items():
+                        if type(dw) is int:
+                            k = prefix + suffix or dw
+                        else:
+                            k = prefix + dw + suffix
+                        if split and (type(dw) is int or dw[0] == i):
+                            split = False
+                            if lau:
+                                ring.add_into(out, terms, c)
+                                terms = []
+                            target = rest = {}
+                            get, pop = rest.get, rest.pop
+                            f, g = 1, -1 if odd else 1
+                        if lau:
+                            terms.append((k, {e: -a for e, a in dc.items()}
+                                          if odd else dc))
+                            continue
+                        s = get(k, 0) + g * dc
+                        if gf2:
+                            s &= 1
+                        if s:
+                            target[k] = s
+                        else:
+                            pop(k, None)
+                sign_exp += gens[i].degree
+            if lau:
+                ring.add_into(target, terms, c if rest is None else None)
+            if rest:
+                ring.add_into(out, rest.items(), c)
+        if not lau and not gf2:
+            for k, v in out.items():
+                if type(v) is not int and v.denominator == 1:
+                    out[k] = v.numerator
+        return out
 
     def d_word(self, w: Word) -> Element:
-        return self.ring.add_into({}, self._leibniz_terms(w))
+        return self._differential(((w, None),), False)
 
     def apply_differential(self, x: Element) -> Element:
-        """Linear, graded-Leibniz extension of the generator assignments.
-        Each word's Leibniz terms go into `out` scaled by its coefficient;
-        when a key repeats among them they are summed first, so that `out`
-        gains keys in the order adding d(w) whole would give."""
-        out: Element = {}
-        add_into, terms_of = self.ring.add_into, self._leibniz_terms
-        for w, c in x.items():
-            terms = terms_of(w)
-            if len(dict(terms)) < len(terms):
-                terms = add_into({}, terms).items()
-            add_into(out, terms, c)
-        return out
+        """Linear, graded-Leibniz extension of the generator assignments;
+        `out` gains keys in the order adding each c*d(w) whole gives."""
+        return self._differential(x.items(), True)
 
     # -- validation -------------------------------------------------------------
 

@@ -767,12 +767,23 @@ def h0(P: Presentation, degree_bound: int = 8) -> H0Report:
     verdict = ("inconclusive" if truncated or rs.collapses or cut else
                "ground-ring" if all((g.index,) in rs.rules for g in letters)
                else "basis")
+    # the walk is pre-order and emits every word, so a word's parent is
+    # the last word one letter shorter: texts[k] is the text of the last
+    # word of length k + 1, and a one-letter word (each root's first)
+    # empties it
+    names, texts = [g.name for g in P.generators], []
+    basis_texts = [e.label for e in P.idempotents]
+    for w in itertools.islice(basis, len(basis_texts), None):
+        del texts[len(w) - 1:]
+        texts.append(f"{texts[-1]}*{names[w[-1]]}" if texts
+                     else names[w[-1]])
+        basis_texts.append(texts[-1])
     return H0Report(
         relations=[P.format_element(r) for r in relations],
         rules=[f"{P.format_word(lhs)} -> {P.format_element(rhs)}"
                for lhs, rhs in rs.rules.items()],
         dimension=len(basis),
-        basis=[P.format_word(w) for w in basis],
+        basis=basis_texts,
         degenerate=sorted(rs.collapses, key=lambda c: (rs.collapses[c], c)),
         truncated=truncated,
         degree_bound=degree_bound,

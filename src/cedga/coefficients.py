@@ -44,10 +44,6 @@ def _q(a):
     return a.numerator if a.denominator == 1 else a
 
 
-def _neg_laurent(a):
-    return {e: -c for e, c in a.items()}
-
-
 class RingMismatchError(ValueError):
     """Operands belong to different coefficient rings."""
 
@@ -204,13 +200,6 @@ class CoeffRing:
                 else:
                     pop(k, None)
         return out
-
-    def negation(self):
-        """a -> -a as one plain function, for a loop that flips the sign
-        of many terms without a ring call each.  On Q and GF(2) it is the
-        builtin, which may leave a value uncanonical (an integral Fraction,
-        -1 in GF(2)) for add_into to mend."""
-        return _neg_laurent if self.kind == LAURENT else operator.neg
 
     def mul(self, a, b):
         if self.kind == RATIONALS:

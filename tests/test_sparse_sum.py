@@ -1,15 +1,15 @@
 """Sparse sums against the inline loops they replaced.
 
-Presentation.mul, d_word and apply_differential go through
-CoeffRing.add_into; the references below are the inline accumulate loops
-it replaced, and the new code must agree with them term for term and in
-the same key order, so that nothing that iterates over a sum can tell the
-two apart.  LinearSolver eliminates on one integer dict per column, its
-row on keys >= 0 and its combination of the columns on keys < 0; its
-reference is the Fraction elimination it replaced, which keeps (row,
-combination) pairs.  Split into pairs, the two must store the same pairs
-up to a rational factor and return the same solutions, whatever order
-the items of a column come in.
+Presentation.mul goes through CoeffRing.add_into, and d_word and
+apply_differential through one Leibniz loop; the references below are
+the inline accumulate loops they replaced, and the new code must agree
+with them term for term and in the same key order, so that nothing that
+iterates over a sum can tell the two apart.  LinearSolver eliminates on
+one integer dict per column, its row on keys >= 0 and its combination of
+the columns on keys < 0; its reference is the Fraction elimination it
+replaced, which keeps (row, combination) pairs.  Split into pairs, the
+two must store the same pairs up to a rational factor and return the
+same solutions, whatever order the items of a column come in.
 """
 import copy
 import math
@@ -274,6 +274,68 @@ def test_a_word_whose_leibniz_terms_repeat_adds_its_differential_whole():
                    ((0, 0, 0), 1)]
 
 
+def _staging_case(ring, case):
+    """(P, el) for one case of the staging lemma.  In the first three,
+    el's first word y leaves a word K in the sum, then d of its second
+    word holds K in two Leibniz terms that bring it to 0 and back one at
+    a time (over GF(2) they cancel), so adding them straight into the sum
+    would move K last.  Differentials are constants; el's coefficients
+    are multiples of t over the Laurent ring."""
+    def const(n):
+        return ring.from_int(n)
+
+    def coeff(n):
+        return ring.monomial((1,), n) if ring == laurent("t") else const(n)
+
+    P = Presentation(ring)
+    e1 = P.add_idempotent("e1").index
+    e2 = P.add_idempotent("e2").index
+    names = ("a", "b", "x", "y", "z")
+    a, b, x, y, z = ((P.add_generator(name, 1 if name == "b" else 0,
+                                      "e1", "e1").index,)
+                     for name in names)
+    d = {name: {} for name in names}
+    if case == "idempotent":
+        # d(b*a*a) = x*x*a*a - 2 b*a: b has degree 1, and d a = e1 twice
+        d["a"], d["b"] = {e1: const(1)}, {x + x: const(1)}
+        d["y"] = {b + a: const(1), x: const(1)}
+        el = {y: coeff(1), b + a + a: coeff(1)}
+    elif case == "self-leading":
+        # d(a*b) = 2 a*x*b, the first from d a = a*x, which starts with a
+        d["a"], d["b"] = {a + x: const(1)}, {x + b: const(1)}
+        d["y"] = {a + x + b: const(-1), x: const(1)}
+        el = {y: coeff(1), a + b: coeff(1)}
+    elif case == "two idempotents":
+        # d a = e1 + e2 fails validation: d(a*b) = 2 b
+        d["a"] = {e1: const(1), e2: const(1)}
+        d["y"] = {b: const(-1), x: const(1)}
+        el = {y: coeff(1), a + b: coeff(1)}
+    else:
+        # raw zeros: z's coefficient in x, and the idempotent term that
+        # starts the apart sum of d(a*b)
+        d["a"], d["b"] = {e1: const(0), x: const(1)}, {x: const(0)}
+        d["y"] = {x + b: const(-1), b: const(1)}
+        d["z"] = {x + b: const(1), b: const(1)}
+        el = {y: coeff(1), z: coeff(0), a + b: coeff(1)}
+    for name, value in d.items():
+        P.differential[P.gen(name).index] = value
+    return P, el
+
+
+@pytest.mark.parametrize("case", ["idempotent", "self-leading",
+                                  "two idempotents", "raw zeros"])
+@pytest.mark.parametrize("ring", RINGS, ids=["Q", "GF2", "laurent"])
+def test_the_terms_that_may_repeat_are_summed_apart(ring, case):
+    """Only a term that is idempotent or whose dw starts with its own
+    letter can share its word with a later term of d(w); from the first
+    such term on, d(w) is summed apart, and the sum keeps the order that
+    adding each d(w) whole gives."""
+    P, x = _staging_case(ring, case)
+    got = list(P.apply_differential(x).items())
+    assert got == list(_ref_apply_differential(P, x).items())
+    assert _canonical(dict(got))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_products_and_differentials_match_the_inline_loops(data):
@@ -289,6 +351,18 @@ def test_products_and_differentials_match_the_inline_loops(data):
     dx = P.apply_differential(x)
     assert list(dx.items()) == list(_ref_apply_differential(P, x).items())
     assert _canonical(dx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_differential_of_one_word_is_its_d_word_scaled(data):
+    """apply_differential({w: c}) is scale(c, d_word(w)), keys in the
+    same order: one word added into an empty sum is added whole."""
+    P, pool, _ = data.draw(presentations())
+    w = data.draw(st.sampled_from(pool))
+    c = _coeff(data.draw, P.ring)
+    got = P.apply_differential({w: c})
+    assert list(got.items()) == list(P.scale(c, P.d_word(w)).items())
 
 
 @settings(max_examples=200, deadline=None)
